@@ -360,8 +360,8 @@ class Piece:
     value: float
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"piece value must be nonnegative, got {self.value}")
+        if not math.isfinite(self.value) or self.value < 0:
+            raise ValueError(f"piece value must be finite and nonnegative, got {self.value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,18 +449,34 @@ def _overlay_axes(domain: Domain, *hists) -> list:
     return out
 
 
+def _piece_slices(h: HistHypothesis, axes: list):
+    """Per piece, the block of overlay cells it covers, as a tuple of slices."""
+    for p in h.pieces:
+        yield tuple(
+            slice(int(np.searchsorted(axes[a], p.rect.lo[a])), int(np.searchsorted(axes[a], p.rect.hi[a])))
+            for a in range(h.domain.dim)
+        )
+
+
 def _rasterize(h: HistHypothesis, axes: list) -> np.ndarray:
     """Value of ``h`` on each overlay cell (uncovered cells stay 0)."""
-    shape = tuple(len(a) - 1 for a in axes)
-    grid = np.zeros(shape)
-    for p in h.pieces:
-        sl = []
-        for a in range(h.domain.dim):
-            i0 = int(np.searchsorted(axes[a], p.rect.lo[a]))
-            i1 = int(np.searchsorted(axes[a], p.rect.hi[a]))
-            sl.append(slice(i0, i1))
-        grid[tuple(sl)] = p.value
+    grid = np.zeros(tuple(len(a) - 1 for a in axes))
+    for sl, p in zip(_piece_slices(h, axes), h.pieces):
+        grid[sl] = p.value
     return grid
+
+
+def piece_coverage(h: HistHypothesis):
+    """``(axes, counts)``: h's own overlay and how many pieces cover each cell.
+
+    Overlay cells have positive width, so a count above 1 is an overlap of
+    positive volume and a count of 0 is a gap; zero-width pieces cover none.
+    """
+    axes = _overlay_axes(h.domain, h)
+    counts = np.zeros(tuple(len(a) - 1 for a in axes), dtype=np.int32)
+    for sl in _piece_slices(h, axes):
+        counts[sl] += 1
+    return axes, counts
 
 
 def _cell_volumes(axes: list) -> np.ndarray:
@@ -564,6 +580,7 @@ __all__ = [
     "flatten",
     "l1_dist",
     "l2_sq_dist",
+    "piece_coverage",
     "eval_hist",
     "log2_int",
     "next_pow2",

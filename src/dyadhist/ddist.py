@@ -7,7 +7,22 @@ query rectangle R) that contain support points.  The discrepancy
 * a scan over tree nodes (rectangles holding mass), and
 * ``a * V`` where V is the largest volume of a dyadic rectangle below R that
   holds no mass; every such rectangle is R itself (empty tree) or a missing
-  child of some tree node, so V is found during construction.
+  child of some tree node.
+
+Layout.  ``MortonIndex`` sorts the support points inside one root rectangle
+once, by the Morton (Z-order) key of their level-0 cell, so the points of
+every dyadic rectangle form one contiguous run.  Nodes are stored in
+post-order: children before their parent and siblings in Morton order, so
+the subtree of any node is one contiguous slice that ends at the node.  The
+largest empty rectangle below every node is found once, bottom-up.  A
+``SparseDyadicTree`` is a view of one such slice, found by a binary search.
+Keys are split into words of at most 63 bits, so no key overflows whatever
+the product of the dimension and the grid depth.
+
+Ties.  Wherever a witness is chosen among equal discrepancies or equal empty
+volumes, the least (level, lexicographic index) wins, as in ``brute_d1``.
+Morton order is not lexicographic order within a level, so the node order
+of a tree is not that order and ties are resolved explicitly.
 
 All node masses are integer counts divided by n exactly once, so results are
 bit-identical to a dense enumeration that aggregates the same integers.
@@ -23,6 +38,8 @@ import numpy as np
 from .core import DyadicRect, EmpiricalDist, GridSpec
 from .errors import OracleGuardError, StructureError
 
+_NONE = np.int64(np.iinfo(np.int64).max)
+
 
 def check_dyadic(grid: GridSpec, rect: DyadicRect) -> None:
     if rect.dim != grid.dim:
@@ -34,52 +51,216 @@ def check_dyadic(grid: GridSpec, rect: DyadicRect) -> None:
         raise StructureError(f"index {rect.index} outside grid at level {rect.level}")
 
 
-def _group_rows(rows: np.ndarray, weights: np.ndarray):
-    """Group identical int rows, summing weights; rows returned in lex order."""
-    n, d = rows.shape
-    if n == 0:
-        return rows.copy(), np.zeros(0)
-    bases = rows.max(axis=0).astype(np.int64) + 1
-    if int(sum(int(b).bit_length() for b in bases)) <= 62:
-        comp = np.zeros(n, dtype=np.int64)
-        for a in range(d):
-            comp = comp * bases[a] + rows[:, a]
-        uniq, inv = np.unique(comp, return_inverse=True)
-        w = np.bincount(inv.ravel(), weights=weights)
-        out = np.empty((len(uniq), d), dtype=np.int64)
-        rem = uniq.copy()
-        for a in range(d - 1, -1, -1):
-            out[:, a] = rem % bases[a]
-            rem //= bases[a]
-        return out, w
-    uniq, inv = np.unique(rows, axis=0, return_inverse=True)
-    return uniq, np.bincount(inv.ravel(), weights=weights)
+def _morton_words(cols: list, levels: int) -> list:
+    """Morton keys of cells whose per-axis indices are below 2^levels.
+
+    ``cols`` holds one int, or one int64 array, per axis.  Digit b (bit b of
+    every axis, axis 0 first) runs from b = levels-1 in the first word down
+    to b = 0 in the last, at most 63 bits per word, so comparing the words
+    in turn compares the keys.
+    """
+    per_word = 63 // len(cols)
+    words = []
+    for top in range(levels, 0, -per_word):
+        w = cols[0] * 0
+        for b in range(top - 1, max(0, top - per_word) - 1, -1):
+            for x in cols:
+                w = (w << 1) | ((x >> b) & 1)
+        words.append(w)
+    return words or [cols[0] * 0]
 
 
-def _composite(rows: np.ndarray, base: int) -> np.ndarray:
-    """Lex-order-preserving key per row; structured view when int64 would overflow."""
-    d = rows.shape[1]
-    if d * int(base - 1).bit_length() <= 62:
-        comp = np.zeros(len(rows), dtype=np.int64)
+def _search(words: list, key: list, side: str) -> int:
+    """First row whose words are >= ``key`` ("left") or > ``key`` ("right")."""
+    lo, hi = 0, len(words[0])
+    for col, k in zip(words, key):
+        a = lo + int(np.searchsorted(col[lo:hi], k, side="left"))
+        b = lo + int(np.searchsorted(col[lo:hi], k, side="right"))
+        if a == b:
+            return a
+        lo, hi = a, b
+    return lo if side == "left" else hi
+
+
+class MortonIndex:
+    """Sparse dyadic tree of the support inside ``root``, in Morton post-order.
+
+    The learner builds one per run and takes a ``view`` per leaf.  Per node
+    it stores the level, the mass, the volume and a reference to the largest
+    empty rectangle below the node; dyadic indices are decoded from the
+    points on demand.  ``node_visits`` counts the points placed, the nodes
+    made and the candidate empty children examined.
+    """
+
+    def __init__(self, fhat: EmpiricalDist, grid: GridSpec, root: DyadicRect):
+        check_dyadic(grid, root)
+        d, top = grid.dim, root.level
+        self.fhat, self.grid, self.root = fhat, grid, root
+        cells = grid.cell_index(fhat.points) if fhat.support_size else np.zeros((0, d), np.int64)
+        inside = np.ones(len(cells), dtype=bool)
         for a in range(d):
-            comp = comp * base + rows[:, a]
-        return comp
-    flat = np.ascontiguousarray(rows, dtype=np.int64)
-    return flat.view([("", np.int64)] * d).ravel()
+            inside &= (cells[:, a] >> top) == root.index[a]
+        rows = np.flatnonzero(inside)
+        self.offset = tuple(int(i) << top for i in root.index)
+        rel = cells[rows] - np.asarray(self.offset, dtype=np.int64)
+        words = _morton_words([rel[:, a] for a in range(d)], top)
+        order = np.lexsort(words[::-1])
+        self.rows = rows[order]  # support rows, in Morton order of their cells
+        self.cells = cells[self.rows]
+        self.words = [w[order] for w in words]
+        self._bits = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1  # child -> bits
+        self._build_nodes()
+
+    def _build_nodes(self) -> None:
+        grid, d, top = self.grid, self.grid.dim, self.root.level
+        s = len(self.rows)
+        n = self.fhat.n if self.fhat.support_size else 1
+        # nodes ending at point i are its levels below shared[i], the level
+        # from which points i and i+1 share their nodes (the bit length of
+        # the xor of their cells; frexp is exact below 2^53)
+        diff = np.zeros(max(0, s - 1), dtype=np.int64)
+        for a in range(d):
+            diff |= self.cells[1:, a] ^ self.cells[:-1, a]
+        shared = np.frexp(diff.astype(np.float64))[1]
+        self.first = np.zeros(s + 1, dtype=np.int64)  # node at level l ending at point i: first[i] + l
+        if s:
+            np.cumsum(np.append(shared, top + 1), out=self.first[1:])
+        total = int(self.first[-1])
+        self.level = np.empty(total, dtype=np.int8)
+        self.mass = np.empty(total)
+        self.vol = np.empty(total)
+        self.empty = np.empty(total, dtype=np.int64)  # largest empty rect below: node << d | child
+        self.node_visits = s
+        if not s:
+            return
+        weight = 1 << np.arange(d - 1, -1, -1)
+        cum = np.zeros(s + 1, dtype=np.int64)
+        np.cumsum(self.fhat.counts[self.rows], out=cum[1:])
+        bounds = np.arange(s - 1)
+        kids = None
+        for lev in range(top + 1):
+            bounds = bounds[shared[bounds] > lev]
+            ends = np.append(bounds, s - 1)
+            starts = np.concatenate(([0], bounds + 1))
+            post = self.first[ends] + lev
+            idx = self.cells[starts] >> lev
+            self.level[post] = lev
+            self.mass[post] = (cum[ends + 1] - cum[starts]) / n
+            self.vol[post] = grid.dyadic_volume(lev, idx)
+            self.node_visits += len(post)
+            e_vol = np.full(len(post), -1.0)  # largest empty rect below each node
+            e_ref = np.full(len(post), -1, dtype=np.int64)
+            if lev > 0:
+                k_starts, k_vol, k_ref = kids
+                parent = np.searchsorted(starts, k_starts, side="right") - 1
+                seg = np.searchsorted(parent, np.arange(len(post)))  # first child of each node
+                pick = self._best_of_children(parent, seg, k_vol, k_ref)
+                e_vol, e_ref = k_vol[pick], k_ref[pick]
+                # the node's own missing children, which sit one level higher
+                need = np.flatnonzero(np.diff(np.append(seg, len(parent))) < (1 << d))
+                if len(need):
+                    row = np.full(len(post), -1)
+                    row[need] = np.arange(len(need))
+                    hit = row[parent] >= 0
+                    digit = ((self.cells[k_starts[hit]] >> (lev - 1)) & 1) @ weight
+                    pidx = idx[need]
+                    cvol = np.ones((len(need), 1 << d))
+                    for a in range(d):
+                        b = grid.axes[a]
+                        edge = [(2 * pidx[:, a] + j) << (lev - 1) for j in range(3)]
+                        width = np.stack([b[edge[1]] - b[edge[0]], b[edge[2]] - b[edge[1]]], axis=1)
+                        cvol *= width[:, self._bits[:, a]]
+                    cvol[row[parent[hit]], digit] = -1.0
+                    own = np.argmax(cvol, axis=1)  # first max: the lexicographically least child
+                    own_vol = cvol[np.arange(len(need)), own]
+                    self.node_visits += cvol.size
+                    win = own_vol > e_vol[need]  # on equal volume the children's rect is lower
+                    e_vol[need[win]] = own_vol[win]
+                    e_ref[need[win]] = (post[need[win]] << d) | own[win]
+            self.empty[post] = e_ref
+            kids = (starts, e_vol, e_ref)
+
+    def _best_of_children(self, parent, seg, vol, ref) -> np.ndarray:
+        """Per node, the child holding the best empty rect below the children.
+
+        Children are grouped by ``parent``, with ``seg`` the first child of
+        each node.  Best is the largest volume, then the least level, then
+        the least index, which is decoded only where the level leaves a tie.
+        """
+        d = self.grid.dim
+        top = np.maximum.reduceat(vol, seg)
+        tie = vol == top[parent]
+        lev = self.level[ref >> d].astype(np.int64)  # ref -1 reads a stray level; its vol is -1
+        tie &= lev == np.minimum.reduceat(np.where(tie, lev, _NONE), seg)[parent]
+        many = (np.add.reduceat(tie.astype(np.int64), seg) > 1) & (top >= 0)
+        if many.any():
+            cand = np.flatnonzero(tie & many[parent])
+            idx = self._empty_index(ref[cand])
+            cand = cand[np.lexsort(list(idx.T[::-1]) + [parent[cand]])]
+            tie[cand] = False
+            tie[cand[np.r_[True, parent[cand][1:] != parent[cand][:-1]]]] = True
+        pick = np.flatnonzero(tie)
+        return pick[np.searchsorted(parent[pick], np.arange(len(seg)))]
+
+    def _empty_index(self, refs: np.ndarray) -> np.ndarray:
+        """Indices of the empty children that ``node << d | child`` references name."""
+        d = self.grid.dim
+        return 2 * self.decode(refs >> d) + self._bits[refs & ((1 << d) - 1)]
+
+    def decode(self, nodes: np.ndarray) -> np.ndarray:
+        """Dyadic indices (one row each) of the nodes at these positions."""
+        point = np.searchsorted(self.first, nodes, side="right") - 1
+        return self.cells[point] >> self.level[nodes][:, None].astype(np.int64)
+
+    def _empty_rect(self, ref: int) -> DyadicRect | None:
+        if ref < 0:
+            return None
+        idx = self._empty_index(np.array([ref]))[0]
+        return DyadicRect(int(self.level[ref >> self.grid.dim]) - 1, tuple(int(i) for i in idx))
+
+    def run(self, rect: DyadicRect) -> tuple:
+        """Positions ``[lo, hi)`` of the points inside ``rect``, in Morton order."""
+        check_dyadic(self.grid, rect)
+        if not self.root.contains(rect):
+            raise StructureError(f"{rect} lies outside the index root {self.root}")
+        rel = [(i << rect.level) - o for i, o in zip(rect.index, self.offset)]
+        low = _morton_words(rel, self.root.level)
+        high = _morton_words([r | ((1 << rect.level) - 1) for r in rel], self.root.level)
+        return _search(self.words, low, "left"), _search(self.words, high, "right")
+
+    def view(self, rect: DyadicRect) -> "SparseDyadicTree":
+        """The tree of mass-carrying dyadic rectangles below ``rect``."""
+        lo, hi = self.run(rect)
+        visits = 2 * len(self.words) * len(self.rows).bit_length() + 1
+        if lo == hi:
+            none = slice(0, 0)
+            return SparseDyadicTree(self.grid, rect, self, 0, self.level[none], self.mass[none],
+                                    self.vol[none], self.grid.volume_of(rect), rect, visits)
+        start, top = int(self.first[lo]), int(self.first[hi - 1]) + rect.level
+        nodes = slice(start, top + 1)
+        witness = self._empty_rect(int(self.empty[top]))
+        max_vol = self.grid.volume_of(witness) if witness is not None else -1.0
+        return SparseDyadicTree(self.grid, rect, self, start, self.level[nodes], self.mass[nodes],
+                                self.vol[nodes], max_vol, witness, visits)
 
 
 @dataclass(eq=False)
 class SparseDyadicTree:
-    """Sparse dyadic tree restricted below ``rect``; see module docstring.
+    """Sparse dyadic tree restricted below ``rect``: a view of a MortonIndex.
 
-    Node arrays are sorted by (level ascending, index lexicographic), which
-    makes "first argmax" the canonical lexicographically-least witness.
+    The node arrays are slices of the index's arrays, in post-order:
+    children before their parent, siblings in Morton order, and ``rect``
+    itself last.  That is not (level, lexicographic index) order, so
+    witnesses are chosen among ties by ``least_node``.  ``node_index`` is
+    decoded on demand.  ``node_visits`` counts the entries read to find the
+    view, plus the index's own count when ``build_tree`` built the index.
     """
 
     grid: GridSpec
     rect: DyadicRect
+    index: MortonIndex
+    start: int  # position of the first node in the index
     node_level: np.ndarray
-    node_index: np.ndarray
     node_mass: np.ndarray
     node_vol: np.ndarray
     max_empty_vol: float
@@ -94,10 +275,29 @@ class SparseDyadicTree:
     def root_mass(self) -> float:
         if self.node_count == 0:
             return 0.0
-        return float(self.node_mass[-1])  # last row is the level-rect.level root
+        return float(self.node_mass[-1])  # post-order: the last row is ``rect``
+
+    @property
+    def node_index(self) -> np.ndarray:
+        return self.index.decode(np.arange(self.start, self.start + self.node_count))
 
     def node_at(self, i: int) -> DyadicRect:
-        return DyadicRect(int(self.node_level[i]), tuple(int(v) for v in self.node_index[i]))
+        lev = int(self.node_level[i])
+        point = int(self.index.first.searchsorted(self.start + i, side="right")) - 1
+        return DyadicRect(lev, tuple(c >> lev for c in self.index.cells[point].tolist()))
+
+    def least_node(self, nodes: np.ndarray) -> int:
+        """The node with least (level, lexicographic index) among ``nodes``."""
+        lev = self.node_level[nodes]
+        nodes = nodes[lev == lev.min()]
+        if len(nodes) > 1:
+            idx = self.index.decode(self.start + nodes)
+            nodes = nodes[np.lexsort(idx.T[::-1])]
+        return int(nodes[0])
+
+    def witness(self, i: int) -> DyadicRect:
+        """Node ``i``, or the empty witness for ``i == -1``."""
+        return self.empty_witness if i < 0 else self.node_at(i)
 
 
 def build_tree(
@@ -105,121 +305,53 @@ def build_tree(
     grid: GridSpec,
     rect: DyadicRect,
     *,
-    cells: np.ndarray | None = None,
-    sel: np.ndarray | None = None,
+    index: MortonIndex | None = None,
 ) -> SparseDyadicTree:
     """Build the sparse tree of mass-carrying dyadic rectangles below ``rect``.
 
-    ``cells`` (per-point level-0 cell indices) and ``sel`` (row selector of
-    the points inside ``rect``) can be passed by callers that already have
-    them; the greedy splitter maintains both across iterations.
+    ``index`` is a MortonIndex over ``fhat`` and ``grid`` whose root contains
+    ``rect``; the greedy splitter keeps one per run.  Without it an index
+    rooted at ``rect`` is built, and its work is counted in ``node_visits``.
     """
-    check_dyadic(grid, rect)
-    d = grid.dim
-    if cells is None:
-        cells = grid.cell_index(fhat.points) if fhat.support_size else np.zeros((0, d), np.int64)
-    if sel is None:
-        if len(cells):
-            inside = np.ones(len(cells), dtype=bool)
-            for a in range(d):
-                inside &= (cells[:, a] >> rect.level) == rect.index[a]
-            sel = np.flatnonzero(inside)
-        else:
-            sel = np.zeros(0, dtype=np.int64)
-
-    visits = 0
-    pts = cells[sel]
-    wts = fhat.counts[sel].astype(np.float64) if len(sel) else np.zeros(0)
-    n = fhat.n if fhat.support_size else 1
-
-    per_level = {}
-    for lev in range(rect.level, -1, -1):
-        visits += len(pts)
-        idx, cnt = _group_rows(pts >> lev, wts)
-        per_level[lev] = (idx, cnt)
-
-    best_vol = -1.0
-    best_empty: DyadicRect | None = None
-    if len(sel) == 0:
-        best_vol = grid.volume_of(rect)
-        best_empty = rect
-    else:
-        bits = np.array(
-            [[(b >> (d - 1 - a)) & 1 for a in range(d)] for b in range(1 << d)],
-            dtype=np.int64,
-        )
-        for lev in range(rect.level, 0, -1):
-            p_idx, _ = per_level[lev]
-            c_idx, _ = per_level[lev - 1]
-            base = grid.M  # safe upper bound on any index at any level
-            pos = np.searchsorted(_composite(p_idx, base), _composite(c_idx >> 1, base))
-            nchild = np.bincount(pos, minlength=len(p_idx))
-            need = np.flatnonzero(nchild < (1 << d))
-            if not len(need):
-                continue
-            cand = (p_idx[need, None, :] * 2 + bits[None, :, :]).reshape(-1, d)
-            visits += len(cand)
-            present = np.isin(_composite(cand, base), _composite(c_idx, base))
-            missing = cand[~present]
-            if not len(missing):
-                continue
-            vols = grid.dyadic_volume(lev - 1, missing)
-            top = float(vols.max())
-            # levels are scanned top-down, so on a volume tie the current
-            # (lower) level is lexicographically smaller and wins
-            if top >= best_vol:
-                ties = missing[vols == top]
-                order = np.lexsort(ties.T[::-1])
-                best_vol = top
-                best_empty = DyadicRect(lev - 1, tuple(int(v) for v in ties[order[0]]))
-
-    levels_out, index_out, mass_out, vol_out = [], [], [], []
-    for lev in range(0, rect.level + 1):
-        idx, cnt = per_level[lev]
-        levels_out.append(np.full(len(idx), lev, dtype=np.int64))
-        index_out.append(idx)
-        mass_out.append(cnt / n)
-        vol_out.append(grid.dyadic_volume(lev, idx))
-    node_level = np.concatenate(levels_out) if levels_out else np.zeros(0, np.int64)
-    node_index = np.concatenate(index_out) if index_out else np.zeros((0, d), np.int64)
-    node_mass = np.concatenate(mass_out) if mass_out else np.zeros(0)
-    node_vol = np.concatenate(vol_out) if vol_out else np.zeros(0)
-    visits += len(node_level)
-
-    return SparseDyadicTree(
-        grid=grid,
-        rect=rect,
-        node_level=node_level,
-        node_index=node_index,
-        node_mass=node_mass,
-        node_vol=node_vol,
-        max_empty_vol=best_vol if best_empty is not None else -1.0,
-        empty_witness=best_empty,
-        node_visits=visits,
-    )
+    if index is None:
+        index = MortonIndex(fhat, grid, rect)
+        tree = index.view(rect)
+        tree.node_visits += index.node_visits
+        return tree
+    if index.fhat is not fhat or index.grid is not grid:
+        raise ValueError("the index was built over another sample set or grid")
+    return index.view(rect)
 
 
 def _eval_discrepancy(tree: SparseDyadicTree, a: float):
-    """(err, witness, witness_mass, witness_vol) at constant ``a``."""
+    """(err, witness, witness_mass, witness_vol) at constant ``a``.
+
+    The witness is a node position in ``tree``, or -1 for its empty witness.
+    """
     b1 = -1.0
-    w1 = None
+    i = -1
     if tree.node_count:
-        disc = np.abs(tree.node_mass - a * tree.node_vol)
-        i = int(np.argmax(disc))  # first max = lexicographically least node
+        disc = tree.node_vol * a
+        np.subtract(tree.node_mass, disc, out=disc)
+        np.abs(disc, out=disc)
+        i = int(disc.argmax())
         b1 = float(disc[i])
-        w1 = (tree.node_at(i), float(tree.node_mass[i]), float(tree.node_vol[i]))
+        if i + 1 < len(disc) and disc[i + 1 :].max() == b1:
+            i = tree.least_node(np.flatnonzero(disc == b1))
     b2 = -1.0
     if tree.empty_witness is not None:
         b2 = a * tree.max_empty_vol
-    if w1 is None and tree.empty_witness is None:
+    if i < 0 and tree.empty_witness is None:
         raise StructureError("tree has neither nodes nor an empty witness")
-    if b2 > b1 or w1 is None:
-        return b2, tree.empty_witness, 0.0, tree.max_empty_vol
+    if b2 > b1 or i < 0:
+        return b2, -1, 0.0, tree.max_empty_vol
+    wm, wv = float(tree.node_mass[i]), float(tree.node_vol[i])
     if b1 > b2 or tree.empty_witness is None:
-        return b1, w1[0], w1[1], w1[2]
-    if (tree.empty_witness.level, tree.empty_witness.index) < (w1[0].level, w1[0].index):
-        return b2, tree.empty_witness, 0.0, tree.max_empty_vol
-    return b1, w1[0], w1[1], w1[2]
+        return b1, i, wm, wv
+    w = tree.node_at(i)
+    if (tree.empty_witness.level, tree.empty_witness.index) < (w.level, w.index):
+        return b2, -1, 0.0, tree.max_empty_vol
+    return b1, i, wm, wv
 
 
 def compute_d1(
@@ -240,7 +372,7 @@ def compute_d1(
     if tree is None:
         tree = build_tree(fhat, grid, rect)
     err, witness, _, _ = _eval_discrepancy(tree, a)
-    return err, witness
+    return err, tree.witness(witness)
 
 
 @dataclass(frozen=True)
@@ -276,7 +408,7 @@ def fit_d1(
     if tree is None:
         tree = build_tree(fhat, grid, rect)
 
-    best: list = [np.inf, 0.0, None]  # err, a, witness
+    best: list = [np.inf, 0.0, -1]  # err, a, witness
 
     def probe(a: float):
         err, wit, wm, wv = _eval_discrepancy(tree, a)
@@ -287,7 +419,7 @@ def fit_d1(
     vol_r = grid.volume_of(rect)
     if tree.node_count == 0:
         probe(0.0)
-        return DFitResult(best[1], best[0], best[2])
+        return DFitResult(best[1], best[0], tree.witness(best[2]))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         dens = np.where(tree.node_vol > 0, tree.node_mass / tree.node_vol, 0.0)
@@ -296,7 +428,7 @@ def fit_d1(
         probe(tree.root_mass / vol_r)  # flattening candidate
     probe(0.0)
     if a_max <= 0 or vol_r <= 0:
-        return DFitResult(best[1], best[0], best[2])
+        return DFitResult(best[1], best[0], tree.witness(best[2]))
     probe(a_max)
 
     lo, hi = 0.0, a_max
@@ -313,7 +445,7 @@ def fit_d1(
         else:
             hi = mid
     probe(0.5 * (lo + hi))
-    return DFitResult(best[1], best[0], best[2])
+    return DFitResult(best[1], best[0], tree.witness(best[2]))
 
 
 def brute_d1(
@@ -377,6 +509,7 @@ def brute_d1(
 
 
 __all__ = [
+    "MortonIndex",
     "SparseDyadicTree",
     "DFitResult",
     "build_tree",

@@ -12,11 +12,12 @@ writing a re-read file reproduces it byte for byte.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .core import Domain, EmpiricalDist, HistHypothesis, HistKind, Piece, Rect
+from .core import Domain, EmpiricalDist, HistHypothesis, HistKind, Piece, Rect, piece_coverage
 from .errors import ConfigurationError, DomainViolationError
 
 
@@ -118,13 +119,19 @@ def write_hypothesis(path, h: HistHypothesis) -> None:
 
 
 def read_hypothesis(path) -> HistHypothesis:
+    """Parse a hypothesis file, rejecting what no histogram can be.
+
+    Numbers must be finite and, on discrete domains, bounds integral; pieces
+    must lie in the domain and be pairwise disjoint, and an ``arbitrary``
+    (total) file must cover the domain.  Errors name ``path:line``.
+    """
     path = str(path)
     raw = Path(path).read_text(encoding="utf-8").splitlines()
     if not raw:
         raise ConfigurationError(f"{path}: empty file")
     domain, kv = _parse_header(raw[0], path)
     kind = HistKind.PARTIAL if kv.get("kind") == "partial" else HistKind.ARBITRARY
-    pieces = []
+    pieces, lines = [], []
     for ln, line in enumerate(raw[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -138,19 +145,39 @@ def read_hypothesis(path) -> HistHypothesis:
             nums = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: {exc}") from None
-        lo, hi = [], []
-        for a in range(domain.dim):
-            l, hgh = nums[2 * a], nums[2 * a + 1]
-            if domain.is_discrete:
-                l, hgh = int(l), int(hgh)
-            lo.append(l)
-            hi.append(hgh)
+        if not all(math.isfinite(x) for x in nums):
+            raise ValueError(f"{path}:{ln}: non-finite number")
+        bounds = nums[:-1]
+        if domain.is_discrete:
+            if any(x != int(x) for x in bounds):
+                raise ValueError(f"{path}:{ln}: bounds on a discrete domain must be integers")
+            bounds = [int(x) for x in bounds]
+        lo, hi = tuple(bounds[0::2]), tuple(bounds[1::2])
         if any(l < domain.lower or v > domain.upper for l, v in zip(lo, hi)):
             raise DomainViolationError(f"{path}:{ln}: piece outside domain")
-        pieces.append(Piece(Rect(tuple(lo), tuple(hi)), nums[-1]))
+        try:
+            pieces.append(Piece(Rect(lo, hi), nums[-1]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
+        lines.append(ln)
     if not pieces:
         raise ConfigurationError(f"{path}: no pieces")
-    return HistHypothesis(domain=domain, pieces=tuple(pieces), kind=kind)
+    h = HistHypothesis(domain=domain, pieces=tuple(pieces), kind=kind)
+    axes, counts = piece_coverage(h)
+
+    def center(cell) -> np.ndarray:
+        return np.array([[(axes[a][c] + axes[a][c + 1]) / 2 for a, c in enumerate(cell)]])
+
+    overlaps = np.argwhere(counts > 1)
+    if len(overlaps):
+        x = center(overlaps[0])
+        hits = [ln for p, ln in zip(pieces, lines) if p.rect.contains_points(x, domain)[0]]
+        raise ConfigurationError(f"{path}:{hits[1]}: piece overlaps the piece on line {hits[0]}")
+    gaps = np.argwhere(counts == 0)
+    if kind is HistKind.ARBITRARY and len(gaps):
+        x = center(gaps[0])[0].tolist()
+        raise ConfigurationError(f"{path}:1: kind=arbitrary pieces leave the point {x} uncovered")
+    return h
 
 
 __all__ = [

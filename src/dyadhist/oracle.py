@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     DyadicRect,
@@ -305,6 +304,8 @@ def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int,
     the constants, so each support is solved exactly as a tiny linear
     program; supports are pruned with cheap lower/upper bounds first.
     """
+    from scipy.optimize import linprog  # imported here: it costs half a second to import
+
     if k < 1:
         raise ValueError("k must be >= 1")
     rects = all_dyadic_rects(grid, guard)

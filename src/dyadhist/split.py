@@ -36,7 +36,7 @@ from .core import (
     Piece,
     next_pow2,
 )
-from .ddist import DFitResult, build_tree, fit_d1
+from .ddist import MortonIndex, build_tree, fit_d1
 from .errors import DegenerateRegionError, UnsupportedDomainError
 
 
@@ -108,46 +108,26 @@ class SplitTrace:
 
 @dataclass
 class _Leaf:
-    sel: np.ndarray
     a: float = 0.0
     err: float = 0.0
     fitted: bool = False
 
 
-def _split_leaf(rect: DyadicRect, leaf: _Leaf, cells: np.ndarray, dim: int):
-    """Partition a leaf's point selector among its 2^d children."""
-    children = rect.children()
-    sel = leaf.sel
-    if len(sel):
-        child_of = np.zeros(len(sel), dtype=np.int64)
-        for a in range(dim):
-            bit = (cells[sel, a] >> (rect.level - 1)) & 1
-            child_of = (child_of << 1) | bit
-        return [(ch, _Leaf(sel=sel[child_of == i])) for i, ch in enumerate(children)]
-    return [(ch, _Leaf(sel=sel)) for ch in children]
-
-
 def _run_split_loop(fhat, grid, params, score_leaf):
-    """Shared loop; ``score_leaf(rect, leaf, cells)`` fills leaf.a / leaf.err."""
+    """Shared loop; ``score_leaf(rect, leaf)`` fills leaf.a / leaf.err."""
     dim = grid.dim
     levels = grid.levels
     iters = levels if params.max_levels is None else min(params.max_levels, levels)
     n_split = math.ceil((1.0 + params.xi) * params.k)
 
-    cells = (
-        grid.cell_index(fhat.points)
-        if fhat.support_size
-        else np.zeros((0, dim), dtype=np.int64)
-    )
-    root = grid.root()
-    leaves: dict = {root: _Leaf(sel=np.arange(fhat.support_size, dtype=np.int64))}
+    leaves: dict = {grid.root(): _Leaf()}
     internal: list = []
     trace = SplitTrace()
 
     for it in range(1, iters + 1):
         for rect, leaf in leaves.items():
             if not leaf.fitted:
-                score_leaf(rect, leaf, cells)
+                score_leaf(rect, leaf)
                 leaf.fitted = True
         order = sorted(
             leaves, key=lambda r: (-leaves[r].err, -r.level, r.index)
@@ -166,19 +146,19 @@ def _run_split_loop(fhat, grid, params, score_leaf):
             )
         )
         for rect in to_split:
-            leaf = leaves.pop(rect)
+            del leaves[rect]
             internal.append(rect)
-            for ch, child_leaf in _split_leaf(rect, leaf, cells, dim):
-                leaves[ch] = child_leaf
+            for ch in rect.children():
+                leaves[ch] = _Leaf()
 
     for rect, leaf in leaves.items():
         if not leaf.fitted:
-            score_leaf(rect, leaf, cells)
+            score_leaf(rect, leaf)
             leaf.fitted = True
 
     bound = piece_bound(params.k, params.xi, dim, iters)
     assert len(leaves) <= bound, f"{len(leaves)} leaves exceed bound {bound}"
-    return leaves, internal, trace, cells
+    return leaves, internal, trace
 
 
 def _build_hypothesis(grid, leaves, internal, normalize):
@@ -216,12 +196,16 @@ def greedy_split(fhat: EmpiricalDist, grid: GridSpec, params: SplitParams):
         else default_gamma(params.k, params.xi, grid.dim, grid.levels)
     )
 
-    def score(rect, leaf, cells):
-        tree = build_tree(fhat, grid, rect, cells=cells, sel=leaf.sel)
+    index = None
+
+    def score(rect, leaf):
+        nonlocal index
+        tree = build_tree(fhat, grid, rect, index=index)
+        index = tree.index  # built by the first call, on the root, then shared
         fit = fit_d1(fhat, grid, rect, gamma, tree=tree)
         leaf.a, leaf.err = fit.a, fit.err
 
-    leaves, internal, trace, _ = _run_split_loop(fhat, grid, params, score)
+    leaves, internal, trace = _run_split_loop(fhat, grid, params, score)
     hyp = _build_hypothesis(grid, leaves, internal, params.normalize_output)
     return hyp, trace
 
@@ -238,10 +222,12 @@ def greedy_split_l2(g: EmpiricalDist, grid: GridSpec, params: SplitParams):
     if g.domain != grid.domain:
         raise ValueError("empirical distribution and grid disagree on the domain")
     n = g.n if g.support_size else 1
+    index = MortonIndex(g, grid, grid.root())
 
-    def score(rect, leaf, cells):
+    def score(rect, leaf):
         vol = grid.volume_of(rect)
-        masses = g.counts[leaf.sel] / n
+        lo, hi = index.run(rect)
+        masses = g.counts[np.sort(index.rows[lo:hi])] / n  # support order fixes the sums' rounding
         total = float(masses.sum())
         if vol <= 0:
             leaf.a, leaf.err = 0.0, 0.0
@@ -250,7 +236,7 @@ def greedy_split_l2(g: EmpiricalDist, grid: GridSpec, params: SplitParams):
         err = float(np.sum((masses - a) ** 2)) + (vol - len(masses)) * a * a
         leaf.a, leaf.err = a, max(0.0, err)
 
-    leaves, internal, trace, _ = _run_split_loop(g, grid, params, score)
+    leaves, internal, trace = _run_split_loop(g, grid, params, score)
     hyp = _build_hypothesis(grid, leaves, internal, params.normalize_output)
     return hyp, trace
 
@@ -258,20 +244,26 @@ def greedy_split_l2(g: EmpiricalDist, grid: GridSpec, params: SplitParams):
 def build_adaptive_grid(samples: EmpiricalDist) -> GridSpec:
     """Grid whose interior boundaries are the distinct sample coordinates.
 
-    Per axis the sorted distinct coordinates become interior boundaries,
-    padded by repeating the maximal coordinate until every axis has M cells,
-    where M is the least power of 2 >= (largest distinct count + 1); domain
-    bounds are then prepended/appended.  Padded cells have zero width and
-    zero sample mass.
+    Per axis the sorted distinct coordinates below the domain's upper bound
+    become interior boundaries, padded by repeating the largest of them (the
+    lower bound when there is none) until every axis has M cells, where M is
+    the least power of 2 >= (largest distinct count + 1); domain bounds are
+    then prepended/appended.  Padded cells have zero width and zero sample
+    mass.  A coordinate equal to the upper bound (1.0 on the unit cube) is
+    no boundary, so it lands in the last cell, which has positive width.
     """
     if samples.support_size == 0:
         raise ValueError("cannot build an adaptive grid from an empty sample set")
     domain = samples.domain
-    uniques = [np.unique(samples.points[:, a]) for a in range(domain.dim)]
+    uniques = []
+    for a in range(domain.dim):
+        u = np.unique(samples.points[:, a])
+        uniques.append(u[u < domain.upper])
     m_cells = max(next_pow2(len(u) + 1) for u in uniques)
     axes = []
     for u in uniques:
-        interior = np.concatenate([u, np.full(m_cells - 1 - len(u), u[-1])])
+        pad = u[-1] if len(u) else domain.lower
+        interior = np.concatenate([u, np.full(m_cells - 1 - len(u), pad)])
         axes.append(
             np.concatenate([[domain.lower], interior, [domain.upper]]).astype(np.float64)
         )

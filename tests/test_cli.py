@@ -276,6 +276,36 @@ class TestCommandLine:
         lines = dump.read_text().splitlines()
         assert len(lines) == 17  # header + 16 cells
 
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ("# dim=1 domain=unit kind=arbitrary\n0,1,1\n0,0.6,1\n", ":3:"),  # overlap
+            ("# dim=1 domain=unit kind=arbitrary\n0,1,nan\n", ":2:"),
+            ("# dim=1 domain=unit kind=arbitrary\n0,1,inf\n", ":2:"),
+            ("# dim=1 domain=unit kind=arbitrary\n0,0.5,1\n0.6,1,1\n", ":1:"),  # gap
+            ("# dim=1 domain=discrete 4 kind=arbitrary\n1,2.5,1\n2.5,5,1\n", ":2:"),
+            ("# dim=2 domain=unit kind=partial\n0,0.5,0,1,1\n0.2,0.7,0.2,0.4,3\n", ":3:"),
+        ],
+    )
+    def test_eval_rejects_bad_hypothesis_file(self, tmp_path, capsys, text, where):
+        path = tmp_path / "bad.hist"
+        path.write_text(text)
+        assert main(["eval", "--in", str(path)]) == 2
+        assert f"{path}{where}" in capsys.readouterr().err
+
+    def test_partial_file_may_leave_gaps(self, tmp_path):
+        path = tmp_path / "part.hist"
+        path.write_text("# dim=1 domain=unit kind=partial\n0,0.5,1\n0.75,1,2\n")
+        assert read_hypothesis(path).total_mass() == 1.0
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, dyadhist; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dyadhist.cli", "--help"],

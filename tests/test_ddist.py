@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec
-from dyadhist.ddist import brute_d1, build_tree, compute_d1, fit_d1
+from dyadhist.ddist import MortonIndex, brute_d1, build_tree, compute_d1, fit_d1
 from dyadhist.errors import OracleGuardError, StructureError
+
+from dyadhist.oracle import all_dyadic_rects
+from dyadhist.split import build_adaptive_grid
 
 from conftest import make_rng, random_empirical, random_grid
 
@@ -87,7 +90,7 @@ class TestBuildTree:
             visits.append(tree.node_visits)
             c = tree.node_visits / (4 * emp.support_size * grid.levels)
             print(f"visit constant at s={s}: C={c:.3f}")
-            assert c <= 4.0  # visits <= C * 2^d * s * log M with small C
+            assert c <= 0.7  # visits <= C * 2^d * s * log M; the build measures 0.52-0.67
         for a, b in zip(visits, visits[1:]):
             assert b <= 2.0 * a * 1.2
             assert b >= a  # more support never costs less
@@ -117,6 +120,141 @@ class TestBuildTree:
             build_tree(emp, grid, DyadicRect(5, (0,)))
         with pytest.raises(StructureError):
             build_tree(emp, grid, DyadicRect(1, (7,)))
+
+
+def reference_tree(emp, grid, root):
+    """Plain-Python twin of the index below ``root``.
+
+    Returns ``(nodes, empty)``: ``{(level, index): mass}`` of the rectangles
+    holding mass, and ``{(level, index): (vol, witness)}`` giving, for each
+    of them, the largest empty rectangle below it: the largest volume, then
+    least (level, index), over the missing children of its subtree.
+    """
+    counts = {}
+    for cell, k in zip(grid.cell_index(emp.points), emp.counts):
+        cell = tuple(int(c) for c in cell)
+        if tuple(c >> root.level for c in cell) != root.index:
+            continue
+        for lev in range(root.level + 1):
+            key = (lev, tuple(c >> lev for c in cell))
+            counts[key] = counts.get(key, 0) + int(k)
+    nodes = {key: c / emp.n for key, c in counts.items()}
+    axes = [a.tolist() for a in grid.axes]
+
+    def volume(r):
+        v = 1.0
+        for b, i in zip(axes, r.index):
+            v *= b[(i + 1) << r.level] - b[i << r.level]
+        return v
+
+    empty = {}
+    for lev, idx in sorted(nodes):  # children before parents
+        best = None
+        if lev > 0:
+            for ch in DyadicRect(lev, idx).children():
+                key = (ch.level, ch.index)
+                cand = empty[key] if key in nodes else (volume(ch), ch)
+                if cand is not None and (
+                    best is None or (-cand[0], cand[1]) < (-best[0], best[1])
+                ):
+                    best = cand
+        empty[(lev, idx)] = best
+    return nodes, empty
+
+
+def tree_nodes(tree):
+    return {
+        (int(l), tuple(int(v) for v in ix)): float(m)
+        for l, ix, m in zip(tree.node_level, tree.node_index, tree.node_mass)
+    }
+
+
+def big_key_instances():
+    """Grids where d * log2(M) exceeds 62, some with zero-width cells."""
+    out = []
+    for i, (dim, M) in enumerate(((4, 1 << 16), (7, 512), (8, 256))):
+        rng = make_rng(77 + i)
+        for domain in (Domain.unit(dim), Domain.discrete(20, dim)):
+            grid = random_grid(rng, domain, M, warp=True)
+            pts = random_empirical(rng, domain, 10).points
+            emp = EmpiricalDist.from_samples(domain, np.vstack([pts, pts[:3]]))
+            out.append((emp, grid))
+    return out
+
+
+class TestMortonIndex:
+    def check_views(self, emp, grid, pick=None):
+        """Views of the root's index against standalone builds and the twin.
+
+        ``pick`` chooses the rectangles to view from the twin's nodes; by
+        default every dyadic rectangle of the grid is viewed.
+        """
+        index = MortonIndex(emp, grid, grid.root())
+        nodes, empty = reference_tree(emp, grid, grid.root())
+        rects = all_dyadic_rects(grid) if pick is None else pick(nodes)
+        for r in rects:
+            view = build_tree(emp, grid, r, index=index)
+            alone = build_tree(emp, grid, r)
+            want = {key: m for key, m in nodes.items() if r.contains(DyadicRect(*key))}
+            best = empty.get((r.level, r.index), (grid.volume_of(r), r))
+            for tree in (view, alone):
+                assert tree_nodes(tree) == want, r
+                assert (tree.max_empty_vol, tree.empty_witness) == (best or (-1.0, None)), r
+                assert tree.node_level.tolist() == [tree.node_at(i).level for i in range(tree.node_count)]
+                if tree.node_count:
+                    assert tree.node_at(tree.node_count - 1) == r  # post-order: the root is last
+            assert np.array_equal(view.node_mass, alone.node_mass), r
+            assert np.array_equal(view.node_vol, alone.node_vol), r
+
+    def test_views_match_standalone_builds_on_random_family(self, rng):
+        for trial in range(60):
+            emp, grid, _, _ = random_instance(rng, trial)
+            if trial % 5 == 0:
+                grid = build_adaptive_grid(emp)  # zero-width padded cells
+            self.check_views(emp, grid)
+
+    def test_views_match_when_keys_need_several_words(self):
+        def pick(nodes):
+            rects = [DyadicRect(*key) for key in sorted(nodes)][::3]
+            return rects + [ch for r in rects[::5] if r.level for ch in r.children()[::9]]
+
+        for emp, grid in big_key_instances():
+            assert grid.dim * grid.levels > 62
+            self.check_views(emp, grid, pick)
+
+    def test_index_is_bound_to_its_samples_and_root(self):
+        emp, grid = counts_2101()
+        index = MortonIndex(emp, grid, DyadicRect(1, (0,)))
+        with pytest.raises(StructureError):
+            build_tree(emp, grid, DyadicRect(1, (1,)), index=index)
+        other = EmpiricalDist(emp.domain, emp.points, emp.counts)
+        with pytest.raises(ValueError):
+            build_tree(other, grid, DyadicRect(0, (0,)), index=index)
+
+    def test_discrepancy_through_views_matches_brute_force(self, rng):
+        for trial in range(150):
+            emp, grid, _, a = random_instance(rng, trial)
+            index = MortonIndex(emp, grid, grid.root())
+            for r in all_dyadic_rects(grid)[:: max(1, trial % 4)]:
+                tree = build_tree(emp, grid, r, index=index)
+                err, wit = compute_d1(emp, grid, r, a, tree=tree)
+                berr, bwit = brute_d1(emp, grid, r, a)
+                assert err == pytest.approx(berr, abs=1e-12), (trial, r)
+                wd = abs(emp.mass_in(grid.rect_of(wit)) - a * grid.volume_of(wit))
+                bd = abs(emp.mass_in(grid.rect_of(bwit)) - a * grid.volume_of(bwit))
+                assert wd == pytest.approx(bd, abs=1e-12), (trial, r)
+
+    def test_discrepancy_ties_pick_least_level_then_index(self):
+        # three cells holding one point each: near a = 1/16 their level-0
+        # nodes tie for the maximum.  Morton order puts cell (1,0) first;
+        # the lexicographically least is (0,3).
+        d = Domain.discrete(4, 2)
+        emp = EmpiricalDist(d, np.array([[1, 4], [2, 1], [4, 4]]), np.array([1, 1, 1]))
+        grid = GridSpec.uniform(d, 4)
+        for a in (1 / 16, 0.06):
+            err, wit = compute_d1(emp, grid, grid.root(), a)
+            assert wit == DyadicRect(0, (0, 3))
+            assert (err, wit) == brute_d1(emp, grid, grid.root(), a)
 
 
 class TestComputeD1:

@@ -216,6 +216,22 @@ class TestAdaptiveGreedySplit:
         assert piece.rect.contains_points(np.array([[10, 20]]), d)[0]
         assert mass(hyp, piece.rect) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[1.0, 1.0], [0.3, 0.5]],
+            [[1.0], [0.3], [0.6]],
+            [[1.0, 0.3], [1.0, 0.7]],  # every sample of axis 0 at the top face
+            [[1.0]],
+            [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.2, 1.0, 0.9]],
+        ],
+    )
+    def test_samples_on_the_top_face_keep_their_mass(self, pts):
+        pts = np.array(pts)
+        emp = EmpiricalDist.from_samples(Domain.unit(pts.shape[1]), pts)
+        hyp, _ = adaptive_greedy_split(emp, SplitParams(k=2, xi=1.0))
+        assert hyp.total_mass() == pytest.approx(1.0, abs=1e-12)
+
     def test_hypothesis_boundaries_come_from_samples(self, rng):
         emp = random_empirical(rng, Domain.unit(2), 25)
         hyp, _ = adaptive_greedy_split(emp, SplitParams(k=2, xi=1.0, gamma=1e-9))
