@@ -9,7 +9,6 @@ from .core import (
     HistKind,
     Piece,
     Rect,
-    eval_hist,
     flatten,
     l1_dist,
     l2_sq_dist,

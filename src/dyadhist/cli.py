@@ -130,26 +130,20 @@ def sample_from(h: HistHypothesis, n: int, seed: int) -> EmpiricalDist:
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     input_path: str
     metric: str = "l1"
     grid_mode: str = "adaptive"
     k: int = 1
     xi: float = 1.0
     eps: float = 0.1
-    delta: float = 0.1
     gamma: float | None = None
-    seed: int = 0
     m: int | None = None
     normalize: bool = False
-    C: float = 1.0
     out_path: str | None = None
     report_path: str | None = None
     truth_path: str | None = None
 
     def validate(self) -> None:
-        if self.command not in {"learn"}:
-            raise ValueError(f"unknown command {self.command}")
         if self.metric not in {"l1", "l2"}:
             raise ValueError(f"metric must be l1 or l2, got {self.metric}")
         if self.grid_mode not in {"adaptive", "fixed"}:
@@ -158,28 +152,22 @@ class RunConfig:
             raise ValueError("k must be >= 1")
         if not self.xi > 0:
             raise ValueError("xi must be positive")
-        if not (0 < self.eps < 1) or not (0 < self.delta < 1):
-            raise ValueError("eps and delta must lie in (0,1)")
+        if not 0 < self.eps < 1:
+            raise ValueError("eps must lie in (0,1)")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.C <= 0:
-            raise ValueError("C must be positive")
 
     def echo(self) -> list:
         items = [
-            ("command", self.command),
             ("input", self.input_path),
             ("metric", self.metric),
             ("grid", self.grid_mode),
             ("k", str(self.k)),
             ("xi", f"{self.xi:.12g}"),
             ("eps", f"{self.eps:.12g}"),
-            ("delta", f"{self.delta:.12g}"),
             ("gamma", "auto" if self.gamma is None else f"{self.gamma:.12g}"),
-            ("seed", str(self.seed)),
             ("m", "none" if self.m is None else str(self.m)),
             ("normalize", str(self.normalize).lower()),
-            ("C", f"{self.C:.12g}"),
         ]
         return items
 
@@ -196,7 +184,6 @@ class LearnReport:
     total_mass: float
     renorm_scale: float | None
     errors: list
-    seed: int
     timings: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
@@ -214,7 +201,6 @@ class LearnReport:
         if self.renorm_scale is not None:
             lines.append(f"renorm_scale: {self.renorm_scale:.12g}")
         lines += [f"error.{k}: {v:.12g}" for k, v in self.errors]
-        lines.append(f"seed: {self.seed}")
         return "\n".join(lines) + "\n"
 
     def timing_text(self) -> str:
@@ -253,7 +239,7 @@ def run_learn(cfg: RunConfig):
     gamma = cfg.gamma
     if gamma is None:
         gamma = default_gamma(cfg.k, cfg.xi, grid.dim, grid.levels, eps=cfg.eps)
-    params = SplitParams(k=cfg.k, xi=cfg.xi, gamma=gamma, normalize_output=False)
+    params = SplitParams(k=cfg.k, xi=cfg.xi, gamma=gamma)
     if cfg.metric == "l1":
         hyp, _trace = greedy_split(emp, grid, params)
     else:
@@ -289,7 +275,6 @@ def run_learn(cfg: RunConfig):
         total_mass=hyp.total_mass(),
         renorm_scale=scale,
         errors=errors,
-        seed=cfg.seed,
         timings=timings,
     )
     if cfg.out_path:
@@ -331,19 +316,15 @@ def _cmd_sample(args) -> int:
 def _cmd_learn(args) -> int:
     out = args.out or (getattr(args, "in") + ".hyp")
     cfg = RunConfig(
-        command="learn",
         input_path=getattr(args, "in"),
         metric=args.metric,
         grid_mode=args.grid,
         k=args.k,
         xi=args.xi,
         eps=args.eps,
-        delta=args.delta,
         gamma=args.gamma,
-        seed=args.seed,
         m=args.m,
         normalize=args.normalize,
-        C=args.C,
         out_path=out,
         report_path=args.report or (out + ".report"),
         truth_path=args.truth,
@@ -354,6 +335,11 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.dump_grid is not None:
+        if args.dump_grid < 1:
+            raise ValueError(f"--dump-grid must be at least 1, got {args.dump_grid}")
+        if not args.out:
+            raise ValueError("--dump-grid needs --out")
     hyp = read_hypothesis(getattr(args, "in"))
     print(f"pieces: {hyp.piece_count}")
     print(f"total_mass: {hyp.total_mass():.12g}")
@@ -363,9 +349,7 @@ def _cmd_eval(args) -> int:
             print(f"l2sq_vs_truth: {l2_sq_dist(truth, hyp):.12g}")
         else:
             print(f"l1_vs_truth: {l1_dist(truth, hyp):.12g}")
-    if args.dump_grid:
-        if not args.out:
-            raise ValueError("--dump-grid needs --out")
+    if args.dump_grid is not None:
         _dump_grid(hyp, args.dump_grid, args.out)
         print(f"wrote {args.out}")
     return 0
@@ -381,8 +365,7 @@ def _dump_grid(h: HistHypothesis, res: int, path) -> None:
     mesh = np.meshgrid(*[centers] * domain.dim, indexing="ij")
     pts = np.stack([m_.ravel() for m_ in mesh], axis=1)
     lines = [f"# dim={domain.dim} resolution={res}"]
-    for row in pts:
-        val = h.value_at(row)
+    for row, val in zip(pts, h.value_at(pts)):
         coord = ",".join(
             str(int(v)) if domain.is_discrete else f"{v:.12g}" for v in row
         )
@@ -436,12 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     lrn.add_argument("--k", type=int, required=True)
     lrn.add_argument("--xi", type=float, default=1.0)
     lrn.add_argument("--eps", type=float, default=0.1)
-    lrn.add_argument("--delta", type=float, default=0.1)
     lrn.add_argument("--gamma", type=float)
-    lrn.add_argument("--seed", type=int, default=0)
     lrn.add_argument("--m", type=int)
     lrn.add_argument("--normalize", action="store_true")
-    lrn.add_argument("--C", type=float, default=1.0)
     lrn.add_argument("--out")
     lrn.add_argument("--report")
     lrn.add_argument("--truth")

@@ -369,9 +369,8 @@ class HistHypothesis:
     """Piecewise-constant density given by disjoint rectangles with values.
 
     ARBITRARY and HIERARCHICAL pieces cover the full domain; PARTIAL leaves
-    the uncovered region at value 0.  Hierarchical hypotheses carry the grid,
-    the dyadic identity of every piece and the split tree (a dict mapping
-    DyadicRect -> piece index for leaves, -1 for internal nodes).
+    the uncovered region at value 0.  Hierarchical hypotheses carry the grid
+    and the dyadic identity of every piece.
     """
 
     domain: Domain
@@ -379,7 +378,6 @@ class HistHypothesis:
     kind: HistKind
     grid: GridSpec | None = None
     dyadic: tuple | None = None
-    tree: dict | None = None
 
     def __post_init__(self):
         if self.kind is HistKind.HIERARCHICAL:
@@ -395,19 +393,30 @@ class HistHypothesis:
     def total_mass(self) -> float:
         return float(sum(p.value * volume(p.rect, self.domain) for p in self.pieces))
 
-    def value_at(self, x) -> float:
-        """Density at a single point; 0 on the uncovered part of a partial."""
-        x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        if x.shape[1] != self.domain.dim:
+    def value_at(self, x):
+        """Density at a point ``(d,)`` (a float) or at points ``(n, d)`` (an array).
+
+        Each point is looked up in the cell of h's own overlay that owns it,
+        so the domain's top face lands in the last cell.  The value is 0 on
+        the uncovered part of a partial hypothesis.
+        """
+        pts = np.asarray(x, dtype=np.float64)
+        single = pts.ndim == 1
+        pts = pts.reshape(1, -1) if single else pts
+        if pts.ndim != 2 or pts.shape[1] != self.domain.dim:
             raise DomainViolationError("point dimension mismatch")
-        if not self.domain.contains_points(x).all():
-            raise DomainViolationError(f"point {x.ravel()} outside domain")
-        for p in self.pieces:
-            if p.rect.contains_points(x, self.domain)[0]:
-                return p.value
-        if self.kind is HistKind.PARTIAL:
-            return 0.0
-        raise StructureError("point not covered by any piece of a total histogram")
+        inside = self.domain.contains_points(pts)
+        if not inside.all():
+            raise DomainViolationError(f"point {pts[~inside][0]} outside domain")
+        axes, counts = piece_coverage(self)
+        cell = tuple(
+            np.clip(np.searchsorted(ax, pts[:, a], side="right") - 1, 0, len(ax) - 2)
+            for a, ax in enumerate(axes)
+        )
+        if self.kind is not HistKind.PARTIAL and not counts[cell].all():
+            raise StructureError("point not covered by any piece of a total histogram")
+        vals = _rasterize(self, axes)[cell]
+        return float(vals[0]) if single else vals
 
     def mass_in(self, rect: Rect) -> float:
         total = 0.0
@@ -494,16 +503,6 @@ def l1_dist(h1: HistHypothesis, h2: HistHypothesis) -> float:
     return float(np.sum(np.abs(v1 - v2) * _cell_volumes(axes)))
 
 
-def _hist_value_at_points(h: HistHypothesis, pts: np.ndarray) -> np.ndarray:
-    vals = np.zeros(len(pts))
-    seen = np.zeros(len(pts), dtype=bool)
-    for p in h.pieces:
-        mask = p.rect.contains_points(pts, h.domain) & ~seen
-        vals[mask] = p.value
-        seen |= mask
-    return vals
-
-
 def l2_sq_dist(g1, g2) -> float:
     """Sum over lattice points of (g1(x) - g2(x))^2, discrete domains only.
 
@@ -520,14 +519,15 @@ def l2_sq_dist(g1, g2) -> float:
         return isinstance(g, EmpiricalDist)
 
     if emp(g1) and emp(g2):
-        pts = np.unique(np.vstack([g1.points, g2.points]), axis=0)
-        v1 = _emp_value_at_points(g1, pts)
-        v2 = _emp_value_at_points(g2, pts)
-        return float(np.sum((v1 - v2) ** 2))
+        # per distinct point, 0.0 + g1(x) + (-g2(x)) == g1(x) - g2(x) exactly
+        _, where = np.unique(np.vstack([g1.points, g2.points]), axis=0, return_inverse=True)
+        signed = np.concatenate([g1.counts / g1.n, -(g2.counts / g2.n)])
+        diff = np.bincount(where.ravel(), weights=signed)  # numpy 2.0.0 returns it 2-D
+        return float(np.sum(diff**2))
     if emp(g1) != emp(g2):
         e, h = (g1, g2) if emp(g1) else (g2, g1)
         gx = e.counts / e.n
-        hx = _hist_value_at_points(h, e.points)
+        hx = h.value_at(e.points)
         # sum_x h(x)^2 over the whole lattice, then swap in the support terms
         total_h_sq = sum(p.value**2 * volume(p.rect, h.domain) for p in h.pieces)
         return float(np.sum((gx - hx) ** 2) - np.sum(hx**2) + total_h_sq)
@@ -535,17 +535,6 @@ def l2_sq_dist(g1, g2) -> float:
     v1 = _rasterize(g1, axes)
     v2 = _rasterize(g2, axes)
     return float(np.sum((v1 - v2) ** 2 * _cell_volumes(axes)))
-
-
-def _emp_value_at_points(e: EmpiricalDist, pts: np.ndarray) -> np.ndarray:
-    vals = np.zeros(len(pts))
-    if e.support_size == 0:
-        return vals
-    # match rows of pts against the support
-    keep = {tuple(row): c / e.n for row, c in zip(e.points, e.counts)}
-    for i, row in enumerate(pts):
-        vals[i] = keep.get(tuple(row), 0.0)
-    return vals
 
 
 def log2_int(m: int) -> int:
@@ -559,11 +548,6 @@ def log2_int(m: int) -> int:
 def next_pow2(x: int) -> int:
     """Least power of 2 >= x (x >= 1)."""
     return 1 << max(0, int(x - 1).bit_length())
-
-
-def eval_hist(h: HistHypothesis, x) -> float:
-    """Point evaluation of a hypothesis (alias for HistHypothesis.value_at)."""
-    return h.value_at(x)
 
 
 __all__ = [
@@ -581,7 +565,6 @@ __all__ = [
     "l1_dist",
     "l2_sq_dist",
     "piece_coverage",
-    "eval_hist",
     "log2_int",
     "next_pow2",
 ]

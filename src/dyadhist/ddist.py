@@ -87,9 +87,10 @@ class MortonIndex:
 
     The learner builds one per run and takes a ``view`` per leaf.  Per node
     it stores the level, the mass, the volume and a reference to the largest
-    empty rectangle below the node; dyadic indices are decoded from the
-    points on demand.  ``node_visits`` counts the points placed, the nodes
-    made and the candidate empty children examined.
+    empty rectangle below the node; the first ``view`` builds these arrays,
+    so a caller that needs only ``run`` never pays for them.  Dyadic indices
+    are decoded from the points on demand.  ``node_visits`` counts the points
+    placed, the nodes made and the candidate empty children examined.
     """
 
     def __init__(self, fhat: EmpiricalDist, grid: GridSpec, root: DyadicRect):
@@ -109,7 +110,7 @@ class MortonIndex:
         self.cells = cells[self.rows]
         self.words = [w[order] for w in words]
         self._bits = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1  # child -> bits
-        self._build_nodes()
+        self.first = None  # the node arrays are built by the first view
 
     def _build_nodes(self) -> None:
         grid, d, top = self.grid, self.grid.dim, self.root.level
@@ -230,6 +231,8 @@ class MortonIndex:
 
     def view(self, rect: DyadicRect) -> "SparseDyadicTree":
         """The tree of mass-carrying dyadic rectangles below ``rect``."""
+        if self.first is None:
+            self._build_nodes()
         lo, hi = self.run(rect)
         visits = 2 * len(self.words) * len(self.rows).bit_length() + 1
         if lo == hi:

@@ -222,25 +222,12 @@ def opt_hier_l2(g: EmpiricalDist, grid: GridSpec, k: int,
             best_val = val
             best_leaves = part
     leaves = sorted(best_leaves)
-    leaf_set = set(leaves)
-    tree = {}
-
-    def mark_internal(rect):
-        if rect in leaf_set:
-            return
-        tree[rect] = -1
-        for ch in rect.children():
-            mark_internal(ch)
-
-    mark_internal(grid.root())
-    tree.update({r: i for i, r in enumerate(leaves)})
     hyp = HistHypothesis(
         domain=grid.domain,
         pieces=tuple(Piece(grid.rect_of(r), leaf_stats(r)[0]) for r in leaves),
         kind=HistKind.HIERARCHICAL,
         grid=grid,
         dyadic=tuple(leaves),
-        tree=tree,
     )
     return float(best_val), hyp
 

@@ -55,7 +55,6 @@ class SplitParams:
     xi: float = 1.0
     gamma: float | None = None
     max_levels: int | None = None
-    normalize_output: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -121,7 +120,6 @@ def _run_split_loop(fhat, grid, params, score_leaf):
     n_split = math.ceil((1.0 + params.xi) * params.k)
 
     leaves: dict = {grid.root(): _Leaf()}
-    internal: list = []
     trace = SplitTrace()
 
     for it in range(1, iters + 1):
@@ -147,7 +145,6 @@ def _run_split_loop(fhat, grid, params, score_leaf):
         )
         for rect in to_split:
             del leaves[rect]
-            internal.append(rect)
             for ch in rect.children():
                 leaves[ch] = _Leaf()
 
@@ -158,25 +155,19 @@ def _run_split_loop(fhat, grid, params, score_leaf):
 
     bound = piece_bound(params.k, params.xi, dim, iters)
     assert len(leaves) <= bound, f"{len(leaves)} leaves exceed bound {bound}"
-    return leaves, internal, trace
+    return leaves, trace
 
 
-def _build_hypothesis(grid, leaves, internal, normalize):
+def _build_hypothesis(grid, leaves):
     order = sorted(leaves)
     pieces = tuple(Piece(grid.rect_of(r), leaves[r].a) for r in order)
-    tree = {r: -1 for r in internal}
-    tree.update({r: i for i, r in enumerate(order)})
-    hyp = HistHypothesis(
+    return HistHypothesis(
         domain=grid.domain,
         pieces=pieces,
         kind=HistKind.HIERARCHICAL,
         grid=grid,
         dyadic=tuple(order),
-        tree=tree,
     )
-    if normalize:
-        hyp = renormalize(hyp)
-    return hyp
 
 
 def greedy_split(fhat: EmpiricalDist, grid: GridSpec, params: SplitParams):
@@ -205,9 +196,8 @@ def greedy_split(fhat: EmpiricalDist, grid: GridSpec, params: SplitParams):
         fit = fit_d1(fhat, grid, rect, gamma, tree=tree)
         leaf.a, leaf.err = fit.a, fit.err
 
-    leaves, internal, trace = _run_split_loop(fhat, grid, params, score)
-    hyp = _build_hypothesis(grid, leaves, internal, params.normalize_output)
-    return hyp, trace
+    leaves, trace = _run_split_loop(fhat, grid, params, score)
+    return _build_hypothesis(grid, leaves), trace
 
 
 def greedy_split_l2(g: EmpiricalDist, grid: GridSpec, params: SplitParams):
@@ -236,9 +226,8 @@ def greedy_split_l2(g: EmpiricalDist, grid: GridSpec, params: SplitParams):
         err = float(np.sum((masses - a) ** 2)) + (vol - len(masses)) * a * a
         leaf.a, leaf.err = a, max(0.0, err)
 
-    leaves, internal, trace = _run_split_loop(g, grid, params, score)
-    hyp = _build_hypothesis(grid, leaves, internal, params.normalize_output)
-    return hyp, trace
+    leaves, trace = _run_split_loop(g, grid, params, score)
+    return _build_hypothesis(grid, leaves), trace
 
 
 def build_adaptive_grid(samples: EmpiricalDist) -> GridSpec:
@@ -293,7 +282,6 @@ def renormalize(h: HistHypothesis) -> HistHypothesis:
         kind=h.kind,
         grid=h.grid,
         dyadic=h.dyadic,
-        tree=h.tree,
     )
 
 

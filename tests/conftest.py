@@ -63,13 +63,12 @@ def random_grid(rng, domain: Domain, cells: int, warp: bool = False) -> GridSpec
 
 
 def random_split_tree(rng, grid: GridSpec, max_leaves: int):
-    """Random full split tree with at most ``max_leaves`` leaves.
+    """Sorted leaves of a random full split tree with at most ``max_leaves`` leaves.
 
-    Returns (sorted leaves, internal nodes).  Splitting a leaf replaces it by
-    2^d children, so the achievable leaf counts are 1 mod (2^d - 1).
+    Splitting a leaf replaces it by 2^d children, so the achievable leaf
+    counts are 1 mod (2^d - 1).
     """
     leaves = [grid.root()]
-    internal = []
     step = (1 << grid.dim) - 1
     while len(leaves) + step <= max_leaves:
         splittable = [i for i, r in enumerate(leaves) if r.level > 0]
@@ -77,21 +76,18 @@ def random_split_tree(rng, grid: GridSpec, max_leaves: int):
             break
         i = splittable[int(rng.integers(len(splittable)))]
         rect = leaves.pop(i)
-        internal.append(rect)
         leaves.extend(rect.children())
-    return sorted(leaves), internal
+    return sorted(leaves)
 
 
 def random_hier_hist(rng, grid: GridSpec, max_leaves: int, normalize: bool = True):
     """Random hierarchical histogram; normalized to total mass 1 by default."""
-    leaves, internal = random_split_tree(rng, grid, max_leaves)
+    leaves = random_split_tree(rng, grid, max_leaves)
     values = rng.uniform(0.1, 1.0, size=len(leaves))
     vols = np.array([grid.volume_of(r) for r in leaves])
     if normalize:
         total = float(np.dot(values, vols))
         values = values / total
-    tree = {r: -1 for r in internal}
-    tree.update({r: i for i, r in enumerate(leaves)})
     pieces = tuple(Piece(grid.rect_of(r), float(v)) for r, v in zip(leaves, values))
     return HistHypothesis(
         domain=grid.domain,
@@ -99,7 +95,6 @@ def random_hier_hist(rng, grid: GridSpec, max_leaves: int, normalize: bool = Tru
         kind=HistKind.HIERARCHICAL,
         grid=grid,
         dyadic=tuple(leaves),
-        tree=tree,
     )
 
 

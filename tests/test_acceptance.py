@@ -294,9 +294,8 @@ def test_criterion_12_determinism(tmp_path):
     outputs = []
     for run in range(2):
         cfg = RunConfig(
-            command="learn",
             input_path=str(tmp_path / "s.txt"),
-            k=3, xi=1.0, seed=5,
+            k=3, xi=1.0,
             out_path=str(tmp_path / f"h{run}.hist"),
             report_path=str(tmp_path / f"h{run}.report"),
             truth_path=str(tmp_path / "t.hist"),

@@ -136,12 +136,10 @@ class TestSampleFrom:
 class TestRunLearn:
     def _config(self, tmp_path, **kw):
         base = dict(
-            command="learn",
             input_path=str(tmp_path / "s.txt"),
             out_path=str(tmp_path / "h.hist"),
             report_path=str(tmp_path / "h.report"),
             k=2,
-            seed=3,
         )
         base.update(kw)
         return RunConfig(**base)
@@ -217,7 +215,7 @@ class TestRunLearn:
             emp = sample_from(truth, 50_000, seed)
             write_samples(tmp_path / "s.txt", emp)
             cfg = self._config(
-                tmp_path, k=3, seed=seed, truth_path=str(tmp_path / "t.hist")
+                tmp_path, k=3, truth_path=str(tmp_path / "t.hist")
             )
             report, _ = run_learn(cfg)
             errs.append(dict(report.errors)["l1_vs_truth"])
@@ -233,7 +231,7 @@ class TestCommandLine:
                      "--out", str(truth)]) == 0
         assert main(["sample", "--in", str(truth), "--n", "300", "--seed", "2",
                      "--out", str(samples)]) == 0
-        assert main(["learn", "--in", str(samples), "--k", "3", "--seed", "1",
+        assert main(["learn", "--in", str(samples), "--k", "3",
                      "--out", str(out)]) == 0
         assert main(["eval", "--in", str(out), "--truth", str(truth)]) == 0
 
@@ -275,6 +273,16 @@ class TestCommandLine:
                      "--out", str(dump)]) == 0
         lines = dump.read_text().splitlines()
         assert len(lines) == 17  # header + 16 cells
+
+    @pytest.mark.parametrize("res", ["-3", "0"])
+    def test_eval_rejects_dump_resolution_below_one(self, tmp_path, capsys, res):
+        truth = tmp_path / "t.hist"
+        dump = tmp_path / "grid.csv"
+        main(["gen", "--k", "2", "--dim", "1", "--seed", "1", "--out", str(truth)])
+        capsys.readouterr()
+        assert main(["eval", "--in", str(truth), "--dump-grid", res, "--out", str(dump)]) == 2
+        assert f"--dump-grid must be at least 1, got {res}" in capsys.readouterr().err
+        assert not dump.exists()
 
     @pytest.mark.parametrize(
         "text,where",

@@ -1,5 +1,9 @@
 """Histogram algebra: volumes, masses, flattening, exact distances."""
 
+import itertools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,10 +27,20 @@ from dyadhist.errors import (
     ConfigurationError,
     DegenerateRegionError,
     DomainViolationError,
+    StructureError,
     UnsupportedDomainError,
 )
+from dyadhist.cli import gen_truth
+from dyadhist.fileio import read_hypothesis, write_hypothesis
 
-from conftest import lattice_points, make_rng, random_grid, random_hier_hist
+from conftest import (
+    lattice_points,
+    make_rng,
+    random_grid,
+    random_hier_hist,
+    random_partial_hist,
+    random_points,
+)
 
 
 def uniform_hist(domain):
@@ -104,6 +118,74 @@ class TestFlatten:
             assert flatten(emp, rect) == pytest.approx((lo + hi) / 2, abs=1e-7)
 
 
+def piecewise_value(h, pts) -> list:
+    """Plain twin of value_at: the value of the first piece holding each point.
+
+    None marks a point no piece of a total hypothesis holds.
+    """
+    out = []
+    for x in np.atleast_2d(pts):
+        hits = [p.value for p in h.pieces if p.rect.contains_points(x, h.domain)[0]]
+        out.append(hits[0] if hits else (0.0 if h.kind is HistKind.PARTIAL else None))
+    return out
+
+
+def probe_points(rng, h, count) -> np.ndarray:
+    """Random points; in half of them every coordinate is a piece boundary.
+
+    Boundaries include the unit cube's top face 1.0; on a discrete domain
+    the exclusive bound m+1 is no point of the domain and is left out.
+    """
+    dom = h.domain
+    pts = random_points(rng, dom, count)
+    top = dom.m if dom.is_discrete else 1.0
+    for a in range(dom.dim):
+        edges = np.unique([c for p in h.pieces for c in (p.rect.lo[a], p.rect.hi[a])])
+        pts[: count // 2, a] = rng.choice(edges[edges <= top], count // 2)
+    return pts
+
+
+def hypothesis_family(seed):
+    """Hierarchical, partial and guillotine hypotheses on unit and discrete domains."""
+    rng = make_rng(seed)
+    for dim, m in itertools.product((1, 2, 3), (None, 16)):
+        dom = Domain.discrete(m, dim) if m else Domain.unit(dim)
+        grid = random_grid(rng, dom, 8 if dim < 3 else 4, warp=bool(rng.integers(2)))
+        yield random_hier_hist(rng, grid, 15)
+        yield random_partial_hist(rng, grid, 3)
+        yield gen_truth(5, dom, seed=seed + dim)
+
+
+@st.composite
+def box_hists(draw):
+    """A product partition of the domain with values exact at 12 digits; a
+    partial one drops some of the boxes.  Returns (hypothesis, points)."""
+    dim = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([None, 4, 9]))
+    dom = Domain.discrete(m, dim) if m else Domain.unit(dim)
+    edges = []
+    for _ in range(dim):
+        if m:
+            cuts = sorted(draw(st.sets(st.integers(2, m), max_size=3)))
+            edges.append([1] + cuts + [m + 1])
+        else:
+            cuts = sorted(draw(st.sets(st.integers(1, 15), max_size=3)))
+            edges.append([0.0] + [c / 16 for c in cuts] + [1.0])
+    kind = draw(st.sampled_from([HistKind.ARBITRARY, HistKind.PARTIAL]))
+    pieces = []
+    for box in itertools.product(*[list(zip(e[:-1], e[1:])) for e in edges]):
+        if kind is HistKind.PARTIAL and pieces and draw(st.booleans()):
+            continue
+        lo, hi = zip(*box)
+        pieces.append(Piece(Rect(lo, hi), draw(st.integers(0, 64)) / 8))
+    if m:
+        coord = [st.integers(1, m)] * dim
+    else:
+        coord = [st.one_of(st.sampled_from(e), st.floats(0.0, 1.0)) for e in edges]
+    pts = draw(st.lists(st.tuples(*coord), min_size=1, max_size=20))
+    return HistHypothesis(dom, tuple(pieces), kind), np.array(pts, dtype=np.float64)
+
+
 class TestEval:
     def test_single_piece(self):
         d = Domain.unit(2)
@@ -131,6 +213,76 @@ class TestEval:
         h = uniform_hist(d)
         with pytest.raises(DomainViolationError):
             h.value_at([1.5])
+        with pytest.raises(DomainViolationError):
+            uniform_hist(Domain.unit(2)).value_at([[0.5, 0.5], [0.5, 1.5]])
+        h = uniform_hist(Domain.discrete(4, 1))
+        for bad in ([0], [5]):
+            with pytest.raises(DomainViolationError):
+                h.value_at(bad)
+
+    def test_matches_piecewise_twin(self):
+        for seed in range(6):
+            for h in hypothesis_family(seed):
+                pts = probe_points(make_rng(seed), h, 300)
+                got = h.value_at(pts)
+                assert got.shape == (300,)
+                assert got.tolist() == piecewise_value(h, pts), (seed, h.domain, h.kind)
+
+    def test_boundaries_and_top_face(self):
+        d = Domain.unit(2)
+        cuts = [(0.0, 0.25), (0.25, 1.0)]
+        pieces = tuple(
+            Piece(Rect((x0, y0), (x1, y1)), float(1 + 2 * i + j))
+            for i, (x0, x1) in enumerate(cuts)
+            for j, (y0, y1) in enumerate(cuts)
+        )
+        h = HistHypothesis(d, pieces, HistKind.ARBITRARY)
+        pts = np.array([[0.0, 0.0], [0.25, 0.0], [0.0, 0.25], [0.25, 0.25],
+                        [1.0, 0.1], [0.1, 1.0], [1.0, 1.0], [0.25, 1.0]])
+        assert h.value_at(pts).tolist() == [1.0, 3.0, 2.0, 4.0, 3.0, 2.0, 4.0, 4.0]
+        disc = Domain.discrete(4, 1)
+        h = HistHypothesis(
+            disc, (Piece(Rect((1,), (3,)), 0.5), Piece(Rect((3,), (5,)), 0.25)), HistKind.ARBITRARY
+        )
+        assert h.value_at(np.array([[1], [2], [3], [4]])).tolist() == [0.5, 0.5, 0.25, 0.25]
+
+    def test_single_point_agrees_with_rows(self):
+        for h in hypothesis_family(7):
+            pts = probe_points(make_rng(7), h, 40)
+            singles = [h.value_at(x) for x in pts]
+            assert all(type(v) is float for v in singles)
+            assert singles == h.value_at(pts).tolist()
+            assert h.value_at(np.zeros((0, h.domain.dim))).shape == (0,)
+
+    def test_wrong_dimension_rejected(self):
+        h = uniform_hist(Domain.unit(2))
+        for bad in ([0.5], [0.5, 0.5, 0.5], np.full((3, 1), 0.5), np.full((2, 2, 2), 0.5)):
+            with pytest.raises(DomainViolationError):
+                h.value_at(bad)
+
+    def test_uncovered_point_of_total_histogram_rejected(self):
+        d = Domain.unit(1)
+        h = HistHypothesis(d, (Piece(Rect((0.0,), (0.5,)), 2.0),), HistKind.ARBITRARY)
+        assert h.value_at([0.25]) == 2.0
+        for bad in ([0.75], [[0.25], [0.5]]):
+            with pytest.raises(StructureError):
+                h.value_at(bad)
+
+    @given(box_hists())
+    @settings(max_examples=150, deadline=None)
+    def test_fuzz_twin_and_file_round_trip(self, case):
+        h, pts = case
+        want = piecewise_value(h, pts)
+        assert h.value_at(pts).tolist() == want
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "h.hist"
+            write_hypothesis(path, h)
+            back = read_hypothesis(path)
+            write_hypothesis(Path(tmp) / "again.hist", back)
+            assert (Path(tmp) / "again.hist").read_bytes() == path.read_bytes()
+        assert (back.kind, back.pieces) == (h.kind, h.pieces)
+        assert back.value_at(pts).tolist() == want
+
 
 
 class TestMass:
@@ -216,6 +368,31 @@ class TestL2:
         e2 = EmpiricalDist.from_samples(d, np.array([[1], [2], [3], [4]]))
         # pointwise: (0.5-0.25)^2 + 0 + 0.25^2 + 0
         assert l2_sq_dist(e1, e2) == pytest.approx(0.125, abs=1e-15)
+
+    def test_empirical_pair_matches_pointwise_twin(self, rng):
+        # the same arithmetic per point as the dict lookup, so equal bits
+        for trial in range(30):
+            d = Domain.discrete(int(rng.integers(2, 40)), 1 + trial % 3)
+            e1, e2 = (
+                EmpiricalDist.from_samples(d, random_points(rng, d, int(rng.integers(1, 300))))
+                for _ in range(2)
+            )
+            m1, m2 = ({tuple(p): c / e.n for p, c in zip(e.points.tolist(), e.counts)} for e in (e1, e2))
+            keys = sorted(set(m1) | set(m2))
+            v1, v2 = (np.array([m.get(key, 0.0) for key in keys]) for m in (m1, m2))
+            assert l2_sq_dist(e1, e2) == float(np.sum((v1 - v2) ** 2))
+
+    def test_empirical_vs_hypothesis_matches_dense_sum(self, rng):
+        for h in hypothesis_family(3):
+            if not h.domain.is_discrete or h.domain.dim > 2:
+                continue
+            emp = EmpiricalDist.from_samples(h.domain, random_points(rng, h.domain, 200))
+            lattice = np.array(list(itertools.product(range(1, h.domain.m + 1), repeat=h.domain.dim)))
+            g = np.zeros(len(lattice))
+            for p, c in zip(emp.points, emp.counts):
+                g[np.flatnonzero((lattice == p).all(axis=1))] = c / emp.n
+            hx = np.array(piecewise_value(h, lattice), dtype=np.float64)  # None (a gap) reads nan
+            assert l2_sq_dist(emp, h) == pytest.approx(float(np.sum((g - hx) ** 2)), rel=1e-12, abs=1e-15)
 
     def test_unit_domain_rejected(self):
         d = Domain.unit(1)

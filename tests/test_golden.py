@@ -7,6 +7,12 @@ index), by running ``python tests/test_golden.py`` against that source; any
 refactor of the tree or the splitting loop must reproduce them byte for byte.
 No sample coordinate sits at 1.0, where the adaptive grid's top cell was
 changed on purpose.
+
+``GOLDEN_EVAL`` holds the sha256 of the plotting dump ``eval --dump-grid``
+writes and the ``repr`` of ``l2_sq_dist`` between samples and hypotheses.
+They were produced by the per-piece point evaluation (before the overlay
+lookup of ``HistHypothesis.value_at``), so point evaluation must reproduce
+them bit for bit.
 """
 
 import hashlib
@@ -16,11 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from dyadhist.core import Domain, EmpiricalDist, GridSpec
+from dyadhist.cli import _dump_grid, gen_truth, sample_from
+from dyadhist.core import Domain, EmpiricalDist, GridSpec, l2_sq_dist
 from dyadhist.fileio import write_hypothesis
 from dyadhist.split import SplitParams, adaptive_greedy_split, greedy_split, greedy_split_l2
 
-from conftest import make_rng
+from conftest import make_rng, random_partial_hist
 
 
 def _discrete_samples(rng, m, dim, n):
@@ -124,6 +131,57 @@ GOLDEN = {
 }
 
 
+def dump_digest(h, res) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.csv"
+        _dump_grid(h, res, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def eval_cases():
+    """(name, thunk) pairs; each thunk returns a dump digest or an ``l2_sq_dist`` repr."""
+    cases = []
+    params = SplitParams(k=5, xi=1.0)
+    for dim, n, res in ((1, 30_000, 4096), (2, 20_000, 64)):
+        emp = sample_from(gen_truth(5, Domain.unit(dim), seed=11), n, seed=3)
+        cases.append((f"dump-unit-d{dim}-{res}",
+                      lambda e=emp, res=res: dump_digest(adaptive_greedy_split(e, params)[0], res)))
+    dom = Domain.discrete(64, 2)
+    truth = gen_truth(5, dom, seed=11)
+    emp, other = sample_from(truth, 20_000, seed=3), sample_from(truth, 15_000, seed=4)
+    grid = GridSpec.uniform(dom, 64)
+    hyp = greedy_split_l2(emp, grid, params)[0]
+    partial = random_partial_hist(make_rng(5), grid, 6)
+    cases += [
+        ("dump-discrete-d2-48", lambda: dump_digest(hyp, 48)),
+        ("l2-emp-hier", lambda: repr(l2_sq_dist(emp, hyp))),
+        ("l2-hier-emp", lambda: repr(l2_sq_dist(hyp, emp))),
+        ("l2-emp-partial", lambda: repr(l2_sq_dist(other, partial))),
+        ("l2-emp-truth", lambda: repr(l2_sq_dist(other, truth))),
+        ("l2-emp-emp", lambda: repr(l2_sq_dist(emp, other))),
+        ("l2-emp-emp-swapped", lambda: repr(l2_sq_dist(other, emp))),
+    ]
+    d1 = Domain.discrete(1000, 1)
+    a = EmpiricalDist.from_samples(d1, make_rng(6).integers(1, 1001, size=(5_000, 1)))
+    b = EmpiricalDist.from_samples(d1, make_rng(7).integers(1, 300, size=(4_000, 1)))
+    cases.append(("l2-emp-emp-d1", lambda: repr(l2_sq_dist(a, b))))
+    return cases
+
+
+GOLDEN_EVAL = {
+    "dump-unit-d1-4096": "2b35d22f689adaa94c07b86f28a53553cf30859279ef8b9baf6717940938da10",
+    "dump-unit-d2-64": "5ae00be5f9d7536a5deb93d229dab4aa0faa13629723e6d2a025e85dee05c21b",
+    "dump-discrete-d2-48": "b69c7211bda52a5e75bd8d5506270535a244ea4778967c7a857bfee8b5224634",
+    "l2-emp-hier": "5.424695312500013e-05",
+    "l2-hier-emp": "5.424695312500013e-05",
+    "l2-emp-partial": "0.035166918271818594",
+    "l2-emp-truth": "6.189485244716922e-05",
+    "l2-emp-emp": "0.00010896555555555554",
+    "l2-emp-emp-swapped": "0.00010896555555555554",
+    "l2-emp-emp-d1": "0.002824005",
+}
+
+
 def test_golden_traces_and_hypotheses():
     got = {name: case_digest(thunk) for name, thunk in sweep_cases()}
     assert set(got) == set(GOLDEN)
@@ -131,9 +189,17 @@ def test_golden_traces_and_hypotheses():
     assert not differ, f"traces or hypothesis files changed: {differ}"
 
 
+def test_golden_dumps_and_l2_distances():
+    got = {name: thunk() for name, thunk in eval_cases()}
+    assert got == GOLDEN_EVAL
+
+
 if __name__ == "__main__":
-    # prints the GOLDEN table for the dyadhist found first on sys.path
+    # prints the GOLDEN tables for the dyadhist found first on sys.path
     sys.stdout.write("GOLDEN = {\n")
     for name, thunk in sweep_cases():
         sys.stdout.write(f'    "{name}": "{case_digest(thunk)}",\n')
+    sys.stdout.write("}\n\nGOLDEN_EVAL = {\n")
+    for name, thunk in eval_cases():
+        sys.stdout.write(f'    "{name}": "{thunk()}",\n')
     sys.stdout.write("}\n")

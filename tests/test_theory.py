@@ -174,7 +174,7 @@ class TestStrictlyGreaterRegion:
         root = grid.root()
         g = HistHypothesis(
             d, (Piece(grid.rect_of(root), 0.5),), HistKind.HIERARCHICAL,
-            grid=grid, dyadic=(root,), tree={root: 0},
+            grid=grid, dyadic=(root,),
         )
         assert strictly_greater_region(h, g) == [left]
 
