@@ -326,8 +326,13 @@ class EmpiricalDist:
         samples = np.atleast_2d(np.asarray(samples))
         if samples.size == 0:
             raise ValueError("empty sample set")
-        uniq, cnt = np.unique(samples, axis=0, return_counts=True)
-        return EmpiricalDist(domain, uniq, cnt)
+        if samples.dtype.kind == "f":
+            samples = samples + 0  # -0.0 -> 0.0: the row kept for equal rows is then unique
+        rows = samples[np.lexsort(samples.T[::-1])]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        return EmpiricalDist(domain, rows[starts], np.diff(starts, append=len(rows)))
 
     @property
     def n(self) -> int:
@@ -385,6 +390,8 @@ class HistHypothesis:
                 raise StructureError("hierarchical hypothesis needs grid and dyadic ids")
         if self.dyadic is not None and len(self.dyadic) != len(self.pieces):
             raise StructureError("dyadic ids must align with pieces")
+        if (piece_coverage(self.domain, self.pieces)[1] > 1).any():
+            raise StructureError("pieces overlap")
 
     @property
     def piece_count(self) -> int:
@@ -408,7 +415,7 @@ class HistHypothesis:
         inside = self.domain.contains_points(pts)
         if not inside.all():
             raise DomainViolationError(f"point {pts[~inside][0]} outside domain")
-        axes, counts = piece_coverage(self)
+        axes, counts = piece_coverage(self.domain, self.pieces)
         cell = tuple(
             np.clip(np.searchsorted(ax, pts[:, a], side="right") - 1, 0, len(ax) - 2)
             for a, ax in enumerate(axes)
@@ -445,45 +452,45 @@ def flatten(g, rect: Rect, domain: Domain | None = None) -> float:
 # Exact distances via coordinate-compressed overlays
 # ---------------------------------------------------------------------------
 
-def _overlay_axes(domain: Domain, *hists) -> list:
+def _overlay_axes(domain: Domain, *piece_sets) -> list:
     """Per-axis sorted unique boundary coordinates of all pieces + domain bounds."""
     out = []
     for a in range(domain.dim):
         vals = [domain.lower, domain.upper]
-        for h in hists:
-            for p in h.pieces:
+        for pieces in piece_sets:
+            for p in pieces:
                 vals.append(p.rect.lo[a])
                 vals.append(p.rect.hi[a])
         out.append(np.unique(np.asarray(vals, dtype=np.float64)))
     return out
 
 
-def _piece_slices(h: HistHypothesis, axes: list):
+def _piece_slices(pieces, axes: list):
     """Per piece, the block of overlay cells it covers, as a tuple of slices."""
-    for p in h.pieces:
+    for p in pieces:
         yield tuple(
-            slice(int(np.searchsorted(axes[a], p.rect.lo[a])), int(np.searchsorted(axes[a], p.rect.hi[a])))
-            for a in range(h.domain.dim)
+            slice(int(np.searchsorted(ax, p.rect.lo[a])), int(np.searchsorted(ax, p.rect.hi[a])))
+            for a, ax in enumerate(axes)
         )
 
 
 def _rasterize(h: HistHypothesis, axes: list) -> np.ndarray:
     """Value of ``h`` on each overlay cell (uncovered cells stay 0)."""
     grid = np.zeros(tuple(len(a) - 1 for a in axes))
-    for sl, p in zip(_piece_slices(h, axes), h.pieces):
+    for sl, p in zip(_piece_slices(h.pieces, axes), h.pieces):
         grid[sl] = p.value
     return grid
 
 
-def piece_coverage(h: HistHypothesis):
-    """``(axes, counts)``: h's own overlay and how many pieces cover each cell.
+def piece_coverage(domain: Domain, pieces):
+    """``(axes, counts)``: the pieces' own overlay and how many cover each cell.
 
     Overlay cells have positive width, so a count above 1 is an overlap of
     positive volume and a count of 0 is a gap; zero-width pieces cover none.
     """
-    axes = _overlay_axes(h.domain, h)
+    axes = _overlay_axes(domain, pieces)
     counts = np.zeros(tuple(len(a) - 1 for a in axes), dtype=np.int32)
-    for sl in _piece_slices(h, axes):
+    for sl in _piece_slices(pieces, axes):
         counts[sl] += 1
     return axes, counts
 
@@ -497,7 +504,7 @@ def l1_dist(h1: HistHypothesis, h2: HistHypothesis) -> float:
     """Exact L1 distance between two piecewise-constant hypotheses."""
     if h1.domain != h2.domain:
         raise ConfigurationError("l1_dist requires hypotheses on the same domain")
-    axes = _overlay_axes(h1.domain, h1, h2)
+    axes = _overlay_axes(h1.domain, h1.pieces, h2.pieces)
     v1 = _rasterize(h1, axes)
     v2 = _rasterize(h2, axes)
     return float(np.sum(np.abs(v1 - v2) * _cell_volumes(axes)))
@@ -531,7 +538,7 @@ def l2_sq_dist(g1, g2) -> float:
         # sum_x h(x)^2 over the whole lattice, then swap in the support terms
         total_h_sq = sum(p.value**2 * volume(p.rect, h.domain) for p in h.pieces)
         return float(np.sum((gx - hx) ** 2) - np.sum(hx**2) + total_h_sq)
-    axes = _overlay_axes(g1.domain, g1, g2)
+    axes = _overlay_axes(g1.domain, g1.pieces, g2.pieces)
     v1 = _rasterize(g1, axes)
     v2 = _rasterize(g2, axes)
     return float(np.sum((v1 - v2) ** 2 * _cell_volumes(axes)))

@@ -5,20 +5,36 @@ Both formats are UTF-8 with LF line endings and a single header line:
     # dim=<d> domain=<unit | discrete <m>> [kind=<arbitrary|partial>]
 
 Samples have one point per line (d comma-separated fields); hypotheses have
-one piece per line (d interval pairs lo,hi then the value).  Floats are
-written with 12 significant digits, which is stable under re-ingestion:
-writing a re-read file reproduces it byte for byte.
+one piece per line (d interval pairs lo,hi then the value).  Blank lines and
+whole lines starting with ``#`` are skipped.  Floats are written with 12
+significant digits, which is stable under re-ingestion: writing a re-read
+file reproduces it byte for byte.
+
+``read_samples`` parses a sample body in one ``np.loadtxt`` call when the
+body holds only digits, ``. , + - e E``, spaces and LF, and every parsed row
+has ``dim`` fields and lies in the domain.  Otherwise it rescans the file
+line by line (``_scan_samples``), which returns the same result for a file
+the fast parse could not take, or raises an error naming ``path:line``.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .core import Domain, EmpiricalDist, HistHypothesis, HistKind, Piece, Rect, piece_coverage
 from .errors import ConfigurationError, DomainViolationError
+
+# Every character a sample body of plain number rows can hold.  A body with
+# any other one (comments, ``nan``, ``1_0``, a line break other than LF that
+# ``str.splitlines`` honours and ``np.loadtxt`` strips as whitespace) goes to
+# the line scan.
+_BODY_CHARS = "0123456789.,+-eE \n"
 
 
 def fmt_num(x, discrete: bool) -> str:
@@ -66,23 +82,40 @@ def _parse_header(line: str, path: str) -> tuple:
 
 
 def write_samples(path, emp: EmpiricalDist) -> None:
-    lines = [f"# {_domain_header(emp.domain)}"]
-    disc = emp.domain.is_discrete
-    for row, cnt in zip(emp.points, emp.counts):
-        text = ",".join(fmt_num(v, disc) for v in row)
-        lines.extend([text] * int(cnt))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One line per sample: each distinct row is formatted once and repeated."""
+    fields = map(fmt_num, emp.points.ravel().tolist(), repeat(emp.domain.is_discrete))
+    rows = map(",".join, zip(*[fields] * emp.domain.dim))  # consecutive groups of dim fields
+    body = "".join([(row + "\n") * cnt for row, cnt in zip(rows, emp.counts.tolist())])
+    Path(path).write_text(f"# {_domain_header(emp.domain)}\n" + body, encoding="utf-8")
 
 
-def read_samples(path, expected_domain: Domain | None = None) -> EmpiricalDist:
+def read_samples(path) -> EmpiricalDist:
     """One sample per line; duplicate rows aggregate into counts."""
     path = str(path)
+    header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
+    # the header is the scan's first line unless another line break cuts it;
+    # the strip leaves nothing exactly when every body character is allowed
+    if [header] != header.splitlines() or body.strip(_BODY_CHARS):
+        return _scan_samples(path)
+    domain, _ = _parse_header(header, path)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2,
+                             dtype=np.int64 if domain.is_discrete else np.float64)
+    except (ValueError, Warning):
+        return _scan_samples(path)
+    if pts.shape[1] != domain.dim or not len(pts) or not domain.contains_points(pts).all():
+        return _scan_samples(path)
+    return EmpiricalDist.from_samples(domain, pts)
+
+
+def _scan_samples(path: str) -> EmpiricalDist:
+    """``read_samples`` one line at a time; raises with the first bad line's number."""
     raw = Path(path).read_text(encoding="utf-8").splitlines()
     if not raw:
         raise ConfigurationError(f"{path}: empty file")
     domain, _ = _parse_header(raw[0], path)
-    if expected_domain is not None and domain != expected_domain:
-        raise ConfigurationError(f"{path}: header domain differs from the expected one")
     rows = []
     for ln, line in enumerate(raw[1:], start=2):
         line = line.strip()
@@ -162,8 +195,7 @@ def read_hypothesis(path) -> HistHypothesis:
         lines.append(ln)
     if not pieces:
         raise ConfigurationError(f"{path}: no pieces")
-    h = HistHypothesis(domain=domain, pieces=tuple(pieces), kind=kind)
-    axes, counts = piece_coverage(h)
+    axes, counts = piece_coverage(domain, pieces)
 
     def center(cell) -> np.ndarray:
         return np.array([[(axes[a][c] + axes[a][c + 1]) / 2 for a, c in enumerate(cell)]])
@@ -177,7 +209,7 @@ def read_hypothesis(path) -> HistHypothesis:
     if kind is HistKind.ARBITRARY and len(gaps):
         x = center(gaps[0])[0].tolist()
         raise ConfigurationError(f"{path}:1: kind=arbitrary pieces leave the point {x} uncovered")
-    return h
+    return HistHypothesis(domain=domain, pieces=tuple(pieces), kind=kind)
 
 
 __all__ = [

@@ -2,14 +2,18 @@
 
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadhist.cli import LearnReport, RunConfig, gen_truth, main, run_learn, sample_from
 from dyadhist.core import Domain, HistKind, l1_dist, mass, volume
 from dyadhist.errors import ConfigurationError, DomainViolationError
-from dyadhist.fileio import read_hypothesis, read_samples, write_hypothesis, write_samples
+from dyadhist.fileio import _scan_samples, read_hypothesis, read_samples, write_hypothesis, write_samples
 
 from conftest import make_rng
 
@@ -59,6 +63,86 @@ class TestIngest:
         p2 = tmp_path / "s2.txt"
         write_samples(p2, emp2)
         assert p.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("filler", [("", ""), ("# a comment", "   ")])  # the first keeps a whitelisted body
+    @pytest.mark.parametrize(
+        "header,bad,exc,detail",
+        [
+            ("dim=1 domain=unit", "0.5,0.5", ValueError, "expected 1 fields, got 2"),
+            ("dim=2 domain=unit", "0.5", ValueError, "expected 2 fields, got 1"),
+            ("dim=2 domain=discrete 8", "3,", ValueError, "invalid literal for int()"),
+            ("dim=1 domain=unit", "0.5 # inline", ValueError, "could not convert string to float"),
+            ("dim=1 domain=unit", "0.x", ValueError, "could not convert string to float"),
+            ("dim=1 domain=discrete 8", "1.0", ValueError, "invalid literal for int()"),
+            ("dim=1 domain=unit", "nan", DomainViolationError, "coordinate outside domain"),
+            ("dim=1 domain=unit", "inf", DomainViolationError, "coordinate outside domain"),
+            ("dim=1 domain=unit", "1e400", DomainViolationError, "coordinate outside domain"),
+            ("dim=2 domain=unit", "0.5,-0.25", DomainViolationError, "coordinate outside domain"),
+            ("dim=1 domain=discrete 8", "9", DomainViolationError, "coordinate outside domain"),
+            ("dim=1 domain=discrete 8", "+0", DomainViolationError, "coordinate outside domain"),
+        ],
+    )
+    def test_rejected_line_is_named(self, tmp_path, eol, filler, header, bad, exc, detail):
+        good = ",".join(["1"] * int(header.split()[0].removeprefix("dim=")))
+        lines = [f"# {header}", good, filler[0], "", filler[1], bad, good]
+        p = tmp_path / "s.txt"
+        p.write_bytes(eol.join(lines).encode() + eol.encode())
+        with pytest.raises(exc) as err:
+            read_samples(p)
+        assert type(err.value) is exc
+        assert str(err.value).startswith(f"{p}:6: ")
+        assert detail in str(err.value)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fast_parse_matches_line_scan(self, data):
+        dim = data.draw(st.integers(1, 3))
+        m = data.draw(st.sampled_from([None, 1, 7]))
+        if m is None:
+            header = f"# dim={dim} domain=unit"
+            num = st.one_of(
+                st.floats(0.0, 1.0).map(lambda x: f"{x:.12g}"),
+                st.floats(0.0, 1.0).map(repr),
+                st.sampled_from(["0", "1", "-0.0", "+.5", "5e-1", "0.25E0", " 0.5 "]),
+            )
+        else:
+            header = f"# dim={dim} domain=discrete {m}"
+            num = st.one_of(st.integers(1, m).map(str), st.sampled_from(["+1", "01", f" {m} "]))
+        row = st.lists(num, min_size=dim, max_size=dim).map(",".join)
+        junk = st.sampled_from([
+            "", "   ", "# note", " #x", "0.5 # inline", "1_0", "+3", "1.0", "nan", "inf", "-inf", "1e400",
+            "2", "-1", "0", "1.5", ",", "1,1", "1,1,1,1", "e", "1e", "1e3", "\t0.5",
+        ])
+        breaks = ["\r\n", "\r", "\x0b", "\x0c", "\x1e", "\x85", "\u2028"]
+
+        def cut(text):
+            """The row with a tab or a break str.splitlines honours inserted, often at a comma."""
+            at = data.draw(st.one_of(st.sampled_from([0, text.find(","), text.find(",") + 1]),
+                                     st.integers(0, len(text))))
+            return text[:at] + data.draw(st.sampled_from(breaks + ["\t"])) + text[at:]
+
+        mode = data.draw(st.sampled_from(["clean", "one cut row", "mixed"]))
+        lines = data.draw(st.lists(row if mode != "mixed" else st.one_of(row, row, junk), max_size=12))
+        if mode != "clean" and lines:
+            at = data.draw(st.integers(0, len(lines) - 1))
+            lines[at] = cut(lines[at])
+        eols = ["\n"] if mode != "mixed" else ["\n", "\n"] + breaks
+        text = header + data.draw(st.sampled_from(eols))
+        for line in lines:
+            text += line + data.draw(st.sampled_from(eols))
+
+        def outcome(read, path):
+            try:
+                emp = read(path)
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return emp.points.dtype, emp.points.shape, emp.points.tobytes(), emp.counts.tolist()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "s.txt")
+            Path(path).write_bytes(text.encode("utf-8"))
+            assert outcome(read_samples, path) == outcome(_scan_samples, path)
 
 
 class TestGenTruth:

@@ -268,6 +268,20 @@ class TestEval:
             with pytest.raises(StructureError):
                 h.value_at(bad)
 
+    def test_overlapping_pieces_rejected(self):
+        d = Domain.unit(1)
+        pieces = (Piece(Rect((0.0,), (1.0,)), 1.0), Piece(Rect((0.0,), (0.6,)), 2.0))
+        for kind in (HistKind.ARBITRARY, HistKind.PARTIAL):
+            with pytest.raises(StructureError, match="overlap"):
+                HistHypothesis(d, pieces, kind)
+        d2 = Domain.discrete(4, 2)
+        corner = Piece(Rect((1, 1), (3, 3)), 0.1)
+        with pytest.raises(StructureError, match="overlap"):
+            HistHypothesis(d2, (corner, Piece(Rect((2, 2), (5, 5)), 0.1)), HistKind.PARTIAL)
+        # touching faces and zero-width pieces are not overlaps
+        HistHypothesis(d2, (corner, Piece(Rect((3, 1), (5, 3)), 0.1), Piece(Rect((2, 2), (2, 5)), 1.0)),
+                       HistKind.PARTIAL)
+
     @given(box_hists())
     @settings(max_examples=150, deadline=None)
     def test_fuzz_twin_and_file_round_trip(self, case):
@@ -416,6 +430,24 @@ class TestEmpiricalDist:
         d = Domain.discrete(16, 2)
         emp = EmpiricalDist.from_samples(d, rng.integers(1, 17, size=(100, 2)))
         assert mass(emp, d.full_rect()) == 1.0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_from_samples_matches_unique_twin(self, data):
+        dim = data.draw(st.integers(1, 3))
+        if data.draw(st.booleans()):
+            domain, coord = Domain.discrete(5, dim), st.integers(1, 5)
+        else:
+            pool = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
+            domain, coord = Domain.unit(dim), st.one_of(pool, st.floats(0.0, 1.0))
+        rows = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=40))
+        samples = np.array(rows, dtype=np.int64 if domain.is_discrete else np.float64)
+        emp = EmpiricalDist.from_samples(domain, samples)
+        uniq, counts = np.unique(samples, axis=0, return_counts=True)
+        assert emp.points.dtype == uniq.dtype and emp.counts.tolist() == counts.tolist()
+        # np.unique keeps either zero of a tied pair; from_samples keeps +0.0
+        assert emp.points.tobytes() == (uniq + 0).tobytes()
+        assert not np.signbit(emp.points).any()
 
 
 class TestGridSpec:

@@ -8,6 +8,11 @@ refactor of the tree or the splitting loop must reproduce them byte for byte.
 No sample coordinate sits at 1.0, where the adaptive grid's top cell was
 changed on purpose.
 
+``GOLDEN_SAMPLES`` holds the sha256 of sample files ``write_samples`` writes
+and of the points and counts ``read_samples`` reads back from them.  They
+were produced by the line-at-a-time reader and writer (before the
+whole-buffer parse), so sample-file I/O must reproduce them byte for byte.
+
 ``GOLDEN_EVAL`` holds the sha256 of the plotting dump ``eval --dump-grid``
 writes and the ``repr`` of ``l2_sq_dist`` between samples and hypotheses.
 They were produced by the per-piece point evaluation (before the overlay
@@ -24,7 +29,7 @@ import numpy as np
 
 from dyadhist.cli import _dump_grid, gen_truth, sample_from
 from dyadhist.core import Domain, EmpiricalDist, GridSpec, l2_sq_dist
-from dyadhist.fileio import write_hypothesis
+from dyadhist.fileio import read_samples, write_hypothesis, write_samples
 from dyadhist.split import SplitParams, adaptive_greedy_split, greedy_split, greedy_split_l2
 
 from conftest import make_rng, random_partial_hist
@@ -182,6 +187,42 @@ GOLDEN_EVAL = {
 }
 
 
+def sample_file_cases():
+    """(name, thunk) pairs; each thunk returns an EmpiricalDist to write and re-read."""
+    unit3 = _unit_samples(make_rng(13_000), 3, 3_000, 5)
+    return [
+        ("samples-unit-d1", lambda: sample_from(gen_truth(5, Domain.unit(1), seed=11), 20_000, seed=3)),
+        ("samples-discrete-d2", lambda: sample_from(gen_truth(5, Domain.discrete(64, 2), seed=11), 20_000, seed=3)),
+        ("samples-unit-d3", lambda: EmpiricalDist.from_samples(Domain.unit(3), unit3)),
+    ]
+
+
+def sample_file_digests(thunk) -> tuple:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.txt"
+        write_samples(path, thunk())
+        back = read_samples(path)
+        text = path.read_bytes()
+    read = back.points.dtype.str.encode() + back.points.tobytes() + back.counts.tobytes()
+    return hashlib.sha256(text).hexdigest(), hashlib.sha256(read).hexdigest()
+
+
+GOLDEN_SAMPLES = {
+    "samples-unit-d1": (
+        "421d8199647c01c6dee18118e03af3fe48698c09e5b2539a81af3f72c2517597",
+        "a69a95820570cb3136309bea2e2d81e460b3ea89ac40535c05177b4f0273be80",
+    ),
+    "samples-discrete-d2": (
+        "1ff9afc01e1e0a9a2f14097c6022fd44d69aba18f358a3840980b8e559e12b79",
+        "0cd683ce5ee46bf8c77da8a10bc260a2042006dbb217e089d1cd73754bd2c9ae",
+    ),
+    "samples-unit-d3": (
+        "1326295265ca6599169f2ddf053ed7a6dbc848b9d24b5261afee469fb7a2aa32",
+        "6964686978c3a78fe8cd18359886b42449692a6c4625cfdc678f22ae5d7a6ac7",
+    ),
+}
+
+
 def test_golden_traces_and_hypotheses():
     got = {name: case_digest(thunk) for name, thunk in sweep_cases()}
     assert set(got) == set(GOLDEN)
@@ -194,6 +235,11 @@ def test_golden_dumps_and_l2_distances():
     assert got == GOLDEN_EVAL
 
 
+def test_golden_sample_files():
+    got = {name: sample_file_digests(thunk) for name, thunk in sample_file_cases()}
+    assert got == GOLDEN_SAMPLES
+
+
 if __name__ == "__main__":
     # prints the GOLDEN tables for the dyadhist found first on sys.path
     sys.stdout.write("GOLDEN = {\n")
@@ -202,4 +248,8 @@ if __name__ == "__main__":
     sys.stdout.write("}\n\nGOLDEN_EVAL = {\n")
     for name, thunk in eval_cases():
         sys.stdout.write(f'    "{name}": "{thunk()}",\n')
+    sys.stdout.write("}\n\nGOLDEN_SAMPLES = {\n")
+    for name, thunk in sample_file_cases():
+        file_sha, read_sha = sample_file_digests(thunk)
+        sys.stdout.write(f'    "{name}": (\n        "{file_sha}",\n        "{read_sha}",\n    ),\n')
     sys.stdout.write("}\n")
