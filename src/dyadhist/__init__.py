@@ -21,7 +21,6 @@ from .split import (
     SplitTrace,
     adaptive_greedy_split,
     build_adaptive_grid,
-    default_gamma,
     greedy_split,
     greedy_split_l2,
     piece_bound,
@@ -35,6 +34,18 @@ from .oracle import (
     opt_hier_l2,
     opt_partial_hier_dk,
 )
-from .cli import RunConfig, LearnReport, gen_truth, run_learn, sample_from
+
+_CLI_NAMES = ("RunConfig", "LearnReport", "gen_truth", "run_learn", "sample_from")
+
+
+def __getattr__(name):
+    # ``cli`` is imported on first use, so that ``python -m dyadhist.cli``
+    # does not find it already imported when it runs it as __main__
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -35,7 +35,6 @@ from .oracle import DEFAULT_GUARD, dk_distance_between, opt_hier_l2, opt_partial
 from .split import (
     SplitParams,
     build_adaptive_grid,
-    default_gamma,
     greedy_split,
     greedy_split_l2,
     piece_bound,
@@ -135,8 +134,6 @@ class RunConfig:
     grid_mode: str = "adaptive"
     k: int = 1
     xi: float = 1.0
-    eps: float = 0.1
-    gamma: float | None = None
     m: int | None = None
     normalize: bool = False
     out_path: str | None = None
@@ -152,10 +149,6 @@ class RunConfig:
             raise ValueError("k must be >= 1")
         if not self.xi > 0:
             raise ValueError("xi must be positive")
-        if not 0 < self.eps < 1:
-            raise ValueError("eps must lie in (0,1)")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be positive")
 
     def echo(self) -> list:
         items = [
@@ -164,8 +157,6 @@ class RunConfig:
             ("grid", self.grid_mode),
             ("k", str(self.k)),
             ("xi", f"{self.xi:.12g}"),
-            ("eps", f"{self.eps:.12g}"),
-            ("gamma", "auto" if self.gamma is None else f"{self.gamma:.12g}"),
             ("m", "none" if self.m is None else str(self.m)),
             ("normalize", str(self.normalize).lower()),
         ]
@@ -236,10 +227,7 @@ def run_learn(cfg: RunConfig):
 
     t0 = time.perf_counter()
     grid = _make_grid(cfg, emp)
-    gamma = cfg.gamma
-    if gamma is None:
-        gamma = default_gamma(cfg.k, cfg.xi, grid.dim, grid.levels, eps=cfg.eps)
-    params = SplitParams(k=cfg.k, xi=cfg.xi, gamma=gamma)
+    params = SplitParams(k=cfg.k, xi=cfg.xi)
     if cfg.metric == "l1":
         hyp, _trace = greedy_split(emp, grid, params)
     else:
@@ -321,8 +309,6 @@ def _cmd_learn(args) -> int:
         grid_mode=args.grid,
         k=args.k,
         xi=args.xi,
-        eps=args.eps,
-        gamma=args.gamma,
         m=args.m,
         normalize=args.normalize,
         out_path=out,
@@ -418,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     lrn.add_argument("--grid", choices=["adaptive", "fixed"], default="adaptive")
     lrn.add_argument("--k", type=int, required=True)
     lrn.add_argument("--xi", type=float, default=1.0)
-    lrn.add_argument("--eps", type=float, default=0.1)
-    lrn.add_argument("--gamma", type=float)
     lrn.add_argument("--m", type=int)
     lrn.add_argument("--normalize", action="store_true")
     lrn.add_argument("--out")

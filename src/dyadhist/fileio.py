@@ -50,26 +50,36 @@ def _domain_header(domain: Domain) -> str:
 
 
 def _parse_header(line: str, path: str) -> tuple:
-    """Returns (Domain, extras dict) from a '# key=value ...' header."""
+    """Returns (Domain, extras dict) from a '# key=value ...' header.
+
+    Every error names ``path:1``, the header's line.
+    """
+    try:
+        return _header_fields(line)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}:1: {exc}") from None
+
+
+def _header_fields(line: str) -> tuple:
     if not line.startswith("#"):
-        raise ConfigurationError(f"{path}: missing '# dim=... domain=...' header")
+        raise ValueError("missing '# dim=... domain=...' header")
     fields = line[1:].split()
     kv = {}
     i = 0
     while i < len(fields):
         if "=" not in fields[i]:
-            raise ConfigurationError(f"{path}: malformed header field {fields[i]!r}")
+            raise ValueError(f"malformed header field {fields[i]!r}")
         key, val = fields[i].split("=", 1)
         if key == "domain" and val == "discrete":
             if i + 1 >= len(fields):
-                raise ConfigurationError(f"{path}: discrete domain needs a side m")
+                raise ValueError("discrete domain needs a side m")
             kv["domain"] = ("discrete", int(fields[i + 1]))
             i += 2
             continue
         kv[key] = val
         i += 1
     if "dim" not in kv or "domain" not in kv:
-        raise ConfigurationError(f"{path}: header must declare dim and domain")
+        raise ValueError("header must declare dim and domain")
     dim = int(kv["dim"])
     dom = kv["domain"]
     if dom == "unit":
@@ -77,7 +87,7 @@ def _parse_header(line: str, path: str) -> tuple:
     elif isinstance(dom, tuple):
         domain = Domain.discrete(dom[1], dim)
     else:
-        raise ConfigurationError(f"{path}: unknown domain {dom!r}")
+        raise ValueError(f"unknown domain {dom!r}")
     return domain, kv
 
 

@@ -45,15 +45,12 @@ class SplitParams:
     """Knobs of the greedy splitters.
 
     ``xi`` is the overshoot factor: each round splits up to ceil((1+xi)*k)
-    leaves.  ``gamma`` is the constant-fit tolerance handed to fit_d1; when
-    None it defaults to eps/(16*k*(1+xi)*2^d*log2(M)) with eps=0.1, the same
-    formula the CLI uses with its --eps flag.  ``max_levels`` caps the number
-    of splitting rounds (default: the full grid depth).
+    leaves.  ``max_levels`` caps the number of splitting rounds (default:
+    the full grid depth).
     """
 
     k: int
     xi: float = 1.0
-    gamma: float | None = None
     max_levels: int | None = None
 
     def __post_init__(self):
@@ -61,15 +58,8 @@ class SplitParams:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not self.xi > 0:
             raise ValueError(f"xi must be positive, got {self.xi}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.max_levels is not None and self.max_levels < 0:
             raise ValueError("max_levels must be nonnegative")
-
-
-def default_gamma(k: int, xi: float, dim: int, levels: int, eps: float = 0.1) -> float:
-    """Fit tolerance keeping the total fit slack across leaves well under eps."""
-    return eps / (16.0 * k * (1.0 + xi) * (1 << dim) * max(1, levels))
 
 
 def piece_bound(k: int, xi: float, dim: int, levels: int) -> int:
@@ -176,16 +166,11 @@ def greedy_split(fhat: EmpiricalDist, grid: GridSpec, params: SplitParams):
     Returns ``(hypothesis, trace)``.  Leaf count obeys
     ``piece_bound(k, xi, d, log2 M)`` (hard assertion); the achieved
     discrepancy against ``fhat`` is within a constant factor (3 + 6/xi^2)
-    of the best partial hierarchical k-histogram, plus fit slack bounded by
-    leaves * gamma.
+    of the best partial hierarchical k-histogram; every leaf's constant is
+    its exact best fit, so no fit slack is added.
     """
     if fhat.domain != grid.domain:
         raise ValueError("empirical distribution and grid disagree on the domain")
-    gamma = (
-        params.gamma
-        if params.gamma is not None
-        else default_gamma(params.k, params.xi, grid.dim, grid.levels)
-    )
 
     index = None
 
@@ -193,7 +178,7 @@ def greedy_split(fhat: EmpiricalDist, grid: GridSpec, params: SplitParams):
         nonlocal index
         tree = build_tree(fhat, grid, rect, index=index)
         index = tree.index  # built by the first call, on the root, then shared
-        fit = fit_d1(fhat, grid, rect, gamma, tree=tree)
+        fit = fit_d1(fhat, grid, rect, tree=tree)
         leaf.a, leaf.err = fit.a, fit.err
 
     leaves, trace = _run_split_loop(fhat, grid, params, score)
@@ -289,7 +274,6 @@ __all__ = [
     "SplitParams",
     "SplitTrace",
     "IterationRecord",
-    "default_gamma",
     "piece_bound",
     "greedy_split",
     "greedy_split_l2",

@@ -136,6 +136,31 @@ def cell_values(h: HistHypothesis, grid: GridSpec) -> np.ndarray:
     return out
 
 
+def exact_fit_minimum(tree) -> float:
+    """True minimum over a >= 0 of a tree's fit objective, from its breakpoints.
+
+    The objective max(|m_i - a v_i|, a*V_empty) is piecewise linear.  Its
+    minimizer over a >= 0 sits at 0 or at a crossing of a decreasing line
+    (m_i - a v_i) with an increasing one, i.e. a = (m_i + m_j) / (v_i + v_j)
+    (node densities when i == j, for the flat-envelope corner cases) or
+    a = m_i / (v_i + V_empty).  Every candidate is evaluated by a dense
+    scan over all nodes, with the rounding of ``compute_d1``.
+    """
+    m, v, ev = tree.node_mass, tree.node_vol, tree.max_empty_vol  # ev < 0: no empty term
+    mm, vv = m[v > 0], v[v > 0]
+    cand = [np.zeros(1), ((mm[:, None] + mm) / (vv[:, None] + vv)).ravel()]
+    if ev > 0:
+        cand.append(mm / (vv + ev))
+    cand = np.unique(np.concatenate(cand))
+    best = np.inf
+    for chunk in np.array_split(cand, 1 + len(cand) * len(m) // (1 << 20)):
+        f = np.abs(m - np.multiply.outer(chunk, v)).max(axis=1, initial=0.0)
+        if ev >= 0:
+            f = np.maximum(f, chunk * ev)
+        best = min(best, float(f.min()))
+    return best
+
+
 def lattice_points(rect, domain: Domain) -> int:
     """Count lattice points in a discrete rect by direct enumeration."""
     assert domain.is_discrete

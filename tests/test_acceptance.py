@@ -20,7 +20,7 @@ from dyadhist.oracle import dk_distance_between, opt_hier_l2, opt_partial_hier_d
 from dyadhist.split import SplitParams, adaptive_greedy_split, greedy_split, greedy_split_l2
 from dyadhist.theory import BudgetFormula, sample_budget, strictly_greater_region
 
-from conftest import cell_values, make_rng, random_hier_hist, random_partial_hist
+from conftest import cell_values, exact_fit_minimum, make_rng, random_hier_hist, random_partial_hist
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -76,60 +76,35 @@ def test_criterion_1_compute_d1_oracle_equivalence():
     assert _report(1, "ComputeD1 oracle equivalence", ok, f"{wall:.1f}s/1000 instances")
 
 
-def _exact_fit_minimum(emp, grid, rect, tree):
-    """True minimum of the fit objective via its piecewise-linear breakpoints.
-
-    The minimizer of max(|m_i - a v_i|, a*V_empty) over a >= 0 sits at 0 or
-    at a crossing of a decreasing line (m_i - a v_i) with an increasing one,
-    i.e. a = (m_i + m_j) / (v_i + v_j) or a = m_i / (v_i + V_empty); node
-    densities are included for the flat-envelope corner cases.
-    """
-    m, v = tree.node_mass, tree.node_vol
-    ev = max(tree.max_empty_vol, 0.0)
-    pos = v > 0
-    mm, vv = m[pos], v[pos]
-    cand = {0.0}
-    cand.update((mm / vv).tolist())
-    for i in range(len(mm)):
-        cand.update(((mm[i] + mm) / (vv[i] + vv)).tolist())
-        if ev > 0:
-            cand.add(float(mm[i] / (vv[i] + ev)))
-    best = np.inf
-    for a in cand:
-        if a >= 0:
-            err, _ = compute_d1(emp, grid, rect, float(a), tree=tree)
-            best = min(best, err)
-    return best
-
-
 def test_criterion_2_fit_d1_optimality():
-    gamma = 1e-4
     ok = True
+    probes = 0
     for i in range(1000):
         emp, grid, rect, _ = _d1_instance(i)
         tree = build_tree(emp, grid, rect)
-        fit = fit_d1(emp, grid, rect, gamma, tree=tree)
-        ok &= fit.err <= _exact_fit_minimum(emp, grid, rect, tree) + gamma
+        fit = fit_d1(emp, grid, rect, tree=tree)
+        ok &= fit.err <= exact_fit_minimum(tree) + 1e-12
+        probes = max(probes, fit.probes)
+    ok &= probes <= 16
     # hand-derived instance: counts (2,1,0,1)/4 on [4], optimum 0.25 at a=0.25
     dom = Domain.discrete(4, 1)
     emp = EmpiricalDist(dom, np.array([[1], [2], [4]]), np.array([2, 1, 1]))
     grid = GridSpec.uniform(dom, 4)
-    fit = fit_d1(emp, grid, grid.root(), gamma)
+    fit = fit_d1(emp, grid, grid.root())
     ok &= fit.a == 0.25 and fit.err == 0.25
-    assert _report(2, "FitD1 optimality", ok)
+    assert _report(2, "FitD1 optimality", ok, f"at most {probes} probes per fit")
 
 
 def test_criterion_3_greedy_split_guarantee():
     t0 = time.perf_counter()
-    gamma = 1e-9
     ok = True
     bound_ok = True
     for i in range(200):
         emp, grid, k, xi, dim, M = _sweep_instance(i, 10_000)
-        hyp, _ = greedy_split(emp, grid, SplitParams(k=k, xi=xi, gamma=gamma))
+        hyp, _ = greedy_split(emp, grid, SplitParams(k=k, xi=xi))
         lhs = dk_distance_between(emp, hyp, grid, k)
         opt = opt_partial_hier_dk(emp, grid, k)
-        ok &= lhs <= (3 + 6 / xi**2) * opt + hyp.piece_count * gamma + 1e-6
+        ok &= lhs <= (3 + 6 / xi**2) * opt + 1e-6
         bound_ok &= hyp.piece_count <= math.ceil(1 + xi) * (1 << dim) * k * int(math.log2(M))
     wall = time.perf_counter() - t0
     ok &= wall < 300.0
@@ -144,7 +119,7 @@ def test_criterion_4_piece_bound_everywhere():
     for i in range(100):
         emp, grid, k, xi, dim, M = _sweep_instance(i, 40_000)
         xi = (0.1, 0.3, xi)[i % 3]
-        hyp, _ = greedy_split(emp, grid, SplitParams(k=k, xi=xi, gamma=1e-9))
+        hyp, _ = greedy_split(emp, grid, SplitParams(k=k, xi=xi))
         hyp2, _ = greedy_split_l2(emp, grid, SplitParams(k=k, xi=xi))
         cap = math.ceil(1 + xi) * (1 << dim) * k * int(math.log2(M))
         ok &= hyp.piece_count <= cap and hyp2.piece_count <= cap
@@ -213,7 +188,7 @@ def test_criterion_7_partial_vs_full_region():
 def test_criterion_8_end_to_end_consistency():
     t0 = time.perf_counter()
     truth = dh.gen_truth(3, Domain.unit(2), seed=2026)
-    params = SplitParams(k=3, xi=1.0, gamma=1e-9)
+    params = SplitParams(k=3, xi=1.0)
     medians = []
     for n in (5_000, 20_000, 80_000):
         errs = []
@@ -234,7 +209,7 @@ def test_criterion_8_end_to_end_consistency():
 
 def test_criterion_9_near_linear_runtime():
     truth = dh.gen_truth(5, Domain.unit(2), seed=11)
-    params = SplitParams(k=5, xi=1.0, gamma=1e-9)
+    params = SplitParams(k=5, xi=1.0)
     med = {}
     for n in (10_000, 20_000, 40_000):
         times = []
@@ -310,7 +285,7 @@ def test_criterion_12_determinism(tmp_path):
     ok = outputs[0] == outputs[1]
 
     grid = dh.build_adaptive_grid(emp)
-    p = SplitParams(k=3, xi=1.0, gamma=1e-9)
+    p = SplitParams(k=3, xi=1.0)
     _, tr1 = greedy_split(emp, grid, p)
     _, tr2 = greedy_split(emp, grid, p)
     ok &= tr1.to_text() == tr2.to_text()

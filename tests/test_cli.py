@@ -368,6 +368,17 @@ class TestCommandLine:
         assert f"--dump-grid must be at least 1, got {res}" in capsys.readouterr().err
         assert not dump.exists()
 
+    @pytest.mark.parametrize("command", ["learn", "eval"])
+    @pytest.mark.parametrize(
+        "header", ["dim=x domain=unit", "dim=0 domain=unit", "dim=1 domain=discrete x", "dim=1 domain=discrete 0"]
+    )
+    def test_bad_header_names_line_1(self, tmp_path, capsys, command, header):
+        path = tmp_path / "in.txt"
+        path.write_text(f"# {header}\n" + ("1\n" if command == "learn" else "1,2,1\n"))
+        args = ["--k", "1"] if command == "learn" else []
+        assert main([command, "--in", str(path)] + args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:1: ")
+
     @pytest.mark.parametrize(
         "text,where",
         [
@@ -397,6 +408,14 @@ class TestCommandLine:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_module_run_leaves_stderr_empty(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dyadhist.cli", "--help"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_console_script_installed(self):
         proc = subprocess.run(

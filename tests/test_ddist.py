@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec
 from dyadhist.ddist import MortonIndex, brute_d1, build_tree, compute_d1, fit_d1
@@ -10,7 +12,7 @@ from dyadhist.errors import OracleGuardError, StructureError
 from dyadhist.oracle import all_dyadic_rects
 from dyadhist.split import build_adaptive_grid
 
-from conftest import make_rng, random_empirical, random_grid
+from conftest import exact_fit_minimum, make_rng, random_empirical, random_grid
 
 
 def counts_2101():
@@ -309,13 +311,13 @@ class TestFitD1:
         d = Domain.discrete(4, 1)
         emp = EmpiricalDist.from_samples(d, np.array([[1], [2], [3], [4]]))
         grid = GridSpec.uniform(d, 4)
-        fit = fit_d1(emp, grid, grid.root(), 1e-6)
+        fit = fit_d1(emp, grid, grid.root())
         assert fit.a == 0.25
         assert fit.err == 0.0
 
     def test_hand_derived_instance(self):
         emp, grid = counts_2101()
-        fit = fit_d1(emp, grid, grid.root(), 1e-6)
+        fit = fit_d1(emp, grid, grid.root())
         assert fit.a == pytest.approx(0.25, abs=0)
         assert fit.err == pytest.approx(0.25, abs=0)
 
@@ -323,36 +325,92 @@ class TestFitD1:
         d = Domain.discrete(4, 1)
         empty = EmpiricalDist(d, np.zeros((0, 1)), np.zeros(0))
         grid = GridSpec.uniform(d, 4)
-        fit = fit_d1(empty, grid, grid.root(), 1e-6)
+        fit = fit_d1(empty, grid, grid.root())
         assert fit.a == 0.0
         assert fit.err == 0.0
 
-    def test_gamma_must_be_positive(self):
+    def test_exact_without_a_tolerance(self):
         emp, grid = counts_2101()
-        with pytest.raises(ValueError):
-            fit_d1(emp, grid, grid.root(), 0.0)
+        with pytest.raises(TypeError):
+            fit_d1(emp, grid, grid.root(), 1e-6)  # the fit takes no tolerance
+        tree = build_tree(emp, grid, grid.root())
+        fit = fit_d1(emp, grid, grid.root(), tree=tree)
+        assert fit.err == exact_fit_minimum(tree)
+        assert fit.probes <= 16
 
-    def test_within_gamma_of_dense_scan(self, rng):
-        gamma = 1e-4
+    def test_no_worse_than_dense_scan(self, rng):
+        step = 1e-4
         for trial in range(12):
             emp, grid, rect, _ = random_instance(rng, trial)
             vol = grid.volume_of(rect)
             if vol <= 0:
                 continue
-            fit = fit_d1(emp, grid, rect, gamma)
-            # dense scan at the documented resolution gamma / (4 vol)
+            fit = fit_d1(emp, grid, rect)
             tree = build_tree(emp, grid, rect)
             if tree.node_count == 0:
                 assert fit.err == 0.0
                 continue
             dens = tree.node_mass[tree.node_vol > 0] / tree.node_vol[tree.node_vol > 0]
             hi = float(dens.max()) if len(dens) else 0.0
-            grid_a = np.arange(0.0, hi + gamma, gamma / (4 * vol))
             best = np.inf
-            for a in grid_a:
+            for a in np.arange(0.0, hi + step, step / (4 * vol)):
                 err, _ = compute_d1(emp, grid, rect, float(a), tree=tree)
                 best = min(best, err)
-            assert fit.err <= best + gamma + 1e-15
+            assert fit.err <= best + 1e-15
+
+    def test_exact_on_larger_random_trees(self):
+        # up to 3-D, 160 points and 64 cells per axis, with warped and
+        # adaptive grids (whose padding cells have zero width)
+        worst = 0.0
+        for trial in range(60):
+            rng = make_rng(61_000 + trial)
+            dim = 1 + trial % 3
+            m = int(rng.choice([16, 64])) if dim < 3 else 8
+            domain = Domain.unit(dim) if trial % 2 else Domain.discrete(m, dim)
+            adaptive = trial % 4 == 1  # at most 80 points: its trees are deep
+            emp = random_empirical(rng, domain, int(rng.integers(20, 81 if adaptive else 161)))
+            if adaptive:
+                grid = build_adaptive_grid(emp)
+            else:
+                grid = random_grid(rng, domain, m, warp=trial % 4 == 3)
+            lev = int(rng.integers(max(0, grid.levels - 2), grid.levels + 1))
+            rect = DyadicRect(lev, tuple(int(i) for i in rng.integers(grid.M >> lev, size=dim)))
+            tree = build_tree(emp, grid, rect)
+            fit = fit_d1(emp, grid, rect, tree=tree)
+            worst = max(worst, fit.err - exact_fit_minimum(tree))
+            assert fit.err == compute_d1(emp, grid, rect, fit.a, tree=tree)[0]
+        assert worst <= 1e-12
+
+    def test_exact_on_every_golden_leaf(self):
+        # every leaf of every round of the L1 golden runs, up to 200 nodes
+        from test_golden import sweep_cases
+
+        checked = zero_width = 0
+        for name, thunk in sweep_cases():
+            if name.startswith("l2-"):
+                continue
+            emp, *rest = thunk.__defaults__
+            grid = rest[0] if len(rest) == 2 else build_adaptive_grid(emp)
+            _, trace = thunk()
+            for rect in sorted({r for rec in trace.iterations for r in rec.leaves}):
+                tree = build_tree(emp, grid, rect)
+                if tree.node_count > 200:
+                    continue
+                fit = fit_d1(emp, grid, rect, tree=tree)
+                assert fit.err <= exact_fit_minimum(tree) + 1e-12, (name, rect)
+                checked += 1
+                zero_width += grid.volume_of(rect) == 0
+        assert checked > 1000 and zero_width > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 4.0))
+    def test_no_constant_does_better(self, seed, scale):
+        emp, grid, rect, _ = random_instance(make_rng(seed), seed)
+        vol = grid.volume_of(rect)
+        a = scale / vol if vol > 0 else scale
+        tree = build_tree(emp, grid, rect)
+        fit = fit_d1(emp, grid, rect, tree=tree)
+        assert fit.err <= compute_d1(emp, grid, rect, a, tree=tree)[0] + 1e-12
 
 
 class TestBruteD1:

@@ -1,12 +1,15 @@
 """Golden traces: the learners' traces and hypothesis files over a seed sweep.
 
 Each case hashes ``SplitTrace.to_text()`` together with the hypothesis file
-``write_hypothesis`` writes.  The digests were produced by the tree that
-regrouped each leaf's points level by level (before the Morton-ordered
-index), by running ``python tests/test_golden.py`` against that source; any
-refactor of the tree or the splitting loop must reproduce them byte for byte.
-No sample coordinate sits at 1.0, where the adaptive grid's top cell was
-changed on purpose.
+``write_hypothesis`` writes.  The ``l2-*`` digests were produced by the tree
+that regrouped each leaf's points level by level (before the Morton-ordered
+index), by running ``python tests/test_golden.py`` against that source.  The
+``l1-*`` and ``adaptive-*`` digests were produced the same way by the first
+exact constant fit (envelope crossing), which replaced the fit to a
+tolerance and so changed the fitted values.  Any refactor of the tree, the
+fit or the splitting loop must reproduce them byte for byte.  No sample
+coordinate sits at 1.0, where the adaptive grid's top cell was changed on
+purpose.
 
 ``GOLDEN_SAMPLES`` holds the sha256 of sample files ``write_samples`` writes
 and of the points and counts ``read_samples`` reads back from them.  They
@@ -17,7 +20,8 @@ whole-buffer parse), so sample-file I/O must reproduce them byte for byte.
 writes and the ``repr`` of ``l2_sq_dist`` between samples and hypotheses.
 They were produced by the per-piece point evaluation (before the overlay
 lookup of ``HistHypothesis.value_at``), so point evaluation must reproduce
-them bit for bit.
+them bit for bit.  The two ``dump-unit-*`` dumps evaluate L1-learned
+hypotheses, so they were regenerated with the ``adaptive-*`` digests.
 """
 
 import hashlib
@@ -94,45 +98,45 @@ def case_digest(thunk) -> str:
 
 
 GOLDEN = {
-    "l1-d1-m8-s0": "1751a2f1ef6967ce1ab488a47b4fed00733ae273c13d983d5099b5ff0aac0a93",
+    "l1-d1-m8-s0": "b085c1dcc9ed5bbd4ec648989b3e2a058eec0efb35be0de67b5b03a77350a6bf",
     "l2-d1-m8-s0": "1bf923b4f222621e787db2769b2a7256c8c2042816f0213efc9b420189f671f0",
-    "l1-d1-m8-s1": "f3c3a31ade8030f62bdc083640c5a6cc5624a8f6c9bf3fa86931f850f3fa8c8f",
+    "l1-d1-m8-s1": "9337c68ab4ce78cb84a06ac7938822323b4d8ef55847cedb37ad8c92a7f06b6d",
     "l2-d1-m8-s1": "8e30b8bdda3e77c3911139008747164afa77967d70c59b602e9732d98eb9d6b8",
-    "l1-d1-m8-s2": "5dc2da4ad328b6dce55091f736de84a8e423ff2a5cc90d0746f90dfea1776210",
+    "l1-d1-m8-s2": "7323af63235d0589fb67924aad499849810b16ce066bc702455a4a61a118aa84",
     "l2-d1-m8-s2": "027651a926fec6ca7ed1646f748e60d0a4c0a9c509520d35d74ad3a2ad2c8972",
-    "l1-d1-m32-s0": "6d6b6aef489c4b88a967b46b4ab15994b350c049c2f36ee16f0d9a955d2d24d3",
+    "l1-d1-m32-s0": "9cb9d54ecd9353478bdc360c60cde62c7c41d55fb9d9b8cbbc8e34fe83e8592b",
     "l2-d1-m32-s0": "3207b5b61c9fc9151cc1a9625a23a18508a9b40d6dfc771baff25dfcf0b84e16",
-    "l1-d1-m32-s1": "fb85079b5c26037c8d882c2e29248831d0e985a890f6a89d0de1a3fbbbdf92e5",
+    "l1-d1-m32-s1": "439f5bb99f4871e4c2ff66d81413b2bdde1f664d1f5e306d55f38e675d842570",
     "l2-d1-m32-s1": "338f37e265d47c2d944889e8f1c673b48a46aa20c682a3253032675a9f275bec",
-    "l1-d1-m32-s2": "c900b588ffa1b8c94ade1bf2d69e8aa0193dfe99db9648040168c8aa4887cdce",
+    "l1-d1-m32-s2": "2afb363ba7e75ca7ffdd16099c29b06cc2a498539ab13d9d161894759cf314ec",
     "l2-d1-m32-s2": "bcca3dde21367e2db1deb86615a0a7a521d74c52b048cae58520d1ac68d7782d",
-    "l1-d2-m8-s0": "7b94426d94c8bb3f471520a20caa630a26746363a282ce2b11f48423c2321f26",
+    "l1-d2-m8-s0": "479854baa4c77bbfd1f9b0eed52ec4a96161b714fae97de29edad9e97f0c9416",
     "l2-d2-m8-s0": "2d47a4a856806d0f598dea933a04ff4bf9af1e5cda33e04a3fd2fe03ec79ea70",
-    "l1-d2-m8-s1": "dc1d62c96b97b103fb8104530773cb86419829054195321934f061238a535d29",
+    "l1-d2-m8-s1": "001f874897280d6997a5baadbccce4f3f9c905022c6c6a1182a9cef9be58b49b",
     "l2-d2-m8-s1": "956a99869e1a596bce6b797e9f2fdac3daa6b6ca5001b39f37953262a1f527ad",
-    "l1-d2-m8-s2": "88f2aa835303c00e9aff7714552f1829bc92a48e892478678a049d399a90414a",
+    "l1-d2-m8-s2": "81c713862d24e317cda7786db471c43f9666ffa646dc3c4e62addb510d77f7f2",
     "l2-d2-m8-s2": "e1c8112eae9d828478e5e0f9904965429187ebb5615ab1c90ee83a13e763a86e",
-    "l1-d2-m16-s0": "9d6be249b3ebc843d31bb4e93bf814497ccdbcf3e5a952947bbd927c53fa19b5",
+    "l1-d2-m16-s0": "a99ee1a20a4500024517bf5a6782707a2057b6a07f1f96db984823021b027bc5",
     "l2-d2-m16-s0": "f703aeff7e515d48147c384002a0ca55b732d82414050640e6b50bccd9bf1cf7",
-    "l1-d2-m16-s1": "c99226a062f505a61c00f3350448f6fcb9fa606dd1e3ca8972b1925a4eae027c",
+    "l1-d2-m16-s1": "5726b5fb9c32f22562d6e686f42751996b97b928b41b421459433babbf47b228",
     "l2-d2-m16-s1": "f724f6865c9dc320858162b9a1b326088164e202d26ef3856b28155f2c487bdf",
-    "l1-d2-m16-s2": "aa731c79a4f9ff78b17d5c690788007e05ffd0861888558da9172812ff77aebb",
+    "l1-d2-m16-s2": "a82c00e3cf1c8113c9e4bbb3c6168655fc8ab15b3ab11f7beb0d97aeb5533ae6",
     "l2-d2-m16-s2": "fdb1b0150911b5184b5338a2dda487814be638d2bebf2a1e19b9479e6132968d",
-    "adaptive-unit-d1-q9-s0": "1f354b42f192db79fa960c69b2a543d6371e7ff0126661c9900b0a2d3f0dfc57",
-    "adaptive-unit-d1-q9-s1": "e7108579d1ad5a00f52fcef88648ae5c29a73b8d7e7d0df82fcfa98675e5bbb4",
-    "adaptive-unit-d1-q9-s2": "1c7914d3d07111b469155c8579c86a63ab8e8e9c8f8d06a1bae6d72cc8035e14",
-    "adaptive-unit-d2-q7-s0": "864e35eaeb48a2ce80d921002c269dd720b85fdf49d376758310d43d8b15dfeb",
-    "adaptive-unit-d2-q7-s1": "e347f5c9ebcef58126eeb8593bc3323c1bc32cd9d2869091c4363ab6cb45216e",
-    "adaptive-unit-d2-q7-s2": "0bd1ecd111ec8a58f9e57707dedad681ccbadbf607f2131e208daf0c0417d52f",
-    "adaptive-unit-d2-q40-s0": "0b276662a26c913e5f60457eef46630acd621c039619459f819bde5278fa5e5e",
-    "adaptive-unit-d2-q40-s1": "e528d5bde52c31e2e5b27959be44ed24e344c3a5b8248d57a673b3f28a90da86",
-    "adaptive-unit-d2-q40-s2": "5a9b4dccb8df5f9f5e3d0c930ba92091ed36c453277f24cc562659a7ba896655",
-    "adaptive-unit-d3-q5-s0": "31c8530a5f9819f5087a675a3fb276927e5934c93152f121e23d0b603c1db8f8",
-    "adaptive-unit-d3-q5-s1": "87e54286b7fee3b47449d4eec88d357262de2b05cb6e01f9e72dcdfdc6b8c5c5",
-    "adaptive-unit-d3-q5-s2": "5c871b0cca0d303b71ee8dd5296ceee5317154d05103db7e9aaf5835420c3f61",
-    "adaptive-discrete-d1": "56b21f7f965d30c087e42febffb1dac5f2003c7ea53bd0a6c9800723668098d6",
-    "adaptive-discrete-d2": "c89f81955a08716c65b6c8d67c4f99b3d200dbdf2f3daf3d289b2cd557a540c7",
-    "adaptive-discrete-d3": "b2abb502b25bd9c578ecfaa7bc664b539f0ff9b3279913fbd4b10524d6416ac7",
+    "adaptive-unit-d1-q9-s0": "c198b5e14eeff24fbf91ec8057ebf8695797505f7c64094e23adb8f4cd8b1d55",
+    "adaptive-unit-d1-q9-s1": "839b352e70353a78aa2b4ae9d1b9dbbb455e59e311462d8709f2332f077da831",
+    "adaptive-unit-d1-q9-s2": "369dba9117e8acdf0f4d96bc85b2715225b19e53da973ddc4f5ef1c78336f386",
+    "adaptive-unit-d2-q7-s0": "02233198d15d3d96ece77697351e0c1bd1fe43395b1f957b9cffc049ef749fb6",
+    "adaptive-unit-d2-q7-s1": "237fb8798434e1f3916a863e066cd0670f1b1f447e954814c84829e56fb18b8d",
+    "adaptive-unit-d2-q7-s2": "e5e957a1124c0108de24a9c3e2566361044f238abe05bee35370903abc6dbb21",
+    "adaptive-unit-d2-q40-s0": "47ef355ffa16a2ad8fbf2e9af7e54600a84de58c1c282fc0b87747a522555925",
+    "adaptive-unit-d2-q40-s1": "912f4eaf7013e8c1044f9e8d01dff0077e238940b603fefc9e990f07693364df",
+    "adaptive-unit-d2-q40-s2": "293af4d60b29ac6a25216c3ecc978d7125443e39061a55f00c168cda258bed3b",
+    "adaptive-unit-d3-q5-s0": "98bca4d92d4725cc200f9268f01c030309e71ba12c599ea9a29e9b270ab8138b",
+    "adaptive-unit-d3-q5-s1": "dcb60cc58e0f8c0ac6ddeae6e34e21d9f416abca4b7da58c5882b461c45a5018",
+    "adaptive-unit-d3-q5-s2": "c6cfc954355d8b46f536a646fdd00adda7f9656662ed8a935cdacae6da6a7f59",
+    "adaptive-discrete-d1": "223c3a138d5ca8cf98305fbd9980150b8a3dc9cb8d3d8d44bb3268334e869a95",
+    "adaptive-discrete-d2": "eeb39c8936e0c8718b3608a4b89eaed9ad30a2f15fa3ab76da465caf07b990eb",
+    "adaptive-discrete-d3": "4abcfc425d81b16f935f0287a227849a003b5864ff5376f8e4ca700a58e15587",
 }
 
 
@@ -174,8 +178,8 @@ def eval_cases():
 
 
 GOLDEN_EVAL = {
-    "dump-unit-d1-4096": "2b35d22f689adaa94c07b86f28a53553cf30859279ef8b9baf6717940938da10",
-    "dump-unit-d2-64": "5ae00be5f9d7536a5deb93d229dab4aa0faa13629723e6d2a025e85dee05c21b",
+    "dump-unit-d1-4096": "6c81175f400a3c53c95ee213cf184b11b815098eacfbe86149d552bb99b7aced",
+    "dump-unit-d2-64": "fbb12ea9f0d63d770e5f9849cd944311efeeb32f322ee529ce2f758ecee97a9f",
     "dump-discrete-d2-48": "b69c7211bda52a5e75bd8d5506270535a244ea4778967c7a857bfee8b5224634",
     "l2-emp-hier": "5.424695312500013e-05",
     "l2-hier-emp": "5.424695312500013e-05",

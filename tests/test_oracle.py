@@ -1,9 +1,13 @@
 """Brute-force baselines: D_k distances and exact optimal fits."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dyadhist.core import Domain, EmpiricalDist, GridSpec, l1_dist
+from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec, l1_dist
 from dyadhist.ddist import brute_d1
 from dyadhist.errors import OracleGuardError
 from dyadhist.oracle import (
@@ -17,7 +21,7 @@ from dyadhist.oracle import (
     opt_partial_hier_dk,
 )
 
-from conftest import make_rng, random_empirical, random_hier_hist
+from conftest import make_rng, random_empirical, random_grid, random_hier_hist
 
 
 class TestDkDistance:
@@ -165,3 +169,73 @@ class TestOptPartialHierDk:
         grid = GridSpec.uniform(d, 8)
         with pytest.raises(OracleGuardError):
             opt_partial_hier_dk(emp, grid, 3, OracleGuard(max_partitions=100))
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed twins: each oracle against a plainer enumeration of its definition
+# ---------------------------------------------------------------------------
+
+def _cell_slice(rect):
+    return tuple(slice(i << rect.level, (i + 1) << rect.level) for i in rect.index)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_brute_d1_matches_per_rectangle_loop(seed):
+    rng = make_rng(seed)
+    dim = int(rng.integers(1, 4))
+    M = int(rng.choice([2, 4] if dim == 3 else [2, 4, 8]))
+    domain = Domain.unit(dim) if rng.random() < 0.5 else Domain.discrete(M, dim)
+    grid = random_grid(rng, domain, M, warp=bool(rng.random() < 0.5))
+    emp = random_empirical(rng, domain, int(rng.integers(1, 25)))
+    lev = int(rng.integers(0, grid.levels + 1))
+    rect = DyadicRect(lev, tuple(int(i) for i in rng.integers(grid.M >> lev, size=dim)))
+    counts = np.zeros((grid.M,) * dim, dtype=np.int64)
+    for cell, c in zip(grid.cell_index(emp.points), emp.counts):
+        counts[tuple(cell)] += c
+    inside = [r for r in all_dyadic_rects(grid) if rect.contains(r)]
+    pick = inside[int(rng.integers(len(inside)))]
+    vol = grid.volume_of(pick)
+    if vol > 0 and rng.random() < 0.3:  # fit one rect exactly, which makes ties likely
+        a = float(counts[_cell_slice(pick)].sum() / emp.n / vol)
+    else:
+        a = float(rng.random() * 2.0 / max(grid.volume_of(rect), 1e-9))
+    best, witness = -1.0, None
+    for r in sorted(inside, key=lambda r: (r.level, r.index)):  # ties go to the first
+        disc = abs(int(counts[_cell_slice(r)].sum()) / emp.n - a * grid.volume_of(r))
+        if disc > best:
+            best, witness = disc, r
+    err, wit = brute_d1(emp, grid, rect, a)
+    assert err == best
+    assert wit == witness
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
+def test_dk_distance_matches_union_enumeration(seed, k):
+    rng = make_rng(seed)
+    dim = int(rng.integers(1, 3))
+    M = int(rng.choice([2, 4, 8] if dim == 1 else [2, 4]))
+    grid = GridSpec.uniform(Domain.unit(dim), M)
+    u = rng.normal(size=(M,) * dim)
+    rects = all_dyadic_rects(grid)
+    sums = [float(u[_cell_slice(r)].sum()) for r in rects]
+    best = 0.0
+    for size in range(1, k + 1):
+        for combo in itertools.combinations(range(len(rects)), size):
+            if all(rects[i].disjoint_from(rects[j]) for i, j in itertools.combinations(combo, 2)):
+                best = max(best, abs(sum(sums[i] for i in combo)))
+    assert dk_distance(u, grid, k) == pytest.approx(best, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
+def test_opt_hier_l2_matches_1d_dynamic_program(seed, k):
+    rng = make_rng(seed)
+    M = int(rng.choice([2, 4, 8, 16]))
+    domain = Domain.discrete(M, 1)
+    emp = random_empirical(rng, domain, int(rng.integers(1, 30)))
+    grid = random_grid(rng, domain, M, warp=bool(rng.random() < 0.3))
+    val, hyp = opt_hier_l2(emp, grid, k)
+    assert hyp.piece_count <= k
+    assert val == pytest.approx(opt_hier_l2_dp_1d(emp, grid, k), abs=1e-13)

@@ -12,20 +12,20 @@ from dyadhist.core import (
     l2_sq_dist,
     mass,
 )
+from dyadhist.ddist import build_tree, compute_d1
 from dyadhist.errors import DegenerateRegionError, UnsupportedDomainError
 from dyadhist.oracle import dk_distance_between, opt_hier_l2, opt_partial_hier_dk
 from dyadhist.split import (
     SplitParams,
     adaptive_greedy_split,
     build_adaptive_grid,
-    default_gamma,
     greedy_split,
     greedy_split_l2,
     piece_bound,
     renormalize,
 )
 
-from conftest import make_rng, random_empirical, random_hier_hist
+from conftest import exact_fit_minimum, make_rng, random_empirical, random_hier_hist
 
 
 class TestGreedySplit:
@@ -33,7 +33,7 @@ class TestGreedySplit:
         d = Domain.discrete(4, 1)
         emp = EmpiricalDist.from_samples(d, np.array([[1], [2], [3], [4]]))
         grid = GridSpec.uniform(d, 4)
-        hyp, trace = greedy_split(emp, grid, SplitParams(k=3, xi=1.0, gamma=1e-9))
+        hyp, trace = greedy_split(emp, grid, SplitParams(k=3, xi=1.0))
         assert hyp.piece_count == 1
         assert hyp.pieces[0].value == 0.25
         assert all(rec.split == [] for rec in trace.iterations)
@@ -43,7 +43,7 @@ class TestGreedySplit:
         d = Domain.discrete(4, 1)
         emp = EmpiricalDist(d, np.array([[1], [2], [3], [4]]), np.array([4, 4, 1, 1]))
         grid = GridSpec.uniform(d, 4)
-        hyp, _ = greedy_split(emp, grid, SplitParams(k=2, xi=1.0, gamma=1e-9))
+        hyp, _ = greedy_split(emp, grid, SplitParams(k=2, xi=1.0))
         assert hyp.piece_count == 2
         assert [p.value for p in hyp.pieces] == [0.4, 0.1]
         assert dk_distance_between(emp, hyp, grid, 2) == pytest.approx(0.0, abs=1e-12)
@@ -55,7 +55,7 @@ class TestGreedySplit:
         d = Domain.unit(2)
         emp = random_empirical(rng, d, 30)
         grid = build_adaptive_grid(emp)
-        _, trace = greedy_split(emp, grid, SplitParams(k=2, xi=0.5, gamma=1e-9))
+        _, trace = greedy_split(emp, grid, SplitParams(k=2, xi=0.5))
         assert len(trace.iterations) == grid.levels
         assert [r.iteration for r in trace.iterations] == list(range(1, grid.levels + 1))
 
@@ -66,7 +66,7 @@ class TestGreedySplit:
             emp = random_empirical(make_rng(trial), Domain.discrete(8, 2), 20)
             grid = GridSpec.uniform(Domain.discrete(8, 2), 8)
             k, xi = 2, 1.0
-            _, trace = greedy_split(emp, grid, SplitParams(k=k, xi=xi, gamma=1e-9))
+            _, trace = greedy_split(emp, grid, SplitParams(k=k, xi=xi))
             for rec in trace.iterations:
                 assert len(rec.chosen) <= math.ceil((1 + xi) * k)
                 errs = dict(zip(rec.leaves, rec.errors))
@@ -80,7 +80,7 @@ class TestGreedySplit:
             xi = float(rng.choice([0.1, 0.5, 1.0, 2.0]))
             emp = random_empirical(make_rng(trial + 50), Domain.discrete(8, 2), 25)
             grid = GridSpec.uniform(Domain.discrete(8, 2), 8)
-            hyp, _ = greedy_split(emp, grid, SplitParams(k=k, xi=xi, gamma=1e-9))
+            hyp, _ = greedy_split(emp, grid, SplitParams(k=k, xi=xi))
             assert hyp.piece_count <= piece_bound(k, xi, 2, grid.levels)
 
     def test_guarantee_vs_oracle_small(self):
@@ -88,17 +88,15 @@ class TestGreedySplit:
         for trial, (k, xi) in enumerate(factor_cases):
             emp = random_empirical(make_rng(trial + 9), Domain.discrete(8, 1), 10)
             grid = GridSpec.uniform(Domain.discrete(8, 1), 8)
-            gamma = 1e-9
-            hyp, _ = greedy_split(emp, grid, SplitParams(k=k, xi=xi, gamma=gamma))
+            hyp, _ = greedy_split(emp, grid, SplitParams(k=k, xi=xi))
             lhs = dk_distance_between(emp, hyp, grid, k)
             opt = opt_partial_hier_dk(emp, grid, k)
-            slack = 4 * hyp.piece_count * gamma
-            assert lhs <= (3 + 6 / xi**2) * opt + slack + 1e-6
+            assert lhs <= (3 + 6 / xi**2) * opt + 1e-6
 
     def test_determinism_byte_for_byte(self):
         emp = random_empirical(make_rng(4242), Domain.unit(2), 60)
         grid = build_adaptive_grid(emp)
-        p = SplitParams(k=2, xi=1.0, gamma=1e-7)
+        p = SplitParams(k=2, xi=1.0)
         h1, t1 = greedy_split(emp, grid, p)
         h2, t2 = greedy_split(emp, grid, p)
         assert t1.to_text() == t2.to_text()
@@ -109,7 +107,7 @@ class TestGreedySplit:
     def test_output_total_mass_matches_report(self, rng):
         emp = random_empirical(rng, Domain.discrete(16, 2), 40)
         grid = build_adaptive_grid(emp)
-        hyp, _ = greedy_split(emp, grid, SplitParams(k=3, xi=1.0, gamma=1e-9))
+        hyp, _ = greedy_split(emp, grid, SplitParams(k=3, xi=1.0))
         # hierarchical pieces partition the domain
         assert hyp.kind is HistKind.HIERARCHICAL
         total_vol = sum(
@@ -123,8 +121,6 @@ class TestGreedySplit:
             SplitParams(k=0)
         with pytest.raises(ValueError):
             SplitParams(k=1, xi=0.0)
-        with pytest.raises(ValueError):
-            SplitParams(k=1, gamma=-1.0)
 
 
 class TestGreedySplitL2:
@@ -209,7 +205,7 @@ class TestAdaptiveGreedySplit:
     def test_point_mass_concentrates(self):
         d = Domain.discrete(64, 2)
         emp = EmpiricalDist(d, np.array([[10, 20]]), np.array([7]))
-        hyp, _ = adaptive_greedy_split(emp, SplitParams(k=1, xi=1.0, gamma=1e-9))
+        hyp, _ = adaptive_greedy_split(emp, SplitParams(k=1, xi=1.0))
         nonzero = [p for p in hyp.pieces if p.value > 0]
         assert len(nonzero) == 1
         piece = nonzero[0]
@@ -234,7 +230,7 @@ class TestAdaptiveGreedySplit:
 
     def test_hypothesis_boundaries_come_from_samples(self, rng):
         emp = random_empirical(rng, Domain.unit(2), 25)
-        hyp, _ = adaptive_greedy_split(emp, SplitParams(k=2, xi=1.0, gamma=1e-9))
+        hyp, _ = adaptive_greedy_split(emp, SplitParams(k=2, xi=1.0))
         allowed = [set(emp.points[:, a]) | {0.0, 1.0} for a in range(2)]
         for p in hyp.pieces:
             for a in range(2):
@@ -289,7 +285,14 @@ class TestRenormalize:
             renormalize(h)
 
 
-def test_default_gamma_formula():
-    assert default_gamma(2, 1.0, 2, 3, eps=0.1) == pytest.approx(
-        0.1 / (16 * 2 * 2.0 * 4 * 3)
-    )
+def test_leaf_values_are_exact_fits():
+    # every leaf of every round holds its exact best constant and its error
+    for seed in range(4):
+        emp = random_empirical(make_rng(800 + seed), Domain.discrete(16, 2), 40)
+        grid = GridSpec.uniform(emp.domain, 16)
+        _, trace = greedy_split(emp, grid, SplitParams(k=2, xi=1.0))
+        for rec in trace.iterations:
+            for rect, a, e in zip(rec.leaves, rec.values, rec.errors):
+                tree = build_tree(emp, grid, rect)
+                assert e <= exact_fit_minimum(tree) + 1e-12
+                assert e == compute_d1(emp, grid, rect, a, tree=tree)[0]
