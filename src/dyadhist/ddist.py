@@ -13,24 +13,26 @@ Layout.  ``MortonIndex`` sorts the support points inside one root rectangle
 once, by the Morton (Z-order) key of their level-0 cell, so the points of
 every dyadic rectangle form one contiguous run.  Nodes are stored in
 post-order: children before their parent and siblings in Morton order, so
-the subtree of any node is one contiguous slice that ends at the node.  The
-largest empty rectangle below every node is found once, bottom-up.  A
-``SparseDyadicTree`` is a view of one such slice, found by a binary search.
-Keys are split into words of at most 63 bits, so no key overflows whatever
-the product of the dimension and the grid depth.
+the subtree of any node is one contiguous slice that ends at the node.  Each
+node keeps the largest volume of its own missing children, so V for a view
+is the maximum over its slice.  A ``SparseDyadicTree`` is a view of one such
+slice, found by a binary search.  Keys are split into words of at most 63
+bits, so no key overflows whatever the product of the dimension and the grid
+depth.
 
 Fit.  ``fit_d1`` finds the constant a >= 0 with the least discrepancy
 exactly, not to a tolerance: the objective is the upper envelope of one
 decreasing and one increasing convex piecewise-linear function, and its
 minimum is the crossing of two of their lines, which cutting planes reach
-in a few passes over the tree (at most 6 on the benchmark's leaves, 64 at
-worst, after which the best pass is kept).
+in a few passes over the tree (at most 5 on the benchmark's leaves, 64 at
+worst, after which the best pass is kept).  The best pass gives the error
+too, so the fit reads no witness.
 
 Ties.  Wherever a witness is chosen among equal discrepancies or equal empty
 volumes, the least (level, lexicographic index) wins, as in ``brute_d1``.
 Morton order is not lexicographic order within a level, so the node order
-of a tree is not that order and ties are resolved explicitly.  The fit
-applies this rule once, at the constant it returns.
+of a tree is not that order and ties are resolved explicitly, when
+``compute_d1`` or ``empty_witness`` asks for a witness.
 
 All node masses are integer counts divided by n exactly once, so results are
 bit-identical to a dense enumeration that aggregates the same integers.
@@ -46,8 +48,6 @@ import numpy as np
 
 from .core import DyadicRect, EmpiricalDist, GridSpec
 from .errors import OracleGuardError, StructureError
-
-_NONE = np.int64(np.iinfo(np.int64).max)
 
 
 def check_dyadic(grid: GridSpec, rect: DyadicRect) -> None:
@@ -95,10 +95,12 @@ class MortonIndex:
     """Sparse dyadic tree of the support inside ``root``, in Morton post-order.
 
     The learner builds one per run and takes a ``view`` per leaf.  Per node
-    it stores the level, the mass, the volume and a reference to the largest
-    empty rectangle below the node; the first ``view`` builds these arrays,
-    so a caller that needs only ``run`` never pays for them.  Dyadic indices
-    are decoded from the points on demand.  ``node_visits`` counts the points
+    it stores the level, the mass, the volume, and ``own``: the largest
+    volume of the node's own missing children (-1 when it has none) with
+    ``own_child``, the first such child in lexicographic order.  Nothing is
+    carried up the tree.  The first ``view`` builds these arrays, so a
+    caller that needs only ``run`` never pays for them.  Dyadic indices are
+    decoded from the points on demand.  ``node_visits`` counts the points
     placed, the nodes made and the candidate empty children examined.
     """
 
@@ -127,106 +129,69 @@ class MortonIndex:
         n = self.fhat.n if self.fhat.support_size else 1
         # nodes ending at point i are its levels below shared[i], the level
         # from which points i and i+1 share their nodes (the bit length of
-        # the xor of their cells; frexp is exact below 2^53)
-        diff = np.zeros(max(0, s - 1), dtype=np.int64)
+        # the xor of their cells; frexp is exact below 2^53); the last point
+        # ends every level
+        diff = np.zeros(s, dtype=np.int64)
         for a in range(d):
-            diff |= self.cells[1:, a] ^ self.cells[:-1, a]
-        shared = np.frexp(diff.astype(np.float64))[1]
+            diff[:-1] |= self.cells[1:, a] ^ self.cells[:-1, a]
+        shared = np.frexp(diff.astype(np.float64))[1].astype(np.int8)
+        del diff
+        shared[-1:] = top + 1
         self.first = np.zeros(s + 1, dtype=np.int64)  # node at level l ending at point i: first[i] + l
-        if s:
-            np.cumsum(np.append(shared, top + 1), out=self.first[1:])
+        np.cumsum(shared, out=self.first[1:])
         total = int(self.first[-1])
         self.level = np.empty(total, dtype=np.int8)
         self.mass = np.empty(total)
         self.vol = np.empty(total)
-        self.empty = np.empty(total, dtype=np.int64)  # largest empty rect below: node << d | child
+        self.own = np.full(total, -1.0)  # largest volume of the node's own missing children; -1: none
+        self.own_child = np.zeros(total, dtype=np.min_scalar_type((1 << d) - 1))  # which child that is
         self.node_visits = s
         if not s:
             return
         weight = 1 << np.arange(d - 1, -1, -1)
         cum = np.zeros(s + 1, dtype=np.int64)
         np.cumsum(self.fhat.counts[self.rows], out=cum[1:])
-        bounds = np.arange(s - 1)
-        kids = None
+        ends = np.flatnonzero(shared > 0)  # the last point of each node, level by level
         for lev in range(top + 1):
-            bounds = bounds[shared[bounds] > lev]
-            ends = np.append(bounds, s - 1)
-            starts = np.concatenate(([0], bounds + 1))
+            if lev:
+                k_ends, ends = ends, ends[shared[ends] > lev]
             post = self.first[ends] + lev
-            idx = self.cells[starts] >> lev
             self.level[post] = lev
-            self.mass[post] = (cum[ends + 1] - cum[starts]) / n
-            self.vol[post] = grid.dyadic_volume(lev, idx)
+            self.mass[post] = np.diff(cum[ends + 1], prepend=0) / n
+            self.vol[post] = grid.dyadic_volume(lev, self.cells[ends] >> lev)
             self.node_visits += len(post)
-            e_vol = np.full(len(post), -1.0)  # largest empty rect below each node
-            e_ref = np.full(len(post), -1, dtype=np.int64)
-            if lev > 0:
-                k_starts, k_vol, k_ref = kids
-                parent = np.searchsorted(starts, k_starts, side="right") - 1
-                seg = np.searchsorted(parent, np.arange(len(post)))  # first child of each node
-                pick = self._best_of_children(parent, seg, k_vol, k_ref)
-                e_vol, e_ref = k_vol[pick], k_ref[pick]
-                # the node's own missing children, which sit one level higher
-                need = np.flatnonzero(np.diff(np.append(seg, len(parent))) < (1 << d))
-                if len(need):
-                    row = np.full(len(post), -1)
-                    row[need] = np.arange(len(need))
-                    hit = row[parent] >= 0
-                    digit = ((self.cells[k_starts[hit]] >> (lev - 1)) & 1) @ weight
-                    pidx = idx[need]
-                    cvol = np.ones((len(need), 1 << d))
-                    for a in range(d):
-                        b = grid.axes[a]
-                        edge = [(2 * pidx[:, a] + j) << (lev - 1) for j in range(3)]
-                        width = np.stack([b[edge[1]] - b[edge[0]], b[edge[2]] - b[edge[1]]], axis=1)
-                        cvol *= width[:, self._bits[:, a]]
-                    cvol[row[parent[hit]], digit] = -1.0
-                    own = np.argmax(cvol, axis=1)  # first max: the lexicographically least child
-                    own_vol = cvol[np.arange(len(need)), own]
-                    self.node_visits += cvol.size
-                    win = own_vol > e_vol[need]  # on equal volume the children's rect is lower
-                    e_vol[need[win]] = own_vol[win]
-                    e_ref[need[win]] = (post[need[win]] << d) | own[win]
-            self.empty[post] = e_ref
-            kids = (starts, e_vol, e_ref)
-
-    def _best_of_children(self, parent, seg, vol, ref) -> np.ndarray:
-        """Per node, the child holding the best empty rect below the children.
-
-        Children are grouped by ``parent``, with ``seg`` the first child of
-        each node.  Best is the largest volume, then the least level, then
-        the least index, which is decoded only where the level leaves a tie.
-        """
-        d = self.grid.dim
-        top = np.maximum.reduceat(vol, seg)
-        tie = vol == top[parent]
-        lev = self.level[ref >> d].astype(np.int64)  # ref -1 reads a stray level; its vol is -1
-        tie &= lev == np.minimum.reduceat(np.where(tie, lev, _NONE), seg)[parent]
-        many = (np.add.reduceat(tie.astype(np.int64), seg) > 1) & (top >= 0)
-        if many.any():
-            cand = np.flatnonzero(tie & many[parent])
-            idx = self._empty_index(ref[cand])
-            cand = cand[np.lexsort(list(idx.T[::-1]) + [parent[cand]])]
-            tie[cand] = False
-            tie[cand[np.r_[True, parent[cand][1:] != parent[cand][:-1]]]] = True
-        pick = np.flatnonzero(tie)
-        return pick[np.searchsorted(parent[pick], np.arange(len(seg)))]
-
-    def _empty_index(self, refs: np.ndarray) -> np.ndarray:
-        """Indices of the empty children that ``node << d | child`` references name."""
-        d = self.grid.dim
-        return 2 * self.decode(refs >> d) + self._bits[refs & ((1 << d) - 1)]
+            if lev == 0:
+                continue
+            # the node's own missing children, which sit one level higher
+            parent = np.searchsorted(ends, k_ends)  # a child ends at or before its parent's end
+            need = np.flatnonzero(np.bincount(parent, minlength=len(post)) < (1 << d))
+            if not len(need):
+                continue
+            row = np.full(len(post), -1)
+            row[need] = np.arange(len(need))
+            hit = row[parent] >= 0
+            digit = ((self.cells[k_ends[hit]] >> (lev - 1)) & 1) @ weight
+            pidx = self.cells[ends[need]] >> lev
+            cvol = np.ones((len(need), 1 << d))
+            for a in range(d):
+                b = grid.axes[a]
+                edge = [(2 * pidx[:, a] + j) << (lev - 1) for j in range(3)]
+                width = np.stack([b[edge[1]] - b[edge[0]], b[edge[2]] - b[edge[1]]], axis=1)
+                cvol *= width[:, self._bits[:, a]]
+            cvol[row[parent[hit]], digit] = -1.0
+            own = np.argmax(cvol, axis=1)  # first max: the lexicographically least child
+            self.own[post[need]] = cvol[np.arange(len(need)), own]
+            self.own_child[post[need]] = own
+            self.node_visits += cvol.size
 
     def decode(self, nodes: np.ndarray) -> np.ndarray:
         """Dyadic indices (one row each) of the nodes at these positions."""
         point = np.searchsorted(self.first, nodes, side="right") - 1
         return self.cells[point] >> self.level[nodes][:, None].astype(np.int64)
 
-    def _empty_rect(self, ref: int) -> DyadicRect | None:
-        if ref < 0:
-            return None
-        idx = self._empty_index(np.array([ref]))[0]
-        return DyadicRect(int(self.level[ref >> self.grid.dim]) - 1, tuple(int(i) for i in idx))
+    def missing_child(self, nodes: np.ndarray) -> np.ndarray:
+        """Indices (one row each) of the largest own missing child of each node."""
+        return 2 * self.decode(nodes) + self._bits[self.own_child[nodes]]
 
     def run(self, rect: DyadicRect) -> tuple:
         """Positions ``[lo, hi)`` of the points inside ``rect``, in Morton order."""
@@ -247,13 +212,10 @@ class MortonIndex:
         if lo == hi:
             none = slice(0, 0)
             return SparseDyadicTree(self.grid, rect, self, 0, self.level[none], self.mass[none],
-                                    self.vol[none], self.grid.volume_of(rect), rect, visits)
-        start, top = int(self.first[lo]), int(self.first[hi - 1]) + rect.level
-        nodes = slice(start, top + 1)
-        witness = self._empty_rect(int(self.empty[top]))
-        max_vol = self.grid.volume_of(witness) if witness is not None else -1.0
-        return SparseDyadicTree(self.grid, rect, self, start, self.level[nodes], self.mass[nodes],
-                                self.vol[nodes], max_vol, witness, visits)
+                                    self.vol[none], self.grid.volume_of(rect), visits)
+        nodes = slice(int(self.first[lo]), int(self.first[hi - 1]) + rect.level + 1)
+        return SparseDyadicTree(self.grid, rect, self, nodes.start, self.level[nodes], self.mass[nodes],
+                                self.vol[nodes], float(self.own[nodes].max()), visits)
 
 
 @dataclass(eq=False)
@@ -263,9 +225,12 @@ class SparseDyadicTree:
     The node arrays are slices of the index's arrays, in post-order:
     children before their parent, siblings in Morton order, and ``rect``
     itself last.  That is not (level, lexicographic index) order, so
-    witnesses are chosen among ties by ``least_node``.  ``node_index`` is
-    decoded on demand.  ``node_visits`` counts the entries read to find the
-    view, plus the index's own count when ``build_tree`` built the index.
+    witnesses are chosen among ties by ``least_node``.  ``max_empty_vol`` is
+    the largest volume of an empty rectangle below ``rect`` (-1 if there is
+    none), the maximum of the slice's own missing-child volumes;
+    ``empty_witness`` and ``node_index`` are decoded on demand.
+    ``node_visits`` counts the entries read to find the view, plus the
+    index's own count when ``build_tree`` built the index.
     """
 
     grid: GridSpec
@@ -276,7 +241,6 @@ class SparseDyadicTree:
     node_mass: np.ndarray
     node_vol: np.ndarray
     max_empty_vol: float
-    empty_witness: DyadicRect | None
     node_visits: int
 
     @property
@@ -286,6 +250,26 @@ class SparseDyadicTree:
     @property
     def node_index(self) -> np.ndarray:
         return self.index.decode(np.arange(self.start, self.start + self.node_count))
+
+    @property
+    def empty_witness(self) -> DyadicRect | None:
+        """The empty rectangle of volume ``max_empty_vol`` with least (level, index).
+
+        It is ``rect`` itself when the tree has no nodes, and None when no
+        rectangle below ``rect`` is empty.  Otherwise it is a missing child
+        of a node whose own largest one has that volume: of the nodes of
+        least level, the one whose child's index is least.
+        """
+        if self.node_count == 0:
+            return self.rect
+        if self.max_empty_vol < 0:
+            return None
+        own = self.index.own[self.start : self.start + self.node_count]
+        nodes = np.flatnonzero(own == self.max_empty_vol)
+        lev = self.node_level[nodes]
+        idx = self.index.missing_child(self.start + nodes[lev == lev.min()])
+        least = idx[np.lexsort(idx.T[::-1])[0]]
+        return DyadicRect(int(lev.min()) - 1, tuple(int(i) for i in least))
 
     def node_at(self, i: int) -> DyadicRect:
         lev = int(self.node_level[i])
@@ -300,10 +284,6 @@ class SparseDyadicTree:
             idx = self.index.decode(self.start + nodes)
             nodes = nodes[np.lexsort(idx.T[::-1])]
         return int(nodes[0])
-
-    def witness(self, i: int) -> DyadicRect:
-        """Node ``i``, or the empty witness for ``i == -1``."""
-        return self.empty_witness if i < 0 else self.node_at(i)
 
 
 def build_tree(
@@ -329,37 +309,6 @@ def build_tree(
     return index.view(rect)
 
 
-def _eval_discrepancy(tree: SparseDyadicTree, a: float):
-    """(err, witness, witness_mass, witness_vol) at constant ``a``.
-
-    The witness is a node position in ``tree``, or -1 for its empty witness.
-    """
-    b1 = -1.0
-    i = -1
-    if tree.node_count:
-        disc = tree.node_vol * a
-        np.subtract(tree.node_mass, disc, out=disc)
-        np.abs(disc, out=disc)
-        i = int(disc.argmax())
-        b1 = float(disc[i])
-        if i + 1 < len(disc) and disc[i + 1 :].max() == b1:
-            i = tree.least_node(np.flatnonzero(disc == b1))
-    b2 = -1.0
-    if tree.empty_witness is not None:
-        b2 = a * tree.max_empty_vol
-    if i < 0 and tree.empty_witness is None:
-        raise StructureError("tree has neither nodes nor an empty witness")
-    if b2 > b1 or i < 0:
-        return b2, -1, 0.0, tree.max_empty_vol
-    wm, wv = float(tree.node_mass[i]), float(tree.node_vol[i])
-    if b1 > b2 or tree.empty_witness is None:
-        return b1, i, wm, wv
-    w = tree.node_at(i)
-    if (tree.empty_witness.level, tree.empty_witness.index) < (w.level, w.index):
-        return b2, -1, 0.0, tree.max_empty_vol
-    return b1, i, wm, wv
-
-
 def compute_d1(
     fhat: EmpiricalDist,
     grid: GridSpec,
@@ -377,21 +326,32 @@ def compute_d1(
         raise ValueError(f"constant a must be nonnegative, got {a}")
     if tree is None:
         tree = build_tree(fhat, grid, rect)
-    err, witness, _, _ = _eval_discrepancy(tree, a)
-    return err, tree.witness(witness)
+    b2 = a * tree.max_empty_vol if tree.max_empty_vol >= 0 else -1.0  # the empty term
+    if tree.node_count == 0:
+        return b2, tree.empty_witness
+    disc = tree.node_vol * a
+    np.subtract(tree.node_mass, disc, out=disc)
+    np.abs(disc, out=disc)
+    i = int(disc.argmax())
+    b1 = float(disc[i])
+    if i + 1 < len(disc) and disc[i + 1 :].max() == b1:
+        i = tree.least_node(np.flatnonzero(disc == b1))
+    if b2 > b1 or (b2 == b1 and tree.empty_witness < tree.node_at(i)):
+        return b2, tree.empty_witness
+    return b1, tree.node_at(i)
 
 
 @dataclass(frozen=True)
 class DFitResult:
-    """Best constant fit on a rectangle: value, achieved discrepancy, witness.
+    """Best constant fit on a rectangle: the constant and its discrepancy.
 
-    ``probes`` counts the evaluations of the objective, each one pass over
-    the rectangle's tree nodes, including the one that picks the witness.
+    ``err`` equals ``compute_d1`` at ``a`` bit for bit.  ``probes`` counts
+    the passes over the rectangle's tree nodes: the Kelley probes, or the
+    one pass that takes the largest mass when every node has volume 0.
     """
 
     a: float
     err: float
-    witness: DyadicRect
     probes: int
 
 
@@ -419,7 +379,7 @@ def fit_d1(
     c attains the bound and is optimal; otherwise that side's end moves to
     c and keeps the new active line.  This is Kelley's cutting-plane method
     on a one-dimensional LP; every step activates a new line, so it ends,
-    in at most six probes on the benchmark's leaves.
+    in at most five probes on the benchmark's leaves.
 
     At a = 0 and at every a beyond the largest node density, the root's own
     lines are active (the part of ``rect`` outside any node is a union of
@@ -427,14 +387,17 @@ def fit_d1(
     is the flattening mass/vol(rect) and constant data stops there with
     err == 0.  Where the two lines are both flat, or rounding puts the
     crossing outside the bracket, the step bisects the bracket instead, and
-    after 64 probes the best one is kept.  The witness is then chosen once,
-    at the chosen a, by the tie rule of ``compute_d1``.
+    after 64 probes the best one is kept.  The error returned is that
+    probe's max(D(c), I(c)), which is ``compute_d1`` at c; no witness is
+    chosen.
     """
     if tree is None:
         tree = build_tree(fhat, grid, rect)
     m, v, ev = tree.node_mass, tree.node_vol, tree.max_empty_vol  # ev < 0: no empty term
-    if tree.node_count == 0 or v[-1] <= 0:
-        return _fit_at(tree, 0.0, 0)  # F(a) is a*vol(rect), or constant: a = 0 is optimal
+    if tree.node_count == 0:
+        return DFitResult(0.0, 0.0, 0)  # F(a) is a*vol(rect): a = 0 is optimal
+    if v[-1] <= 0:
+        return DFitResult(0.0, float(m.max()), 1)  # every volume is 0, so F is constant
     lo, hi = 0.0, math.inf
     p = q = tree.node_count - 1  # the root's lines (post-order puts ``rect`` last); q = -1 is the empty term
     best_err, best_a, probes = math.inf, 0.0, 0
@@ -466,12 +429,7 @@ def fit_d1(
             if crossing and (c * ev if q < 0 else -r[q]) == up:
                 break
             hi, q = c, j
-    return _fit_at(tree, best_a, probes)
-
-
-def _fit_at(tree: SparseDyadicTree, a: float, probes: int) -> DFitResult:
-    err, witness, _, _ = _eval_discrepancy(tree, a)
-    return DFitResult(a, err, tree.witness(witness), probes + 1)
+    return DFitResult(best_a, best_err, probes)
 
 
 def brute_d1(

@@ -1,5 +1,7 @@
 """Sparse dyadic trees, max-discrepancy computation, and the constant fit."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from dyadhist.errors import OracleGuardError, StructureError
 from dyadhist.oracle import all_dyadic_rects
 from dyadhist.split import build_adaptive_grid
 
-from conftest import exact_fit_minimum, make_rng, random_empirical, random_grid
+from conftest import exact_fit_minimum, make_rng, random_empirical, random_grid, random_points
 
 
 def counts_2101():
@@ -164,6 +166,37 @@ def reference_tree(emp, grid, root):
     return nodes, empty
 
 
+def root_empty_ties(emp, grid):
+    """The largest empty rectangles below the root, from the twin.
+
+    Returns ``(levels, morton_first, least)``: the levels they sit on, the
+    missing child of the first tied node of least level in Morton order
+    (axis 0 first), and the least one by (level, index).
+    """
+    nodes, _ = reference_tree(emp, grid, grid.root())
+    missing = [
+        (grid.volume_of(ch), DyadicRect(lev, idx), ch)
+        for lev, idx in nodes
+        if lev > 0
+        for ch in DyadicRect(lev, idx).children()
+        if (ch.level, ch.index) not in nodes
+    ]
+    top = max(vol for vol, _, _ in missing)
+    tied = [(parent, ch) for vol, parent, ch in missing if vol == top]
+    least = min(ch for _, ch in tied)
+
+    def morton(r):
+        key = 0
+        for b in range(grid.levels - r.level, -1, -1):
+            for i in r.index:
+                key = (key << 1) | ((i >> b) & 1)
+        return key
+
+    first = min((p for p, _ in tied if p.level == least.level + 1), key=morton)
+    morton_first = min(ch for p, ch in tied if p == first)
+    return {ch.level for _, ch in tied}, morton_first, least
+
+
 def tree_nodes(tree):
     return {
         (int(l), tuple(int(v) for v in ix)): float(m)
@@ -245,6 +278,42 @@ class TestMortonIndex:
                 wd = abs(emp.mass_in(grid.rect_of(wit)) - a * grid.volume_of(wit))
                 bd = abs(emp.mass_in(grid.rect_of(bwit)) - a * grid.volume_of(bwit))
                 assert wd == pytest.approx(bd, abs=1e-12), (trial, r)
+
+    def test_empty_witness_ties_on_uniform_and_warped_grids(self):
+        # uniform discrete grids with a point in every cell but a few: every
+        # node above level 1 is present, so the largest empty rectangles are
+        # level-0 cells, missing children of several level-1 nodes.  At d=2
+        # the first of those in Morton order, (0,0), misses (1,1), and the
+        # least empty cell, (0,2), is a child of (0,1); likewise at d=3.
+        cases = []
+        for m, holes in ((8, [(1, 1), (0, 2), (3, 3), (5, 6), (7, 0)]),
+                         (4, [(1, 1, 1), (0, 0, 2), (3, 2, 0), (2, 3, 3)])):
+            dim = len(holes[0])
+            domain = Domain.discrete(m, dim)
+            cells = {tuple(c) for c in np.ndindex(*(m,) * dim)} - set(holes)
+            pts = np.array(sorted(cells)) + 1
+            emp = EmpiricalDist.from_samples(domain, np.vstack([pts, pts[::7]]))
+            cases.append((emp, GridSpec.uniform(domain, m)))
+        # a warped grid where the level-0 cell (2,2) and the level-1
+        # rectangle (1,0) are both empty with the largest volume, 8
+        domain = Domain.discrete(5, 2)
+        grid = GridSpec(domain, (np.array([1, 1, 2, 6, 6.0]), np.array([1, 2, 3, 5, 6.0])))
+        pts = np.array([[1, 2], [4, 5], [4, 5], [1, 5], [1, 3]])
+        cases.append((EmpiricalDist.from_samples(domain, pts), grid))
+        ties = []
+        for emp, grid in cases:
+            ties.append(root_empty_ties(emp, grid))
+            self.check_views(emp, grid)
+            for r in all_dyadic_rects(grid):
+                tree = build_tree(emp, grid, r)
+                for a in (0.5 / emp.n, 1.0 / emp.n, 0.05):
+                    assert compute_d1(emp, grid, r, a, tree=tree) == brute_d1(emp, grid, r, a), (r, a)
+        # the first two: the first tied node in Morton order does not own
+        # the least child; the third: the tie spans two levels, and the
+        # least index is not on the least level
+        (lev2, morton2, least2), (lev3, morton3, least3), (levw, _, leastw) = ties
+        assert lev2 == {0} and morton2 != least2 and lev3 == {0} and morton3 != least3
+        assert levw == {0, 1} and leastw == DyadicRect(0, (2, 2))
 
     def test_discrepancy_ties_pick_least_level_then_index(self):
         # three cells holding one point each: near a = 1/16 their level-0
@@ -382,25 +451,70 @@ class TestFitD1:
         assert worst <= 1e-12
 
     def test_exact_on_every_golden_leaf(self):
-        # every leaf of every round of the L1 golden runs, up to 200 nodes
+        # every leaf of every round of the L1 golden runs, through one shared
+        # index as the learner uses it: err is compute_d1 at the returned
+        # constant, bit for bit, and (up to 200 nodes) the exact minimum
         from test_golden import sweep_cases
 
-        checked = zero_width = 0
+        checked = exact = zero_width = 0
         for name, thunk in sweep_cases():
             if name.startswith("l2-"):
                 continue
             emp, *rest = thunk.__defaults__
             grid = rest[0] if len(rest) == 2 else build_adaptive_grid(emp)
+            index = MortonIndex(emp, grid, grid.root())
             _, trace = thunk()
             for rect in sorted({r for rec in trace.iterations for r in rec.leaves}):
-                tree = build_tree(emp, grid, rect)
-                if tree.node_count > 200:
-                    continue
+                tree = build_tree(emp, grid, rect, index=index)
                 fit = fit_d1(emp, grid, rect, tree=tree)
-                assert fit.err <= exact_fit_minimum(tree) + 1e-12, (name, rect)
+                assert fit.err == compute_d1(emp, grid, rect, fit.a, tree=tree)[0], (name, rect)
                 checked += 1
                 zero_width += grid.volume_of(rect) == 0
-        assert checked > 1000 and zero_width > 0
+                if tree.node_count <= 200:
+                    assert fit.err <= exact_fit_minimum(tree) + 1e-12, (name, rect)
+                    exact += 1
+        assert checked > 1400 and exact > 1000 and zero_width > 0
+
+    def test_err_is_compute_d1_at_a_on_random_families(self):
+        # d = 1-3 on uniform, warped and adaptive grids.  Warped discrete
+        # and adaptive grids have zero-width cells; on [0,1]^d a fixed grid
+        # gets a zero-width top cell on axis 0, where samples at 1.0 land.
+        # Empty rectangles and zero-volume ones holding mass take the
+        # a = 0 path.
+        kinds = {"empty": 0, "zero volume": 0, "kelley": 0}
+        shapes = itertools.product(range(3), (1, 2, 3), ("uniform", "warped", "adaptive"), (False, True))
+        for trial, (_, dim, kind, unit) in enumerate(shapes):
+            rng = make_rng(62_000 + trial)
+            m = 8 if dim == 3 else 16
+            domain = Domain.unit(dim) if unit else Domain.discrete(m, dim)
+            pts = random_points(rng, domain, int(rng.integers(1, 41)))
+            if unit:
+                pts[::3, 0] = 1.0
+            emp = EmpiricalDist.from_samples(domain, pts)
+            if kind == "adaptive":
+                grid = build_adaptive_grid(emp)
+            else:
+                grid = random_grid(rng, domain, m, warp=kind == "warped")
+                if unit:
+                    top = np.r_[grid.axes[0][:-2], 1.0, 1.0]
+                    grid = GridSpec(domain, (top,) + grid.axes[1:])
+            index = MortonIndex(emp, grid, grid.root())
+            cells = grid.cell_index(emp.points)
+            rects = set()
+            for lev in range(grid.levels + 1):  # every node, and some rects picked at random
+                picks = np.vstack([cells >> lev, rng.integers(grid.M >> lev, size=(8, dim))])
+                rects |= {DyadicRect(lev, tuple(int(i) for i in p)) for p in picks}
+            for r in sorted(rects):
+                tree = build_tree(emp, grid, r, index=index)
+                fit = fit_d1(emp, grid, r, tree=tree)
+                assert fit.err == compute_d1(emp, grid, r, fit.a, tree=tree)[0], (trial, r)
+                if tree.node_count == 0:
+                    kinds["empty"] += 1
+                elif grid.volume_of(r) == 0:
+                    kinds["zero volume"] += 1
+                else:
+                    kinds["kelley"] += 1
+        assert min(kinds.values()) > 20, kinds
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 4.0))
