@@ -118,12 +118,17 @@ class Rect:
         return ok.all(axis=1)
 
 
-def volume(rect: Rect, domain: Domain) -> float:
-    """Measure of ``rect``: lattice-point count (discrete) or Lebesgue volume."""
+def _check_inside(rect: Rect, domain: Domain) -> None:
+    """Raise DomainViolationError unless ``rect`` has the domain's dimension and lies in it."""
     if rect.dim != domain.dim:
         raise DomainViolationError(f"rect dim {rect.dim} != domain dim {domain.dim}")
     if any(l < domain.lower or h > domain.upper for l, h in zip(rect.lo, rect.hi)):
         raise DomainViolationError(f"rect {rect} outside domain bounds")
+
+
+def volume(rect: Rect, domain: Domain) -> float:
+    """Measure of ``rect``: lattice-point count (discrete) or Lebesgue volume."""
+    _check_inside(rect, domain)
     v = 1.0
     for l, h in zip(rect.lo, rect.hi):
         v *= max(0.0, float(h) - float(l))
@@ -164,9 +169,6 @@ class DyadicRect:
             idx = tuple(2 * self.index[a] + ((bits >> (d - 1 - a)) & 1) for a in range(d))
             out.append(DyadicRect(self.level - 1, idx))
         return out
-
-    def parent(self) -> "DyadicRect":
-        return DyadicRect(self.level + 1, tuple(i >> 1 for i in self.index))
 
     def contains(self, other: "DyadicRect") -> bool:
         if other.level > self.level:
@@ -303,6 +305,8 @@ class EmpiricalDist:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points))
         if self.domain.is_discrete:
+            if pts.dtype.kind == "f" and not (pts == np.floor(pts)).all():
+                raise DomainViolationError("non-integral coordinate on a discrete domain")
             pts = pts.astype(np.int64)
         else:
             pts = pts.astype(np.float64)
@@ -373,9 +377,10 @@ class Piece:
 class HistHypothesis:
     """Piecewise-constant density given by disjoint rectangles with values.
 
-    ARBITRARY and HIERARCHICAL pieces cover the full domain; PARTIAL leaves
-    the uncovered region at value 0.  Hierarchical hypotheses carry the grid
-    and the dyadic identity of every piece.
+    Every piece has the domain's dimension and lies inside it.  ARBITRARY
+    and HIERARCHICAL pieces cover the full domain; PARTIAL leaves the
+    uncovered region at value 0.  Hierarchical hypotheses carry the grid and
+    the dyadic identity of every piece.
     """
 
     domain: Domain
@@ -390,6 +395,8 @@ class HistHypothesis:
                 raise StructureError("hierarchical hypothesis needs grid and dyadic ids")
         if self.dyadic is not None and len(self.dyadic) != len(self.pieces):
             raise StructureError("dyadic ids must align with pieces")
+        for p in self.pieces:
+            _check_inside(p.rect, self.domain)
         if (piece_coverage(self.domain, self.pieces)[1] > 1).any():
             raise StructureError("pieces overlap")
 

@@ -99,9 +99,10 @@ class MortonIndex:
     volume of the node's own missing children (-1 when it has none) with
     ``own_child``, the first such child in lexicographic order.  Nothing is
     carried up the tree.  The first ``view`` builds these arrays, so a
-    caller that needs only ``run`` never pays for them.  Dyadic indices are
-    decoded from the points on demand.  ``node_visits`` counts the points
-    placed, the nodes made and the candidate empty children examined.
+    caller that needs only ``run`` never pays for them, and that view's
+    ``node_visits`` includes the index's.  Dyadic indices are decoded from
+    the points on demand.  ``node_visits`` counts the points placed, the
+    nodes made and the candidate empty children examined.
     """
 
     def __init__(self, fhat: EmpiricalDist, grid: GridSpec, root: DyadicRect):
@@ -205,16 +206,17 @@ class MortonIndex:
 
     def view(self, rect: DyadicRect) -> "SparseDyadicTree":
         """The tree of mass-carrying dyadic rectangles below ``rect``."""
+        visits = 2 * len(self.words) * len(self.rows).bit_length() + 1
         if self.first is None:
             self._build_nodes()
+            visits += self.node_visits
         lo, hi = self.run(rect)
-        visits = 2 * len(self.words) * len(self.rows).bit_length() + 1
         if lo == hi:
             none = slice(0, 0)
-            return SparseDyadicTree(self.grid, rect, self, 0, self.level[none], self.mass[none],
+            return SparseDyadicTree(rect, self, 0, self.level[none], self.mass[none],
                                     self.vol[none], self.grid.volume_of(rect), visits)
         nodes = slice(int(self.first[lo]), int(self.first[hi - 1]) + rect.level + 1)
-        return SparseDyadicTree(self.grid, rect, self, nodes.start, self.level[nodes], self.mass[nodes],
+        return SparseDyadicTree(rect, self, nodes.start, self.level[nodes], self.mass[nodes],
                                 self.vol[nodes], float(self.own[nodes].max()), visits)
 
 
@@ -230,10 +232,9 @@ class SparseDyadicTree:
     none), the maximum of the slice's own missing-child volumes;
     ``empty_witness`` and ``node_index`` are decoded on demand.
     ``node_visits`` counts the entries read to find the view, plus the
-    index's own count when ``build_tree`` built the index.
+    index's own count when this view built the index's nodes.
     """
 
-    grid: GridSpec
     rect: DyadicRect
     index: MortonIndex
     start: int  # position of the first node in the index
@@ -296,36 +297,26 @@ def build_tree(
     """Build the sparse tree of mass-carrying dyadic rectangles below ``rect``.
 
     ``index`` is a MortonIndex over ``fhat`` and ``grid`` whose root contains
-    ``rect``; the greedy splitter keeps one per run.  Without it an index
-    rooted at ``rect`` is built, and its work is counted in ``node_visits``.
+    ``rect``; the greedy splitter builds one per run, up front.  Without it
+    an index rooted at ``rect`` is built.  Either way the view that builds
+    the index's nodes counts that work in its ``node_visits``.
     """
     if index is None:
         index = MortonIndex(fhat, grid, rect)
-        tree = index.view(rect)
-        tree.node_visits += index.node_visits
-        return tree
-    if index.fhat is not fhat or index.grid is not grid:
+    elif index.fhat is not fhat or index.grid is not grid:
         raise ValueError("the index was built over another sample set or grid")
     return index.view(rect)
 
 
-def compute_d1(
-    fhat: EmpiricalDist,
-    grid: GridSpec,
-    rect: DyadicRect,
-    a: float,
-    *,
-    tree: SparseDyadicTree | None = None,
-):
-    """Max discrepancy |mass - a*vol| over dyadic sub-rectangles of ``rect``.
+def compute_d1(tree: SparseDyadicTree, a: float):
+    """Max discrepancy |mass - a*vol| over dyadic sub-rectangles of ``tree.rect``.
 
     Returns ``(err, witness)`` where the witness attains the maximum; ties
-    are broken by least (level, index).  Runs in O(2^d s log M) node work.
+    are broken by least (level, index).  Reads only ``tree``: one pass over
+    its nodes.
     """
     if a < 0:
         raise ValueError(f"constant a must be nonnegative, got {a}")
-    if tree is None:
-        tree = build_tree(fhat, grid, rect)
     b2 = a * tree.max_empty_vol if tree.max_empty_vol >= 0 else -1.0  # the empty term
     if tree.node_count == 0:
         return b2, tree.empty_witness
@@ -358,14 +349,8 @@ class DFitResult:
 _MAX_PROBES = 64
 
 
-def fit_d1(
-    fhat: EmpiricalDist,
-    grid: GridSpec,
-    rect: DyadicRect,
-    *,
-    tree: SparseDyadicTree | None = None,
-) -> DFitResult:
-    """The constant a >= 0 minimizing the max dyadic discrepancy on ``rect``, exactly.
+def fit_d1(tree: SparseDyadicTree) -> DFitResult:
+    """The constant a >= 0 minimizing the max dyadic discrepancy on ``tree.rect``, exactly.
 
     The objective is F(a) = max(D(a), I(a)) over the tree's nodes (mass m_i,
     volume v_i): D(a) = max_i (m_i - a v_i) is convex and decreasing, and
@@ -382,17 +367,15 @@ def fit_d1(
     in at most five probes on the benchmark's leaves.
 
     At a = 0 and at every a beyond the largest node density, the root's own
-    lines are active (the part of ``rect`` outside any node is a union of
-    nodes and empty rectangles, so it is no denser), so the first crossing
-    is the flattening mass/vol(rect) and constant data stops there with
-    err == 0.  Where the two lines are both flat, or rounding puts the
+    lines are active (the part of ``tree.rect`` outside any node is a union
+    of nodes and empty rectangles, so it is no denser), so the first
+    crossing is the flattening mass/vol(rect) and constant data stops there
+    with err == 0.  Where the two lines are both flat, or rounding puts the
     crossing outside the bracket, the step bisects the bracket instead, and
     after 64 probes the best one is kept.  The error returned is that
     probe's max(D(c), I(c)), which is ``compute_d1`` at c; no witness is
-    chosen.
+    chosen.  The fit reads only ``tree``.
     """
-    if tree is None:
-        tree = build_tree(fhat, grid, rect)
     m, v, ev = tree.node_mass, tree.node_vol, tree.max_empty_vol  # ev < 0: no empty term
     if tree.node_count == 0:
         return DFitResult(0.0, 0.0, 0)  # F(a) is a*vol(rect): a = 0 is optimal
@@ -432,25 +415,27 @@ def fit_d1(
     return DFitResult(best_a, best_err, probes)
 
 
+_BRUTE_GUARD = 10**6  # dyadic rectangles brute_d1 may enumerate
+
+
 def brute_d1(
     fhat: EmpiricalDist,
     grid: GridSpec,
     rect: DyadicRect,
     a: float,
-    *,
-    guard: int = 10**6,
 ):
     """Oracle twin of compute_d1: exhaustively scan every dyadic sub-rectangle.
 
     Dense per-level aggregation of integer counts (divided by n once), so the
-    result matches compute_d1 bit-for-bit on any instance within the guard.
+    result matches compute_d1 bit-for-bit on any instance within the guard,
+    ``_BRUTE_GUARD`` rectangles.
     """
     check_dyadic(grid, rect)
     d = grid.dim
     depth = rect.level
     total = sum((1 << (depth - lev)) ** d for lev in range(depth + 1))
-    if total > guard:
-        raise OracleGuardError(f"{total} dyadic rectangles exceeds guard {guard}")
+    if total > _BRUTE_GUARD:
+        raise OracleGuardError(f"{total} dyadic rectangles exceeds guard {_BRUTE_GUARD}")
 
     side0 = 1 << depth
     counts = np.zeros((side0,) * d, dtype=np.int64)

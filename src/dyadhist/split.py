@@ -1,21 +1,22 @@
 """Greedy dyadic splitting learners.
 
 Three variants share one loop: starting from the root of a grid's dyadic
-decomposition, repeat ``levels`` times: score every leaf, pick the
+decomposition, repeat ``levels`` times: rank the leaves by score, pick the
 ``ceil((1+xi)*k)`` worst ones, and split each chosen leaf that still can be
 split and has positive score into its 2^d children.
 
 * ``greedy_split``      scores a leaf by the best-constant max dyadic
                         discrepancy (fit_d1 / compute_d1) and outputs the
-                        fitted constants.
+                        best constants.
 * ``greedy_split_l2``   scores by the exact squared error of the flattening
                         (discrete domains) and outputs flattenings.
 * ``adaptive_greedy_split`` first builds the data-dependent grid whose axis
                         boundaries are the distinct sample coordinates,
                         removing any dependence on the ambient domain size.
 
-Leaf scores are cached across iterations; an unsplit leaf's score cannot
-change, so results are identical to rescoring every round.  Everything is
+Each leaf is scored once, when made: the root before the first round and
+each child when its parent splits.  An unsplit leaf's score cannot change,
+so results are identical to rescoring every round.  Everything is
 deterministic: ties in "largest e_R" break by (e desc, level desc, index asc).
 """
 
@@ -27,8 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    Domain,
-    DyadicRect,
     EmpiricalDist,
     GridSpec,
     HistHypothesis,
@@ -45,21 +44,17 @@ class SplitParams:
     """Knobs of the greedy splitters.
 
     ``xi`` is the overshoot factor: each round splits up to ceil((1+xi)*k)
-    leaves.  ``max_levels`` caps the number of splitting rounds (default:
-    the full grid depth).
+    leaves.  The number of rounds is the grid depth.
     """
 
     k: int
     xi: float = 1.0
-    max_levels: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not self.xi > 0:
             raise ValueError(f"xi must be positive, got {self.xi}")
-        if self.max_levels is not None and self.max_levels < 0:
-            raise ValueError("max_levels must be nonnegative")
 
 
 def piece_bound(k: int, xi: float, dim: int, levels: int) -> int:
@@ -95,40 +90,25 @@ class SplitTrace:
         return "\n".join(out) + "\n"
 
 
-@dataclass
-class _Leaf:
-    a: float = 0.0
-    err: float = 0.0
-    fitted: bool = False
-
-
-def _run_split_loop(fhat, grid, params, score_leaf):
-    """Shared loop; ``score_leaf(rect, leaf)`` fills leaf.a / leaf.err."""
-    dim = grid.dim
-    levels = grid.levels
-    iters = levels if params.max_levels is None else min(params.max_levels, levels)
+def _run_split_loop(grid, params, score):
+    """Shared loop; ``score(rect) -> (a, err)`` is called once per leaf, when it is made."""
     n_split = math.ceil((1.0 + params.xi) * params.k)
 
-    leaves: dict = {grid.root(): _Leaf()}
+    root = grid.root()
+    leaves = {root: score(root)}  # rect -> (a, err)
     trace = SplitTrace()
 
-    for it in range(1, iters + 1):
-        for rect, leaf in leaves.items():
-            if not leaf.fitted:
-                score_leaf(rect, leaf)
-                leaf.fitted = True
-        order = sorted(
-            leaves, key=lambda r: (-leaves[r].err, -r.level, r.index)
-        )
+    for it in range(1, grid.levels + 1):
+        order = sorted(leaves, key=lambda r: (-leaves[r][1], -r.level, r.index))
         chosen = order[:n_split]
-        to_split = [r for r in chosen if r.level > 0 and leaves[r].err > 0.0]
+        to_split = [r for r in chosen if r.level > 0 and leaves[r][1] > 0.0]
         snapshot = sorted(leaves)
         trace.iterations.append(
             IterationRecord(
                 iteration=it,
                 leaves=snapshot,
-                values=[leaves[r].a for r in snapshot],
-                errors=[leaves[r].err for r in snapshot],
+                values=[leaves[r][0] for r in snapshot],
+                errors=[leaves[r][1] for r in snapshot],
                 chosen=list(chosen),
                 split=list(to_split),
             )
@@ -136,21 +116,16 @@ def _run_split_loop(fhat, grid, params, score_leaf):
         for rect in to_split:
             del leaves[rect]
             for ch in rect.children():
-                leaves[ch] = _Leaf()
+                leaves[ch] = score(ch)
 
-    for rect, leaf in leaves.items():
-        if not leaf.fitted:
-            score_leaf(rect, leaf)
-            leaf.fitted = True
-
-    bound = piece_bound(params.k, params.xi, dim, iters)
+    bound = piece_bound(params.k, params.xi, grid.dim, grid.levels)
     assert len(leaves) <= bound, f"{len(leaves)} leaves exceed bound {bound}"
     return leaves, trace
 
 
 def _build_hypothesis(grid, leaves):
     order = sorted(leaves)
-    pieces = tuple(Piece(grid.rect_of(r), leaves[r].a) for r in order)
+    pieces = tuple(Piece(grid.rect_of(r), leaves[r][0]) for r in order)
     return HistHypothesis(
         domain=grid.domain,
         pieces=pieces,
@@ -172,16 +147,13 @@ def greedy_split(fhat: EmpiricalDist, grid: GridSpec, params: SplitParams):
     if fhat.domain != grid.domain:
         raise ValueError("empirical distribution and grid disagree on the domain")
 
-    index = None
+    index = MortonIndex(fhat, grid, grid.root())
 
-    def score(rect, leaf):
-        nonlocal index
-        tree = build_tree(fhat, grid, rect, index=index)
-        index = tree.index  # built by the first call, on the root, then shared
-        fit = fit_d1(fhat, grid, rect, tree=tree)
-        leaf.a, leaf.err = fit.a, fit.err
+    def score(rect):
+        fit = fit_d1(build_tree(fhat, grid, rect, index=index))
+        return fit.a, fit.err
 
-    leaves, trace = _run_split_loop(fhat, grid, params, score)
+    leaves, trace = _run_split_loop(grid, params, score)
     return _build_hypothesis(grid, leaves), trace
 
 
@@ -199,19 +171,18 @@ def greedy_split_l2(g: EmpiricalDist, grid: GridSpec, params: SplitParams):
     n = g.n if g.support_size else 1
     index = MortonIndex(g, grid, grid.root())
 
-    def score(rect, leaf):
+    def score(rect):
         vol = grid.volume_of(rect)
         lo, hi = index.run(rect)
         masses = g.counts[np.sort(index.rows[lo:hi])] / n  # support order fixes the sums' rounding
         total = float(masses.sum())
         if vol <= 0:
-            leaf.a, leaf.err = 0.0, 0.0
-            return
+            return 0.0, 0.0
         a = total / vol
         err = float(np.sum((masses - a) ** 2)) + (vol - len(masses)) * a * a
-        leaf.a, leaf.err = a, max(0.0, err)
+        return a, max(0.0, err)
 
-    leaves, trace = _run_split_loop(g, grid, params, score)
+    leaves, trace = _run_split_loop(grid, params, score)
     return _build_hypothesis(grid, leaves), trace
 
 

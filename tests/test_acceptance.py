@@ -66,7 +66,7 @@ def test_criterion_1_compute_d1_oracle_equivalence():
     ok = True
     for i in range(1000):
         emp, grid, rect, a = _d1_instance(i)
-        err, wit = compute_d1(emp, grid, rect, a)
+        err, wit = compute_d1(build_tree(emp, grid, rect), a)
         berr, bwit = brute_d1(emp, grid, rect, a)
         wd = abs(emp.mass_in(grid.rect_of(wit)) - a * grid.volume_of(wit))
         bd = abs(emp.mass_in(grid.rect_of(bwit)) - a * grid.volume_of(bwit))
@@ -82,7 +82,7 @@ def test_criterion_2_fit_d1_optimality():
     for i in range(1000):
         emp, grid, rect, _ = _d1_instance(i)
         tree = build_tree(emp, grid, rect)
-        fit = fit_d1(emp, grid, rect, tree=tree)
+        fit = fit_d1(tree)
         ok &= fit.err <= exact_fit_minimum(tree) + 1e-12
         probes = max(probes, fit.probes)
     ok &= probes <= 16
@@ -90,7 +90,7 @@ def test_criterion_2_fit_d1_optimality():
     dom = Domain.discrete(4, 1)
     emp = EmpiricalDist(dom, np.array([[1], [2], [4]]), np.array([2, 1, 1]))
     grid = GridSpec.uniform(dom, 4)
-    fit = fit_d1(emp, grid, grid.root())
+    fit = fit_d1(build_tree(emp, grid, grid.root()))
     ok &= fit.a == 0.25 and fit.err == 0.25
     assert _report(2, "FitD1 optimality", ok, f"at most {probes} probes per fit")
 

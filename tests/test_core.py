@@ -282,6 +282,19 @@ class TestEval:
         HistHypothesis(d2, (corner, Piece(Rect((3, 1), (5, 3)), 0.1), Piece(Rect((2, 2), (2, 5)), 1.0)),
                        HistKind.PARTIAL)
 
+    def test_pieces_outside_the_domain_rejected(self):
+        d = Domain.unit(1)
+        for rect in (Rect((0.0,), (2.0,)), Rect((-0.5,), (0.5,)), Rect((0.0, 0.0), (1.0, 1.0))):
+            for kind in (HistKind.ARBITRARY, HistKind.PARTIAL):
+                with pytest.raises(DomainViolationError):
+                    HistHypothesis(d, (Piece(rect, 0.5),), kind)
+        d2 = Domain.discrete(4, 2)
+        inside = Piece(Rect((1, 1), (5, 3)), 0.1)
+        for rect in (Rect((1, 3), (5, 6)), Rect((0, 3), (5, 5)), Rect((1,), (5,))):
+            with pytest.raises(DomainViolationError):
+                HistHypothesis(d2, (inside, Piece(rect, 0.1)), HistKind.PARTIAL)
+        HistHypothesis(d2, (inside, Piece(Rect((1, 3), (5, 5)), 0.1)), HistKind.ARBITRARY)
+
     @given(box_hists())
     @settings(max_examples=150, deadline=None)
     def test_fuzz_twin_and_file_round_trip(self, case):
@@ -425,6 +438,16 @@ class TestEmpiricalDist:
         d = Domain.unit(1)
         with pytest.raises(DomainViolationError):
             EmpiricalDist.from_samples(d, np.array([[1.5]]))
+
+    def test_fractional_coordinate_on_discrete_domain_rejected(self):
+        d = Domain.discrete(8, 1)
+        with pytest.raises(DomainViolationError, match="non-integral"):
+            EmpiricalDist.from_samples(d, np.array([[2.7], [2.2], [5.0]]))
+        with pytest.raises(DomainViolationError, match="non-integral"):
+            EmpiricalDist(Domain.discrete(8, 2), np.array([[1.0, 3.5]]), np.array([1]))
+        emp = EmpiricalDist.from_samples(d, np.array([[2.0], [2.0], [5.0]]))  # integral floats are fine
+        assert emp.points.dtype == np.int64
+        assert emp.points.tolist() == [[2], [5]] and emp.counts.tolist() == [2, 1]
 
     def test_total_mass_is_exactly_one(self, rng):
         d = Domain.discrete(16, 2)

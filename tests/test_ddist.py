@@ -99,6 +99,20 @@ class TestBuildTree:
             assert b <= 2.0 * a * 1.2
             assert b >= a  # more support never costs less
 
+    def test_index_build_counted_once_in_the_view_that_makes_it(self, rng):
+        # a standalone build counts what the first view of an up-front index
+        # counts; later views count only their own search
+        for trial in range(12):
+            emp, grid, _, _ = random_instance(rng, trial)
+            root = grid.root()
+            index = MortonIndex(emp, grid, root)
+            first = index.view(root)
+            assert build_tree(emp, grid, root).node_visits == first.node_visits
+            assert index.node_visits > 0
+            search = first.node_visits - index.node_visits
+            assert index.view(root).node_visits == search
+            assert build_tree(emp, grid, root, index=index).node_visits == search
+
     def test_tree_holds_exactly_the_mass_carrying_rects(self, rng):
         from dyadhist.oracle import all_dyadic_rects
 
@@ -272,7 +286,7 @@ class TestMortonIndex:
             index = MortonIndex(emp, grid, grid.root())
             for r in all_dyadic_rects(grid)[:: max(1, trial % 4)]:
                 tree = build_tree(emp, grid, r, index=index)
-                err, wit = compute_d1(emp, grid, r, a, tree=tree)
+                err, wit = compute_d1(tree, a)
                 berr, bwit = brute_d1(emp, grid, r, a)
                 assert err == pytest.approx(berr, abs=1e-12), (trial, r)
                 wd = abs(emp.mass_in(grid.rect_of(wit)) - a * grid.volume_of(wit))
@@ -307,7 +321,7 @@ class TestMortonIndex:
             for r in all_dyadic_rects(grid):
                 tree = build_tree(emp, grid, r)
                 for a in (0.5 / emp.n, 1.0 / emp.n, 0.05):
-                    assert compute_d1(emp, grid, r, a, tree=tree) == brute_d1(emp, grid, r, a), (r, a)
+                    assert compute_d1(tree, a) == brute_d1(emp, grid, r, a), (r, a)
         # the first two: the first tied node in Morton order does not own
         # the least child; the third: the tie spans two levels, and the
         # least index is not on the least level
@@ -323,7 +337,7 @@ class TestMortonIndex:
         emp = EmpiricalDist(d, np.array([[1, 4], [2, 1], [4, 4]]), np.array([1, 1, 1]))
         grid = GridSpec.uniform(d, 4)
         for a in (1 / 16, 0.06):
-            err, wit = compute_d1(emp, grid, grid.root(), a)
+            err, wit = compute_d1(build_tree(emp, grid, grid.root()), a)
             assert wit == DyadicRect(0, (0, 3))
             assert (err, wit) == brute_d1(emp, grid, grid.root(), a)
 
@@ -333,31 +347,31 @@ class TestComputeD1:
         d = Domain.discrete(4, 1)
         emp = EmpiricalDist.from_samples(d, np.array([[1], [2], [3], [4]]))
         grid = GridSpec.uniform(d, 4)
-        err, _ = compute_d1(emp, grid, grid.root(), 0.25)
+        err, _ = compute_d1(build_tree(emp, grid, grid.root()), 0.25)
         assert err == 0.0
 
     def test_hand_derived_instance(self):
         emp, grid = counts_2101()
-        err, wit = compute_d1(emp, grid, grid.root(), 0.25)
+        err, wit = compute_d1(build_tree(emp, grid, grid.root()), 0.25)
         assert err == pytest.approx(0.25, abs=0)
         assert wit == DyadicRect(0, (0,))  # lexicographically least witness
 
     def test_empty_region_b2_branch(self):
         emp, grid = counts_2101()
         empty = EmpiricalDist(Domain.discrete(4, 1), np.zeros((0, 1)), np.zeros(0))
-        err, wit = compute_d1(empty, grid, grid.root(), 0.5)
+        err, wit = compute_d1(build_tree(empty, grid, grid.root()), 0.5)
         assert err == pytest.approx(0.5 * 4, abs=0)
         assert wit == grid.root()
 
     def test_negative_constant_rejected(self):
         emp, grid = counts_2101()
         with pytest.raises(ValueError):
-            compute_d1(emp, grid, grid.root(), -0.1)
+            compute_d1(build_tree(emp, grid, grid.root()), -0.1)
 
     def test_matches_brute_force_on_random_family(self, rng):
         for trial in range(300):
             emp, grid, rect, a = random_instance(rng, trial)
-            err, wit = compute_d1(emp, grid, rect, a)
+            err, wit = compute_d1(build_tree(emp, grid, rect), a)
             berr, bwit = brute_d1(emp, grid, rect, a)
             assert err == pytest.approx(berr, abs=1e-12), trial
             wd = abs(emp.mass_in(grid.rect_of(wit)) - a * grid.volume_of(wit))
@@ -369,9 +383,9 @@ class TestComputeD1:
             emp, grid, rect, a = random_instance(rng, trial)
             if rect.level == 0:
                 continue
-            err_parent, _ = compute_d1(emp, grid, rect, a)
+            err_parent, _ = compute_d1(build_tree(emp, grid, rect), a)
             for child in rect.children():
-                err_child, _ = compute_d1(emp, grid, child, a)
+                err_child, _ = compute_d1(build_tree(emp, grid, child), a)
                 assert err_child <= err_parent + 1e-15
 
 
@@ -380,13 +394,13 @@ class TestFitD1:
         d = Domain.discrete(4, 1)
         emp = EmpiricalDist.from_samples(d, np.array([[1], [2], [3], [4]]))
         grid = GridSpec.uniform(d, 4)
-        fit = fit_d1(emp, grid, grid.root())
+        fit = fit_d1(build_tree(emp, grid, grid.root()))
         assert fit.a == 0.25
         assert fit.err == 0.0
 
     def test_hand_derived_instance(self):
         emp, grid = counts_2101()
-        fit = fit_d1(emp, grid, grid.root())
+        fit = fit_d1(build_tree(emp, grid, grid.root()))
         assert fit.a == pytest.approx(0.25, abs=0)
         assert fit.err == pytest.approx(0.25, abs=0)
 
@@ -394,16 +408,16 @@ class TestFitD1:
         d = Domain.discrete(4, 1)
         empty = EmpiricalDist(d, np.zeros((0, 1)), np.zeros(0))
         grid = GridSpec.uniform(d, 4)
-        fit = fit_d1(empty, grid, grid.root())
+        fit = fit_d1(build_tree(empty, grid, grid.root()))
         assert fit.a == 0.0
         assert fit.err == 0.0
 
     def test_exact_without_a_tolerance(self):
         emp, grid = counts_2101()
-        with pytest.raises(TypeError):
-            fit_d1(emp, grid, grid.root(), 1e-6)  # the fit takes no tolerance
         tree = build_tree(emp, grid, grid.root())
-        fit = fit_d1(emp, grid, grid.root(), tree=tree)
+        with pytest.raises(TypeError):
+            fit_d1(tree, 1e-6)  # the fit takes no tolerance
+        fit = fit_d1(tree)
         assert fit.err == exact_fit_minimum(tree)
         assert fit.probes <= 16
 
@@ -414,7 +428,7 @@ class TestFitD1:
             vol = grid.volume_of(rect)
             if vol <= 0:
                 continue
-            fit = fit_d1(emp, grid, rect)
+            fit = fit_d1(build_tree(emp, grid, rect))
             tree = build_tree(emp, grid, rect)
             if tree.node_count == 0:
                 assert fit.err == 0.0
@@ -423,7 +437,7 @@ class TestFitD1:
             hi = float(dens.max()) if len(dens) else 0.0
             best = np.inf
             for a in np.arange(0.0, hi + step, step / (4 * vol)):
-                err, _ = compute_d1(emp, grid, rect, float(a), tree=tree)
+                err, _ = compute_d1(tree, float(a))
                 best = min(best, err)
             assert fit.err <= best + 1e-15
 
@@ -445,9 +459,9 @@ class TestFitD1:
             lev = int(rng.integers(max(0, grid.levels - 2), grid.levels + 1))
             rect = DyadicRect(lev, tuple(int(i) for i in rng.integers(grid.M >> lev, size=dim)))
             tree = build_tree(emp, grid, rect)
-            fit = fit_d1(emp, grid, rect, tree=tree)
+            fit = fit_d1(tree)
             worst = max(worst, fit.err - exact_fit_minimum(tree))
-            assert fit.err == compute_d1(emp, grid, rect, fit.a, tree=tree)[0]
+            assert fit.err == compute_d1(tree, fit.a)[0]
         assert worst <= 1e-12
 
     def test_exact_on_every_golden_leaf(self):
@@ -466,8 +480,8 @@ class TestFitD1:
             _, trace = thunk()
             for rect in sorted({r for rec in trace.iterations for r in rec.leaves}):
                 tree = build_tree(emp, grid, rect, index=index)
-                fit = fit_d1(emp, grid, rect, tree=tree)
-                assert fit.err == compute_d1(emp, grid, rect, fit.a, tree=tree)[0], (name, rect)
+                fit = fit_d1(tree)
+                assert fit.err == compute_d1(tree, fit.a)[0], (name, rect)
                 checked += 1
                 zero_width += grid.volume_of(rect) == 0
                 if tree.node_count <= 200:
@@ -506,8 +520,8 @@ class TestFitD1:
                 rects |= {DyadicRect(lev, tuple(int(i) for i in p)) for p in picks}
             for r in sorted(rects):
                 tree = build_tree(emp, grid, r, index=index)
-                fit = fit_d1(emp, grid, r, tree=tree)
-                assert fit.err == compute_d1(emp, grid, r, fit.a, tree=tree)[0], (trial, r)
+                fit = fit_d1(tree)
+                assert fit.err == compute_d1(tree, fit.a)[0], (trial, r)
                 if tree.node_count == 0:
                     kinds["empty"] += 1
                 elif grid.volume_of(r) == 0:
@@ -523,8 +537,8 @@ class TestFitD1:
         vol = grid.volume_of(rect)
         a = scale / vol if vol > 0 else scale
         tree = build_tree(emp, grid, rect)
-        fit = fit_d1(emp, grid, rect, tree=tree)
-        assert fit.err <= compute_d1(emp, grid, rect, a, tree=tree)[0] + 1e-12
+        fit = fit_d1(tree)
+        assert fit.err <= compute_d1(tree, a)[0] + 1e-12
 
 
 class TestBruteD1:

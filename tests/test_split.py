@@ -12,7 +12,8 @@ from dyadhist.core import (
     l2_sq_dist,
     mass,
 )
-from dyadhist.ddist import build_tree, compute_d1
+from dyadhist import split
+from dyadhist.ddist import MortonIndex, build_tree, compute_d1
 from dyadhist.errors import DegenerateRegionError, UnsupportedDomainError
 from dyadhist.oracle import dk_distance_between, opt_hier_l2, opt_partial_hier_dk
 from dyadhist.split import (
@@ -295,4 +296,37 @@ def test_leaf_values_are_exact_fits():
             for rect, a, e in zip(rec.leaves, rec.values, rec.errors):
                 tree = build_tree(emp, grid, rect)
                 assert e <= exact_fit_minimum(tree) + 1e-12
-                assert e == compute_d1(emp, grid, rect, a, tree=tree)[0]
+                assert e == compute_d1(tree, a)[0]
+
+
+@pytest.mark.parametrize("learner", ["l1", "l2"])
+def test_each_leaf_scored_once_when_made(learner, monkeypatch):
+    # the L1 learner scores a leaf by one fit_d1 call, the L2 learner by one
+    # index run; both score the root first, then each child as it is made
+    scored = []
+    fit, run = split.fit_d1, MortonIndex.run
+
+    def counted_fit(tree):
+        scored.append(tree.rect)
+        return fit(tree)
+
+    def counted_run(index, rect):
+        scored.append(rect)
+        return run(index, rect)
+
+    if learner == "l1":
+        monkeypatch.setattr(split, "fit_d1", counted_fit)
+    else:
+        monkeypatch.setattr(MortonIndex, "run", counted_run)
+    for dim, m in ((1, 64), (2, 16)):
+        emp = random_empirical(make_rng(830 + dim), Domain.discrete(m, dim), 60)
+        grid = GridSpec.uniform(emp.domain, m)
+        scored.clear()
+        learn = greedy_split if learner == "l1" else greedy_split_l2
+        _, trace = learn(emp, grid, SplitParams(k=2, xi=1.0))
+        splits = [r for rec in trace.iterations for r in rec.split]
+        made = [grid.root()] + [ch for r in splits for ch in r.children()]
+        assert len(splits) > 3
+        assert len(scored) == 1 + (1 << dim) * len(splits)
+        assert scored[0] == grid.root()
+        assert sorted(scored) == sorted(made)  # every leaf that ever exists, each once
