@@ -441,8 +441,7 @@ class HistHypothesis:
 
 def mass(g, rect: Rect) -> float:
     """Mass of an EmpiricalDist or HistHypothesis on ``rect``."""
-    if any(l < g.domain.lower or h > g.domain.upper for l, h in zip(rect.lo, rect.hi)):
-        raise DomainViolationError(f"rect {rect} outside domain")
+    _check_inside(rect, g.domain)
     return g.mass_in(rect)
 
 

@@ -10,11 +10,20 @@ whole lines starting with ``#`` are skipped.  Floats are written with 12
 significant digits, which is stable under re-ingestion: writing a re-read
 file reproduces it byte for byte.
 
-``read_samples`` parses a sample body in one ``np.loadtxt`` call when the
-body holds only digits, ``. , + - e E``, spaces and LF, and every parsed row
-has ``dim`` fields and lies in the domain.  Otherwise it rescans the file
-line by line (``_scan_samples``), which returns the same result for a file
-the fast parse could not take, or raises an error naming ``path:line``.
+``write_samples`` formats blocks of ``_WRITE_ROWS`` distinct rows with one
+``%`` each, through a row template of ``%d`` or ``%.12g`` fields (the same C
+formatter as ``fmt_num``), and repeats a block's lines only when one of its
+counts exceeds 1, so its memory stays flat whatever the row count.
+
+``read_samples`` reads the file as bytes and turns CRLF and CR into LF.  It
+parses them in one ``np.loadtxt`` call, through an ``io.BytesIO`` that shares
+the buffer, when the body holds only digits, ``. , + - e E``, spaces and LF
+(checked with one ``bytes.translate``), and every parsed row has ``dim``
+fields and lies in the domain.  Otherwise it rescans the file line by line
+(``_scan_samples``), which returns the same result for a file the fast parse
+could not take, or raises an error naming ``path:line``.  Both readers
+report a file that is not valid UTF-8 as ``path:line: not valid UTF-8``,
+naming the line of the first bad byte.
 """
 
 from __future__ import annotations
@@ -22,7 +31,6 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +38,14 @@ import numpy as np
 from .core import Domain, EmpiricalDist, HistHypothesis, HistKind, Piece, Rect, piece_coverage
 from .errors import ConfigurationError, DomainViolationError
 
-# Every character a sample body of plain number rows can hold.  A body with
-# any other one (comments, ``nan``, ``1_0``, a line break other than LF that
-# ``str.splitlines`` honours and ``np.loadtxt`` strips as whitespace) goes to
-# the line scan.
-_BODY_CHARS = "0123456789.,+-eE \n"
+# Every byte a sample body of plain number rows can hold.  A body with any
+# other one (comments, ``nan``, ``1_0``, a line break other than LF that
+# ``str.splitlines`` honours and ``np.loadtxt`` strips as whitespace, any
+# non-ASCII byte) goes to the line scan.
+_BODY_BYTES = b"0123456789.,+-eE \n"
+
+# Distinct rows ``write_samples`` formats with one ``%``.
+_WRITE_ROWS = 1 << 15
 
 
 def fmt_num(x, discrete: bool) -> str:
@@ -58,6 +69,16 @@ def _parse_header(line: str, path: str) -> tuple:
         return _header_fields(line)
     except ValueError as exc:
         raise ConfigurationError(f"{path}:1: {exc}") from None
+
+
+def _decode(raw: bytes, path: str) -> str:
+    """``raw`` as UTF-8; a bad byte raises naming its line as ``str.splitlines`` counts it."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the "." stands for the bad byte, so its line counts even when it starts one
+        line = len((raw[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ValueError(f"{path}:{line}: not valid UTF-8") from None
 
 
 def _header_fields(line: str) -> tuple:
@@ -92,37 +113,56 @@ def _header_fields(line: str) -> tuple:
 
 
 def write_samples(path, emp: EmpiricalDist) -> None:
-    """One line per sample: each distinct row is formatted once and repeated."""
-    fields = map(fmt_num, emp.points.ravel().tolist(), repeat(emp.domain.is_discrete))
-    rows = map(",".join, zip(*[fields] * emp.domain.dim))  # consecutive groups of dim fields
-    body = "".join([(row + "\n") * cnt for row, cnt in zip(rows, emp.counts.tolist())])
-    Path(path).write_text(f"# {_domain_header(emp.domain)}\n" + body, encoding="utf-8")
+    """One line per sample, in blocks of ``_WRITE_ROWS`` distinct rows.
+
+    Each block is formatted by one ``%`` on a repeated row template and its
+    lines are repeated only when some count exceeds 1.  ``"%.12g" % x`` and
+    ``fmt_num`` run the same C formatter, so the bytes are ``fmt_num``'s.
+    """
+    row = ",".join(["%d" if emp.domain.is_discrete else "%.12g"] * emp.domain.dim) + "\n"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"# {_domain_header(emp.domain)}\n")
+        for start in range(0, emp.support_size, _WRITE_ROWS):
+            pts = emp.points[start : start + _WRITE_ROWS]
+            counts = emp.counts[start : start + _WRITE_ROWS]
+            text = (row * len(pts)) % tuple(pts.ravel().tolist())
+            if counts.max() > 1:
+                lines = text.splitlines(keepends=True)
+                text = "".join([line * c for line, c in zip(lines, counts.tolist())])
+            f.write(text)
 
 
 def read_samples(path) -> EmpiricalDist:
     """One sample per line; duplicate rows aggregate into counts."""
     path = str(path)
-    header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
+    raw = Path(path).read_bytes()
+    if b"\r" in raw:  # CRLF and CR end lines as LF does, as in universal-newline text
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head = raw[: max(raw.find(b"\n"), 0)]
+    header = _decode(head, path)  # a bad byte here is the file's first, as the scan would report
     # the header is the scan's first line unless another line break cuts it;
-    # the strip leaves nothing exactly when every body character is allowed
-    if [header] != header.splitlines() or body.strip(_BODY_CHARS):
-        return _scan_samples(path)
+    # deleting the allowed bytes from the whole file leaves only the header's
+    # others exactly when every body byte is allowed
+    if ([header] != header.splitlines()
+            or raw.translate(None, _BODY_BYTES) != head.translate(None, _BODY_BYTES)):
+        return _scan_samples(path, raw)
     domain, _ = _parse_header(header, path)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pts = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2,
+            # io.BytesIO shares the bytes instead of copying them
+            pts = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=1, ndmin=2,
                              dtype=np.int64 if domain.is_discrete else np.float64)
     except (ValueError, Warning):
-        return _scan_samples(path)
+        return _scan_samples(path, raw)
     if pts.shape[1] != domain.dim or not len(pts) or not domain.contains_points(pts).all():
-        return _scan_samples(path)
+        return _scan_samples(path, raw)
     return EmpiricalDist.from_samples(domain, pts)
 
 
-def _scan_samples(path: str) -> EmpiricalDist:
-    """``read_samples`` one line at a time; raises with the first bad line's number."""
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
+def _scan_samples(path: str, data: bytes) -> EmpiricalDist:
+    """``read_samples`` on the file's ``data``, one line at a time; raises naming the first bad line."""
+    raw = _decode(data, path).splitlines()
     if not raw:
         raise ConfigurationError(f"{path}: empty file")
     domain, _ = _parse_header(raw[0], path)
@@ -169,7 +209,7 @@ def read_hypothesis(path) -> HistHypothesis:
     (total) file must cover the domain.  Errors name ``path:line``.
     """
     path = str(path)
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
+    raw = _decode(Path(path).read_bytes(), path).splitlines()
     if not raw:
         raise ConfigurationError(f"{path}: empty file")
     domain, kv = _parse_header(raw[0], path)

@@ -1,8 +1,10 @@
 """File formats, ground-truth generation, sampling, and the learn pipeline."""
 
+import io
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadhist.cli import LearnReport, RunConfig, gen_truth, main, run_learn, sample_from
-from dyadhist.core import Domain, HistKind, l1_dist, mass, volume
+from dyadhist import fileio
+from dyadhist.core import Domain, EmpiricalDist, HistKind, l1_dist, mass, volume
 from dyadhist.errors import ConfigurationError, DomainViolationError
-from dyadhist.fileio import _scan_samples, read_hypothesis, read_samples, write_hypothesis, write_samples
+from dyadhist.fileio import _scan_samples, fmt_num, read_hypothesis, read_samples, write_hypothesis, write_samples
 
 from conftest import make_rng
 
@@ -141,8 +144,99 @@ class TestIngest:
 
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "s.txt")
-            Path(path).write_bytes(text.encode("utf-8"))
-            assert outcome(read_samples, path) == outcome(_scan_samples, path)
+            raw = text.encode("utf-8")
+            Path(path).write_bytes(raw)
+            assert outcome(read_samples, path) == outcome(lambda p: _scan_samples(p, raw), path)
+
+
+def per_field_twin(emp) -> str:
+    """The sample file written one ``fmt_num`` call per field, as before block formatting."""
+    disc = emp.domain.is_discrete
+    rows = ((",".join(fmt_num(v, disc) for v in row) + "\n") * c
+            for row, c in zip(emp.points.tolist(), emp.counts.tolist()))
+    domain = f"discrete {emp.domain.m}" if disc else "unit"
+    return f"# dim={emp.domain.dim} domain={domain}\n" + "".join(rows)
+
+
+class TestSampleFileText:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_writer_matches_per_field_twin(self, data):
+        dim = data.draw(st.integers(1, 3))
+        m = data.draw(st.sampled_from([None, 3, 1000]))
+        if m is None:
+            domain = Domain.unit(dim)
+            edge = st.sampled_from([0.0, 1.0, 1e-05, 2.5e-9, 0.1, 1 / 3, 0.999999999999])  # 1e-05: exponent form
+            coord = st.one_of(st.floats(0.0, 1.0), edge)
+        else:
+            domain = Domain.discrete(m, dim)
+            coord = st.integers(1, m)
+        rows = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=30))
+        counts = data.draw(st.lists(st.sampled_from([1, 1, 1, 2, 7]), min_size=len(rows), max_size=len(rows)))
+        emp = EmpiricalDist.from_samples(domain, np.repeat(np.array(rows), counts, axis=0))
+        block = data.draw(st.sampled_from([1, 2, 5, fileio._WRITE_ROWS]))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileio, "_WRITE_ROWS", block)
+            path = Path(tmp) / "s.txt"
+            write_samples(path, emp)
+            assert path.read_bytes() == per_field_twin(emp).encode()
+
+    def test_writer_repeats_only_blocks_with_counts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_WRITE_ROWS", 4)
+        pts = np.array([[i / 16] for i in range(14)] + [[1e-05], [1.0]])
+        emp = EmpiricalDist.from_samples(Domain.unit(1), np.vstack([pts, pts[5:6], pts[5:6], pts[14:15]]))
+        assert emp.support_size == 16 and emp.counts.tolist().count(1) == 14
+        path = tmp_path / "s.txt"
+        write_samples(path, emp)
+        assert path.read_bytes() == per_field_twin(emp).encode()
+        assert "1e-05\n1e-05\n" in path.read_text()
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("char", [chr(b) for b in range(0x80)] + ["\x85", "\u2028", "\u00a0", "\uff11"])
+    def test_bytes_guard_matches_strip(self, tmp_path, monkeypatch, eol, char):
+        """The guard takes the fast parse exactly when the text reader's strip did."""
+        class Scanned(Exception):
+            pass
+
+        class Parsed(Exception):
+            pass
+
+        def scan(path, data):
+            raise Scanned
+
+        def parse(header, path):
+            raise Parsed
+
+        data = f"# dim=1 domain=unit{eol}0{char}5{eol}".encode()
+        # the text reader read with universal newlines, so it saw every CR as LF
+        header, _, body = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read().partition("\n")
+        strip_scans = [header] != header.splitlines() or bool(body.strip("0123456789.,+-eE \n"))
+        path = tmp_path / "s.txt"
+        path.write_bytes(data)
+        monkeypatch.setattr(fileio, "_scan_samples", scan)
+        monkeypatch.setattr(fileio, "_parse_header", parse)
+        with pytest.raises((Scanned, Parsed)) as got:
+            read_samples(path)
+        assert (got.type is Scanned) == strip_scans
+
+    def test_crlf_file_takes_the_fast_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"# dim=2 domain=discrete 8\r\n1,2\r\n\r\n3,4\r\n1,2\r\n")
+        monkeypatch.setattr(fileio, "_scan_samples", None)  # calling the scan would raise
+        emp = read_samples(path)
+        assert emp.points.tolist() == [[1, 2], [3, 4]] and emp.counts.tolist() == [2, 1]
+
+    def test_writer_memory_stays_below_file_size(self, tmp_path):
+        emp = EmpiricalDist.from_samples(Domain.unit(1), make_rng(5).random((300_000, 1)))
+        assert emp.support_size == 300_000
+        path = tmp_path / "s.txt"
+        tracemalloc.start()
+        try:
+            write_samples(path, emp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
 
 class TestGenTruth:
@@ -378,6 +472,22 @@ class TestCommandLine:
         args = ["--k", "1"] if command == "learn" else []
         assert main([command, "--in", str(path)] + args) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:1: ")
+
+    @pytest.mark.parametrize(
+        "command,data,line",
+        [
+            ("learn", b"# dim=1 domain=unit \xff\n0.5\n", 1),
+            ("learn", b"# dim=1 domain=unit\n0.5\n\n0.\xff\n0.5\n", 4),
+            ("learn", b"# dim=1 domain=unit\r\n0.5\r\n\xff0.5\r\n", 3),
+            ("eval", b"# dim=1 domain=unit kind=arbitrary\n0,0.5,1\n0.5,1,1\xff\n", 3),
+        ],
+    )
+    def test_invalid_utf8_names_line(self, tmp_path, capsys, command, data, line):
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        args = ["--k", "1"] if command == "learn" else []
+        assert main([command, "--in", str(path)] + args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: not valid UTF-8")
 
     @pytest.mark.parametrize(
         "text,where",

@@ -328,6 +328,14 @@ class TestMass:
         h = HistHypothesis(d, (Piece(Rect((0.0,), (0.5,)), 2.0),), HistKind.PARTIAL)
         assert mass(h, Rect((0.0,), (0.25,))) == pytest.approx(0.5, abs=0)
 
+    @pytest.mark.parametrize("rect", [Rect((0.0,), (0.5,)), Rect((0.0,) * 3, (0.5,) * 3)])
+    def test_rect_of_another_dimension_rejected(self, rect):
+        d = Domain.unit(2)
+        emp = EmpiricalDist.from_samples(d, np.array([[0.1, 0.9], [0.2, 0.3]]))
+        for g in (emp, uniform_hist(d)):
+            with pytest.raises(DomainViolationError, match="rect dim"):
+                mass(g, rect)
+
 
 class TestL1:
     def test_identity(self):
