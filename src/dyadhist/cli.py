@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 validation error, 3 oracle/guard overflow.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -147,8 +148,10 @@ class RunConfig:
             raise ValueError(f"grid must be adaptive or fixed, got {self.grid_mode}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not self.xi > 0:
-            raise ValueError("xi must be positive")
+        if not 0 < self.xi < math.inf:
+            raise ValueError(f"xi must be positive and finite, got {self.xi}")
+        if self.m is not None and self.metric == "l1" and self.grid_mode == "adaptive":
+            raise ValueError("--m sets the cells of a fixed grid; the adaptive l1 grid takes none")
 
     def echo(self) -> list:
         items = [

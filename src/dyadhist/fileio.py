@@ -1,48 +1,46 @@
 """Text file formats: sample lists and piece-per-line hypothesis files.
 
-Both formats are UTF-8 with LF line endings and a single header line:
+Both formats are UTF-8 and share one line grammar.  CRLF and CR are read as
+LF, and only LF ends a line.  Line 1 is the header:
 
     # dim=<d> domain=<unit | discrete <m>> [kind=<arbitrary|partial>]
 
-Samples have one point per line (d comma-separated fields); hypotheses have
-one piece per line (d interval pairs lo,hi then the value).  Blank lines and
-whole lines starting with ``#`` are skipped.  Floats are written with 12
-significant digits, which is stable under re-ingestion: writing a re-read
-file reproduces it byte for byte.
+with each key at most once.  After it, a line that is empty or starts with
+``#`` once spaces are stripped is skipped.  Samples have one point per line
+(d comma-separated fields, made only of ``0-9 . , + - e E`` and spaces);
+hypotheses have one piece per line (d interval pairs lo,hi then the value,
+each field read by ``float``).  Floats are written with 12 significant
+digits, which is stable under re-ingestion: writing a re-read file
+reproduces it byte for byte.
 
-``write_samples`` formats blocks of ``_WRITE_ROWS`` distinct rows with one
-``%`` each, through a row template of ``%d`` or ``%.12g`` fields (the same C
-formatter as ``fmt_num``), and repeats a block's lines only when one of its
-counts exceeds 1, so its memory stays flat whatever the row count.
-
-``read_samples`` reads the file as bytes and turns CRLF and CR into LF.  It
-parses them in one ``np.loadtxt`` call, through an ``io.BytesIO`` that shares
-the buffer, when the body holds only digits, ``. , + - e E``, spaces and LF
-(checked with one ``bytes.translate``), and every parsed row has ``dim``
-fields and lies in the domain.  Otherwise it rescans the file line by line
-(``_scan_samples``), which returns the same result for a file the fast parse
-could not take, or raises an error naming ``path:line``.  Both readers
-report a file that is not valid UTF-8 as ``path:line: not valid UTF-8``,
-naming the line of the first bad byte.
+``read_samples`` blanks skipped lines in place, keeping their LF, so every
+row keeps its line number, and parses the file with one ``np.loadtxt`` call
+through an ``io.BytesIO`` that shares the buffer.  Only when that parse
+fails (a byte outside the body's set, a bad field, a point outside the
+domain, no rows) does a line walk run, to raise an error naming
+``path:line``.  A file that is not UTF-8 fails as ``path:line: not valid
+UTF-8``, naming the line of its first bad byte.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import re
 import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .core import Domain, EmpiricalDist, HistHypothesis, HistKind, Piece, Rect, piece_coverage
 from .errors import ConfigurationError, DomainViolationError
 
-# Every byte a sample body of plain number rows can hold.  A body with any
-# other one (comments, ``nan``, ``1_0``, a line break other than LF that
-# ``str.splitlines`` honours and ``np.loadtxt`` strips as whitespace, any
-# non-ASCII byte) goes to the line scan.
+# Every byte a sample body can hold once its skipped lines are blanked.
 _BODY_BYTES = b"0123456789.,+-eE \n"
+
+# A skipped line after the first: spaces, then nothing or a ``#`` comment.
+_SKIPPED = re.compile(rb"\n(?=[ #]) *(?:#[^\n]*)?(?=\n|\Z)")
 
 # Distinct rows ``write_samples`` formats with one ``%``.
 _WRITE_ROWS = 1 << 15
@@ -60,47 +58,27 @@ def _domain_header(domain: Domain) -> str:
     return f"dim={domain.dim} domain=unit"
 
 
-def _parse_header(line: str, path: str) -> tuple:
-    """Returns (Domain, extras dict) from a '# key=value ...' header.
-
-    Every error names ``path:1``, the header's line.
-    """
-    try:
-        return _header_fields(line)
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}:1: {exc}") from None
-
-
-def _decode(raw: bytes, path: str) -> str:
-    """``raw`` as UTF-8; a bad byte raises naming its line as ``str.splitlines`` counts it."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the "." stands for the bad byte, so its line counts even when it starts one
-        line = len((raw[: exc.start].decode("utf-8") + ".").splitlines())
-        raise ValueError(f"{path}:{line}: not valid UTF-8") from None
-
-
 def _header_fields(line: str) -> tuple:
     if not line.startswith("#"):
         raise ValueError("missing '# dim=... domain=...' header")
-    fields = line[1:].split()
+    fields = iter(line[1:].split())
     kv = {}
-    i = 0
-    while i < len(fields):
-        if "=" not in fields[i]:
-            raise ValueError(f"malformed header field {fields[i]!r}")
-        key, val = fields[i].split("=", 1)
+    for field in fields:
+        key, eq, val = field.partition("=")
+        if not eq:
+            raise ValueError(f"malformed header field {field!r}")
+        if key in kv:
+            raise ValueError(f"header key {key!r} given twice")
         if key == "domain" and val == "discrete":
-            if i + 1 >= len(fields):
+            side = next(fields, None)
+            if side is None:
                 raise ValueError("discrete domain needs a side m")
-            kv["domain"] = ("discrete", int(fields[i + 1]))
-            i += 2
-            continue
+            val = ("discrete", int(side))
         kv[key] = val
-        i += 1
     if "dim" not in kv or "domain" not in kv:
         raise ValueError("header must declare dim and domain")
+    if kv.get("kind", "arbitrary") not in ("arbitrary", "partial"):
+        raise ValueError(f"unknown kind {kv['kind']!r}")
     dim = int(kv["dim"])
     dom = kv["domain"]
     if dom == "unit":
@@ -132,45 +110,66 @@ def write_samples(path, emp: EmpiricalDist) -> None:
             f.write(text)
 
 
-def read_samples(path) -> EmpiricalDist:
-    """One sample per line; duplicate rows aggregate into counts."""
-    path = str(path)
+def _read(path) -> tuple:
+    """(bytes with CRLF and CR read as LF, Domain, header extras) of a file checked to be UTF-8."""
     raw = Path(path).read_bytes()
-    if b"\r" in raw:  # CRLF and CR end lines as LF does, as in universal-newline text
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    head = raw[: max(raw.find(b"\n"), 0)]
-    header = _decode(head, path)  # a bad byte here is the file's first, as the scan would report
-    # the header is the scan's first line unless another line break cuts it;
-    # deleting the allowed bytes from the whole file leaves only the header's
-    # others exactly when every body byte is allowed
-    if ([header] != header.splitlines()
-            or raw.translate(None, _BODY_BYTES) != head.translate(None, _BODY_BYTES)):
-        return _scan_samples(path, raw)
-    domain, _ = _parse_header(header, path)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # io.BytesIO shares the bytes instead of copying them
-            pts = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=1, ndmin=2,
-                             dtype=np.int64 if domain.is_discrete else np.float64)
-    except (ValueError, Warning):
-        return _scan_samples(path, raw)
-    if pts.shape[1] != domain.dim or not len(pts) or not domain.contains_points(pts).all():
-        return _scan_samples(path, raw)
-    return EmpiricalDist.from_samples(domain, pts)
-
-
-def _scan_samples(path: str, data: bytes) -> EmpiricalDist:
-    """``read_samples`` on the file's ``data``, one line at a time; raises naming the first bad line."""
-    raw = _decode(data, path).splitlines()
     if not raw:
         raise ConfigurationError(f"{path}: empty file")
-    domain, _ = _parse_header(raw[0], path)
-    rows = []
-    for ln, line in enumerate(raw[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}:{line}: not valid UTF-8") from None
+    end = raw.find(b"\n")
+    try:
+        domain, kv = _header_fields((raw if end < 0 else raw[:end]).decode("utf-8"))
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}:1: {exc}") from None
+    return raw, domain, kv
+
+
+def _data_lines(raw: bytes):
+    """(line number, text stripped of spaces) of each line after the header that is not skipped."""
+    for ln, line in enumerate(raw.decode("utf-8").split("\n")[1:], start=2):
+        line = line.strip(" ")
+        if line and not line.startswith("#"):
+            yield ln, line
+
+
+def read_samples(path) -> EmpiricalDist:
+    """One sample per line; duplicate rows aggregate into counts."""
+    raw, domain, _ = _read(path)
+    body = raw.find(b"\n") + 1 or len(raw)  # the body's start, the end when no LF ends the header
+    if raw.find(b"#", body) >= 0 or raw.find(b" ", body) >= 0:
+        raw = _SKIPPED.sub(b"\n", raw)
+    # deleting the allowed bytes leaves only the header's others exactly when every body byte is allowed
+    if raw.translate(None, _BODY_BYTES) == raw[:body].translate(None, _BODY_BYTES):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                # io.BytesIO shares the bytes instead of copying them
+                pts = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=1, ndmin=2,
+                                 dtype=np.int64 if domain.is_discrete else np.float64)
+        except (ValueError, Warning):
+            pass
+        else:
+            if pts.shape[1] == domain.dim and domain.contains_points(pts).all():
+                return EmpiricalDist.from_samples(domain, pts)
+    _raise_bad_line(path, raw, domain)
+
+
+def _raise_bad_line(path, raw: bytes, domain: Domain) -> NoReturn:
+    """Raises naming the first line of the sample file ``raw`` that ``read_samples`` cannot take.
+
+    Each line is checked for its field count, then parsed by ``int`` or
+    ``float``, then checked against the domain, and only then for bytes
+    outside ``_BODY_BYTES`` and for an integer ``np.loadtxt`` cannot hold.
+    With every line good, the file has no rows.
+    """
+    for ln, line in _data_lines(raw):
         parts = line.split(",")
         if len(parts) != domain.dim:
             raise ValueError(f"{path}:{ln}: expected {domain.dim} fields, got {len(parts)}")
@@ -178,12 +177,14 @@ def _scan_samples(path: str, data: bytes) -> EmpiricalDist:
             row = [int(p) if domain.is_discrete else float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: {exc}") from None
-        if not domain.contains_points(np.asarray([row], dtype=np.float64)).all():
+        if not domain.contains_points(np.asarray([row])).all():
             raise DomainViolationError(f"{path}:{ln}: coordinate outside domain")
-        rows.append(row)
-    if not rows:
-        raise ConfigurationError(f"{path}: no sample rows")
-    return EmpiricalDist.from_samples(domain, np.asarray(rows))
+        bad = line.encode("utf-8").translate(None, _BODY_BYTES)
+        if bad:
+            raise ValueError(f"{path}:{ln}: unexpected character {bad.decode('utf-8')[0]!r}")
+        if max(row) > np.iinfo(np.int64).max:  # inside a discrete domain of side 2^63 or more
+            raise ValueError(f"{path}:{ln}: coordinate does not fit in a 64-bit integer")
+    raise ConfigurationError(f"{path}: no sample rows")
 
 
 def write_hypothesis(path, h: HistHypothesis) -> None:
@@ -208,17 +209,10 @@ def read_hypothesis(path) -> HistHypothesis:
     must lie in the domain and be pairwise disjoint, and an ``arbitrary``
     (total) file must cover the domain.  Errors name ``path:line``.
     """
-    path = str(path)
-    raw = _decode(Path(path).read_bytes(), path).splitlines()
-    if not raw:
-        raise ConfigurationError(f"{path}: empty file")
-    domain, kv = _parse_header(raw[0], path)
+    raw, domain, kv = _read(path)
     kind = HistKind.PARTIAL if kv.get("kind") == "partial" else HistKind.ARBITRARY
     pieces, lines = [], []
-    for ln, line in enumerate(raw[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _data_lines(raw):
         parts = line.split(",")
         if len(parts) != 2 * domain.dim + 1:
             raise ValueError(

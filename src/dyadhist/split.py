@@ -53,8 +53,8 @@ class SplitParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not self.xi > 0:
-            raise ValueError(f"xi must be positive, got {self.xi}")
+        if not 0 < self.xi < math.inf:
+            raise ValueError(f"xi must be positive and finite, got {self.xi}")
 
 
 def piece_bound(k: int, xi: float, dim: int, levels: int) -> int:

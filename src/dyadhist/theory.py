@@ -59,21 +59,24 @@ def sample_budget(
         raise ValueError(f"delta must be in (0,1), got {delta}")
     if k < 1 or d < 1:
         raise ValueError("k and d must be >= 1")
-    if xi <= 0 or C <= 0:
-        raise ValueError("xi and C must be positive")
+    if not (0 < xi < math.inf and 0 < C < math.inf):
+        raise ValueError("xi and C must be positive and finite")
     log_conf = math.log(1.0 / delta)
-    if formula is BudgetFormula.FIXED_GRID_L1:
-        if m is None or m < 2:
-            raise ValueError("fixed-grid budget needs discrete side m >= 2")
-        main = (1.0 + xi) * (1 << d) * k * math.log2(m) ** (d + 1)
-        n = math.ceil(C * (main + log_conf) / eps**2)
-    elif formula is BudgetFormula.ADAPTIVE_L1:
-        main = (1.0 + xi) * d * (1 << d) * k * math.log2(k / eps) ** (d + 2)
-        n = math.ceil(C * (main + log_conf) / eps**2)
-    elif formula is BudgetFormula.L2:
-        n = math.ceil(C * log_conf / eps)
-    else:
-        raise ValueError(f"unknown formula {formula}")
+    try:
+        if formula is BudgetFormula.FIXED_GRID_L1:
+            if m is None or m < 2:
+                raise ValueError("fixed-grid budget needs discrete side m >= 2")
+            main = (1.0 + xi) * (1 << d) * k * math.log2(m) ** (d + 1)
+            n = math.ceil(C * (main + log_conf) / eps**2)
+        elif formula is BudgetFormula.ADAPTIVE_L1:
+            main = (1.0 + xi) * d * (1 << d) * k * math.log2(k / eps) ** (d + 2)
+            n = math.ceil(C * (main + log_conf) / eps**2)
+        elif formula is BudgetFormula.L2:
+            n = math.ceil(C * log_conf / eps)
+        else:
+            raise ValueError(f"unknown formula {formula}")
+    except (OverflowError, ZeroDivisionError):  # eps**2 underflows to 0, or the count is not finite
+        raise ValueError(f"the sample count for eps={eps}, delta={delta} overflows a float") from None
     return SampleBudget(n=max(1, n), formula=formula, inputs=(k, d, m, eps, delta, xi, C))
 
 

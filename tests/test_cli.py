@@ -16,9 +16,50 @@ from dyadhist.cli import LearnReport, RunConfig, gen_truth, main, run_learn, sam
 from dyadhist import fileio
 from dyadhist.core import Domain, EmpiricalDist, HistKind, l1_dist, mass, volume
 from dyadhist.errors import ConfigurationError, DomainViolationError
-from dyadhist.fileio import _scan_samples, fmt_num, read_hypothesis, read_samples, write_hypothesis, write_samples
+from dyadhist.fileio import fmt_num, read_hypothesis, read_samples, write_hypothesis, write_samples
 
 from conftest import make_rng
+
+
+def grammar_twin(path):
+    """``read_samples`` one line at a time, from the grammar the ``fileio`` docstring states.
+
+    The header goes through the reader's own header parser.
+    """
+    lines = Path(path).read_bytes().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    try:
+        domain, _ = fileio._header_fields(lines[0])
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}:1: {exc}") from None
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
+        line = line.strip(" ")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != domain.dim:
+            raise ValueError(f"{path}:{ln}: expected {domain.dim} fields, got {len(parts)}")
+        try:
+            row = [int(p) if domain.is_discrete else float(p) for p in parts]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
+        if not all(domain.lower <= x <= (domain.m or 1.0) for x in row):  # nan fails too
+            raise DomainViolationError(f"{path}:{ln}: coordinate outside domain")
+        bad = [c for c in line if c not in "0123456789.,+-eE "]
+        if bad:
+            raise ValueError(f"{path}:{ln}: unexpected character {bad[0]!r}")
+        rows.append(row)
+    if not rows:
+        raise ConfigurationError(f"{path}: no sample rows")
+    return EmpiricalDist.from_samples(domain, np.array(rows))
+
+
+def outcome(read, path):
+    try:
+        emp = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return emp.points.dtype, emp.points.shape, emp.points.tobytes(), emp.counts.tolist()
 
 
 class TestIngest:
@@ -97,6 +138,13 @@ class TestIngest:
         assert str(err.value).startswith(f"{p}:6: ")
         assert detail in str(err.value)
 
+    def test_coordinate_beyond_int64_is_named(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text(f"# dim=1 domain=discrete {2**64}\n1\n{2**63 - 1}\n{2**63}\n")
+        with pytest.raises(ValueError) as err:
+            read_samples(p)
+        assert str(err.value) == f"{p}:4: coordinate does not fit in a 64-bit integer"
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_fast_parse_matches_line_scan(self, data):
@@ -115,7 +163,7 @@ class TestIngest:
         row = st.lists(num, min_size=dim, max_size=dim).map(",".join)
         junk = st.sampled_from([
             "", "   ", "# note", " #x", "0.5 # inline", "1_0", "+3", "1.0", "nan", "inf", "-inf", "1e400",
-            "2", "-1", "0", "1.5", ",", "1,1", "1,1,1,1", "e", "1e", "1e3", "\t0.5",
+            "2", "-1", "0", "1.5", ",", "1,1", "1,1,1,1", "e", "1e", "1e3", "\t0.5", "\t# tab", "\uff11",
         ])
         breaks = ["\r\n", "\r", "\x0b", "\x0c", "\x1e", "\x85", "\u2028"]
 
@@ -135,18 +183,10 @@ class TestIngest:
         for line in lines:
             text += line + data.draw(st.sampled_from(eols))
 
-        def outcome(read, path):
-            try:
-                emp = read(path)
-            except ValueError as exc:
-                return type(exc), str(exc)
-            return emp.points.dtype, emp.points.shape, emp.points.tobytes(), emp.counts.tolist()
-
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "s.txt")
-            raw = text.encode("utf-8")
-            Path(path).write_bytes(raw)
-            assert outcome(read_samples, path) == outcome(lambda p: _scan_samples(p, raw), path)
+            Path(path).write_bytes(text.encode("utf-8"))
+            assert outcome(read_samples, path) == outcome(grammar_twin, path)
 
 
 def per_field_twin(emp) -> str:
@@ -193,38 +233,46 @@ class TestSampleFileText:
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     @pytest.mark.parametrize("char", [chr(b) for b in range(0x80)] + ["\x85", "\u2028", "\u00a0", "\uff11"])
-    def test_bytes_guard_matches_strip(self, tmp_path, monkeypatch, eol, char):
-        """The guard takes the fast parse exactly when the text reader's strip did."""
-        class Scanned(Exception):
-            pass
-
-        class Parsed(Exception):
-            pass
-
-        def scan(path, data):
-            raise Scanned
-
-        def parse(header, path):
-            raise Parsed
-
-        data = f"# dim=1 domain=unit{eol}0{char}5{eol}".encode()
-        # the text reader read with universal newlines, so it saw every CR as LF
-        header, _, body = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read().partition("\n")
-        strip_scans = [header] != header.splitlines() or bool(body.strip("0123456789.,+-eE \n"))
+    def test_bytes_guard_matches_strip(self, tmp_path, eol, char):
+        """A row with one more character is read as the grammar twin reads it."""
         path = tmp_path / "s.txt"
-        path.write_bytes(data)
-        monkeypatch.setattr(fileio, "_scan_samples", scan)
-        monkeypatch.setattr(fileio, "_parse_header", parse)
-        with pytest.raises((Scanned, Parsed)) as got:
-            read_samples(path)
-        assert (got.type is Scanned) == strip_scans
+        path.write_bytes(f"# dim=1 domain=unit{eol}0{char}5{eol}".encode())
+        got = outcome(read_samples, path)
+        assert got == outcome(grammar_twin, path)
+        # the row is accepted, or named: line 2, or line 3 when the character is a line break
+        line = 3 if char in "\n\r" else 2
+        assert len(got) == 4 or got[1].startswith(f"{path}:{line}: ")
+        assert (len(got) == 4) == (char in ".eE")
 
-    def test_crlf_file_takes_the_fast_parse(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_crlf_file_takes_the_fast_parse(self, tmp_path, monkeypatch, eol):
+        def walk(*args):
+            raise AssertionError("the error walk ran on a good file")
+
         path = tmp_path / "s.txt"
-        path.write_bytes(b"# dim=2 domain=discrete 8\r\n1,2\r\n\r\n3,4\r\n1,2\r\n")
-        monkeypatch.setattr(fileio, "_scan_samples", None)  # calling the scan would raise
+        lines = ["# dim=2 domain=discrete 8", "1,2", "", "# a comment", "  ", " 3, 4 ", "   # indented", "1,2", "#"]
+        path.write_bytes(eol.join(lines).encode())
+        monkeypatch.setattr(fileio, "_raise_bad_line", walk)
         emp = read_samples(path)
         assert emp.points.tolist() == [[1, 2], [3, 4]] and emp.counts.tolist() == [2, 1]
+
+    def test_one_comment_costs_no_memory(self, tmp_path):
+        emp = EmpiricalDist.from_samples(Domain.unit(1), make_rng(7).random((300_000, 1)))
+        plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+        write_samples(plain, emp)
+        header, body = plain.read_bytes().split(b"\n", 1)
+        commented.write_bytes(header + b"\n# note\n" + body)
+        peaks, reads = [], []
+        for path in (plain, commented):
+            tracemalloc.start()
+            try:
+                reads.append(read_samples(path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert np.array_equal(reads[0].points, reads[1].points)
+        assert np.array_equal(reads[0].counts, reads[1].counts)
 
     def test_writer_memory_stays_below_file_size(self, tmp_path):
         emp = EmpiricalDist.from_samples(Domain.unit(1), make_rng(5).random((300_000, 1)))
@@ -464,7 +512,11 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("command", ["learn", "eval"])
     @pytest.mark.parametrize(
-        "header", ["dim=x domain=unit", "dim=0 domain=unit", "dim=1 domain=discrete x", "dim=1 domain=discrete 0"]
+        "header",
+        [
+            "dim=x domain=unit", "dim=0 domain=unit", "dim=1 domain=discrete x", "dim=1 domain=discrete 0",
+            "dim=1 domain=unit kind=partail", "dim=1 dim=2 domain=unit", "dim=1 domain=discrete 4 domain=unit",
+        ],
     )
     def test_bad_header_names_line_1(self, tmp_path, capsys, command, header):
         path = tmp_path / "in.txt"
@@ -472,6 +524,24 @@ class TestCommandLine:
         args = ["--k", "1"] if command == "learn" else []
         assert main([command, "--in", str(path)] + args) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:1: ")
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--xi", "inf"], "xi must be positive and finite, got inf"),
+            (["--xi", "nan"], "xi must be positive and finite, got nan"),
+            (["--m", "16"], "--m sets the cells of a fixed grid; the adaptive l1 grid takes none"),
+        ],
+    )
+    def test_learn_rejects_bad_options(self, tmp_path, capsys, args, message):
+        samples = tmp_path / "s.txt"
+        samples.write_text("# dim=1 domain=unit\n0.25\n0.75\n")
+        assert main(["learn", "--in", str(samples), "--k", "1"] + args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(ValueError, match="positive and finite"):
+            RunConfig(input_path=str(samples), xi=float("inf")).validate()
+        # a fixed grid takes --m
+        assert main(["learn", "--in", str(samples), "--k", "1", "--grid", "fixed", "--m", "16"]) == 0
 
     @pytest.mark.parametrize(
         "command,data,line",

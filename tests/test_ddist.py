@@ -1,6 +1,8 @@
 """Sparse dyadic trees, max-discrepancy computation, and the constant fit."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -411,6 +413,29 @@ class TestFitD1:
         fit = fit_d1(build_tree(empty, grid, grid.root()))
         assert fit.a == 0.0
         assert fit.err == 0.0
+
+    def test_crossing_is_rounded_once(self):
+        # the fit stops where the line of cell {8} (mass 7/20, volume 1),
+        # active in D, crosses the root's line (mass 1, volume 8), active in
+        # I.  The crossing is the one float expression (m_p + m_q) / (v_p + v_q),
+        # which lands an ulp above 0.15, where the exact crossing, a product
+        # with the reciprocal and a sum of two quotients all round; the
+        # golden digests depend on it.
+        d = Domain.discrete(8, 1)
+        emp = EmpiricalDist(d, np.array([[1], [3], [5], [8]]), np.array([6, 4, 3, 7]))
+        grid = GridSpec.uniform(d, 8)
+        tree = build_tree(emp, grid, grid.root())
+        m, v = tree.node_mass, tree.node_vol
+        p = int(np.flatnonzero((m == 0.35) & (v == 1.0))[0])
+        q = tree.node_count - 1  # the root, last in post-order
+        assert (m[q], v[q]) == (1.0, 8.0)
+        fit = fit_d1(tree)
+        assert fit.a == (m[p] + m[q]) / (v[p] + v[q]) == math.nextafter(0.15, 1.0)
+        assert float((Fraction(m[p]) + Fraction(m[q])) / (Fraction(v[p]) + Fraction(v[q]))) == 0.15
+        assert (m[p] + m[q]) * (1 / (v[p] + v[q])) == m[p] / (v[p] + v[q]) + m[q] / (v[p] + v[q]) == 0.15
+        r = m - fit.a * v
+        assert r.argmax() == p and r.argmin() == q  # the two lines are the active ones
+        assert fit.err == compute_d1(tree, fit.a)[0]
 
     def test_exact_without_a_tolerance(self):
         emp, grid = counts_2101()

@@ -7,7 +7,11 @@ index), by running ``python tests/test_golden.py`` against that source.  The
 ``l1-*`` and ``adaptive-*`` digests were produced the same way by the first
 exact constant fit (envelope crossing), which replaced the fit to a
 tolerance and so changed the fitted values.  Any refactor of the tree, the
-fit or the splitting loop must reproduce them byte for byte.  No sample
+fit or the splitting loop must reproduce them byte for byte.  They also
+depend on how ``fit_d1`` rounds the crossing of two lines: it is the one
+float expression (m_p + m_q) / (v_p + v_q), which can land an ulp away from
+the exact crossing, and ``test_ddist.py::TestFitD1::test_crossing_is_rounded_once``
+pins it.  No sample
 coordinate sits at 1.0, where the adaptive grid's top cell was changed on
 purpose.
 

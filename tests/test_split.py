@@ -123,6 +123,11 @@ class TestGreedySplit:
         with pytest.raises(ValueError):
             SplitParams(k=1, xi=0.0)
 
+    @pytest.mark.parametrize("xi", [float("inf"), float("nan")])
+    def test_non_finite_xi_rejected(self, xi):
+        with pytest.raises(ValueError, match="xi must be positive and finite"):
+            SplitParams(k=1, xi=xi)
+
 
 class TestGreedySplitL2:
     def test_constant_data_one_piece(self):

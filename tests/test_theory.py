@@ -61,6 +61,17 @@ class TestSampleBudget:
         with pytest.raises(ValueError):
             sample_budget(BudgetFormula.FIXED_GRID_L1, k=1, d=1, eps=0.5, delta=0.5)
 
+    @pytest.mark.parametrize("formula", list(BudgetFormula))
+    @pytest.mark.parametrize("bad", [dict(xi=math.inf), dict(C=math.inf), dict(eps=1e-200), dict(eps=1e-320)])
+    def test_unrepresentable_budget_raises_value_error(self, formula, bad):
+        args = dict(k=2, d=2, eps=0.1, delta=0.1, m=16) | bad
+        if formula is BudgetFormula.L2 and bad == dict(eps=1e-200):
+            assert sample_budget(formula, **args).n > 10**200  # ln(10) / 1e-200 is a finite float
+            return
+        with pytest.raises(ValueError) as err:
+            sample_budget(formula, **args)
+        assert type(err.value) is ValueError
+
 
 class TestDyadicIntervals:
     def test_worked_decomposition(self):
