@@ -270,9 +270,12 @@ class GridSpec:
         """
         index = np.atleast_2d(np.asarray(index, dtype=np.int64))
         v = np.ones(len(index))
-        for a in range(self.dim):
-            b = self.axes[a]
-            v *= b[(index[:, a] + 1) << level] - b[index[:, a] << level]
+        for b, i in zip(self.axes, index.T):
+            if self.M >> level <= 4 * len(i):  # many rectangles: take every width of the level once
+                v *= np.diff(b[:: 1 << level]).take(i)
+            else:
+                lo = i << level
+                v *= b[lo + (1 << level)] - b[lo]
         return v
 
     def volume_of(self, dr: DyadicRect) -> float:
@@ -330,6 +333,9 @@ class EmpiricalDist:
         samples = np.atleast_2d(np.asarray(samples))
         if samples.size == 0:
             raise ValueError("empty sample set")
+        lattice = _count_lattice(domain, samples)
+        if lattice is not None:
+            return EmpiricalDist(domain, *lattice)
         if samples.dtype.kind == "f":
             samples = samples + 0  # -0.0 -> 0.0: the row kept for equal rows is then unique
         rows = samples[np.lexsort(samples.T[::-1])]
@@ -351,6 +357,33 @@ class EmpiricalDist:
             return 0.0
         mask = rect.contains_points(self.points, self.domain)
         return float(self.counts[mask].sum()) / self.n
+
+
+def _count_lattice(domain: Domain, samples: np.ndarray):
+    """Distinct points and counts of samples on the discrete cube, or None.
+
+    Each row is keyed by its C-order rank in {1..m}^d, so the keys sort the
+    rows lexicographically, as ``from_samples``' general path does.  The
+    keys are counted with one ``bincount`` when there are no more cells
+    than twice the samples, else with ``unique``.  None when the domain is
+    not discrete, a key would not fit in 63 bits, or some row is not a
+    lattice point of the domain (the general path then keeps the error).
+    """
+    m, d = domain.m, domain.dim
+    if m is None or samples.shape[1] != d or m**d >= 1 << 63 or samples.dtype.kind not in "iuf":
+        return None
+    if not ((samples >= 1) & (samples <= m)).all():
+        return None
+    if samples.dtype.kind == "f" and not (samples == np.floor(samples)).all():
+        return None
+    key = np.ravel_multi_index(tuple((samples.astype(np.int64) - 1).T), (m,) * d)
+    if m**d <= 2 * len(key):
+        counts = np.bincount(key, minlength=m**d)
+        key = np.flatnonzero(counts)
+        counts = counts[key]
+    else:
+        key, counts = np.unique(key, return_counts=True)
+    return np.stack(np.unravel_index(key, (m,) * d), axis=1) + 1, counts
 
 
 # ---------------------------------------------------------------------------

@@ -11,28 +11,39 @@ query rectangle R) that contain support points.  The discrepancy
 
 Layout.  ``MortonIndex`` sorts the support points inside one root rectangle
 once, by the Morton (Z-order) key of their level-0 cell, so the points of
-every dyadic rectangle form one contiguous run.  Nodes are stored in
-post-order: children before their parent and siblings in Morton order, so
-the subtree of any node is one contiguous slice that ends at the node.  Each
-node keeps the largest volume of its own missing children, so V for a view
-is the maximum over its slice.  A ``SparseDyadicTree`` is a view of one such
-slice, found by a binary search.  Keys are split into words of at most 63
-bits, so no key overflows whatever the product of the dimension and the grid
-depth.
+every dyadic rectangle form one contiguous run.  The tree is stored
+path-compressed: only the level-0 cells and the branching nodes (two or
+more children holding mass), at most 2s - 1 for s cells whatever the grid
+depth, as in the compressed quadtree (Har-Peled, Geometric Approximation
+Algorithms, 2011, ch. 2).  Each stored node stands for its chain: itself
+and the one-child nodes above it, up to below the next stored node.  Along
+a chain the mass is fixed and the volume only shrinks downward, so a node
+keeps its mass, its own (bottom) volume, the chain's top volume and the
+largest missing-child volume over the chain, which is found top-down when
+the index is built.  Nodes are stored in post-order: children before their
+parent and siblings in Morton order, so the subtree of any node is one
+contiguous slice that ends at the node, and V for a view is the maximum
+over its slice.  A ``SparseDyadicTree`` is a view of one such slice, found
+by a binary search; when its rectangle sits inside a chain, the view clips
+that one chain at it.  Keys are split into words of at most 63 bits, so no
+key overflows whatever the product of the dimension and the grid depth.
 
 Fit.  ``fit_d1`` finds the constant a >= 0 with the least discrepancy
 exactly, not to a tolerance: the objective is the upper envelope of one
 decreasing and one increasing convex piecewise-linear function, and its
 minimum is the crossing of two of their lines, which cutting planes reach
 in a few passes over the tree (at most 5 on the benchmark's leaves, 64 at
-worst, after which the best pass is kept).  The best pass gives the error
-too, so the fit reads no witness.
+worst, after which the best pass is kept).  Of a chain's lines the
+decreasing envelope needs only the bottom's and the increasing one only the
+top's.  The best pass gives the error too, so the fit reads no witness.
 
 Ties.  Wherever a witness is chosen among equal discrepancies or equal empty
 volumes, the least (level, lexicographic index) wins, as in ``brute_d1``.
-Morton order is not lexicographic order within a level, so the node order
-of a tree is not that order and ties are resolved explicitly, when
-``compute_d1`` or ``empty_witness`` asks for a witness.
+Morton order is not lexicographic order within a level, and a tie can sit
+inside a chain (zero-width halves repeat a volume up it), so ties are
+resolved explicitly, when ``compute_d1`` or ``empty_witness`` asks for a
+witness: the tied chains are walked upward together from the lowest level,
+and the first level that holds a tied rectangle gives the least one there.
 
 All node masses are integer counts divided by n exactly once, so results are
 bit-identical to a dense enumeration that aggregates the same integers.
@@ -40,6 +51,7 @@ bit-identical to a dense enumeration that aggregates the same integers.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -79,30 +91,49 @@ def _morton_words(cols: list, levels: int) -> list:
     return words or [cols[0] * 0]
 
 
+def _ones_below(words: list, level: int, levels: int, d: int) -> list:
+    """``_morton_words`` words with every digit below ``level`` set to all ones."""
+    per_word, out = 63 // d, []
+    for k, w in enumerate(words):
+        top = levels - per_word * k  # the word holds digits max(0, top - per_word) .. top - 1
+        ones = max(0, min(level, top) - max(0, top - per_word))
+        out.append(w | ((1 << d * ones) - 1))
+    return out
+
+
 def _search(words: list, key: list, side: str) -> int:
     """First row whose words are >= ``key`` ("left") or > ``key`` ("right")."""
     lo, hi = 0, len(words[0])
-    for col, k in zip(words, key):
+    for col, k in zip(words[:-1], key[:-1]):  # narrow to the rows equal to key on the leading words
         a = lo + int(np.searchsorted(col[lo:hi], k, side="left"))
         b = lo + int(np.searchsorted(col[lo:hi], k, side="right"))
         if a == b:
             return a
         lo, hi = a, b
-    return lo if side == "left" else hi
+    return lo + int(np.searchsorted(words[-1][lo:hi], key[-1], side=side))
+
+
+_BLOCK = 1 << 10  # the fewest nodes the build works on at once
 
 
 class MortonIndex:
-    """Sparse dyadic tree of the support inside ``root``, in Morton post-order.
+    """Compressed sparse dyadic tree of the support inside ``root``, in Morton post-order.
 
-    The learner builds one per run and takes a ``view`` per leaf.  Per node
-    it stores the level, the mass, the volume, and ``own``: the largest
-    volume of the node's own missing children (-1 when it has none) with
-    ``own_child``, the first such child in lexicographic order.  Nothing is
-    carried up the tree.  The first ``view`` builds these arrays, so a
-    caller that needs only ``run`` never pays for them, and that view's
+    The learner builds one per run and takes a ``view`` per leaf.  The
+    stored nodes are the level-0 cells holding mass and the branching
+    nodes.  Node i stands for its chain: levels ``level[i]`` to
+    ``top_level[i]``, of mass ``mass[i]``, with volumes from ``vol[i]`` up to
+    the chain's top; ``empty[i]`` is the largest volume of a missing child
+    on the chain (-1 when there is none).  The nodes with one-child nodes
+    above them are ``chain_at``, in order, and ``chain_top`` their chains'
+    top volumes; most nodes have none at d = 1 and on dense grids, so the
+    top volumes are kept for these alone.  ``first[p]`` counts the nodes that
+    end before point p.  The first ``view`` builds these arrays, so a caller
+    that needs only ``run`` never pays for them, and that view's
     ``node_visits`` includes the index's.  Dyadic indices are decoded from
     the points on demand.  ``node_visits`` counts the points placed, the
-    nodes made and the candidate empty children examined.
+    nodes stored, the candidate empty children of branching nodes examined
+    and the levels of one-child chains walked.
     """
 
     def __init__(self, fhat: EmpiricalDist, grid: GridSpec, root: DyadicRect):
@@ -115,11 +146,11 @@ class MortonIndex:
             inside &= (cells[:, a] >> top) == root.index[a]
         rows = np.flatnonzero(inside)
         self.offset = tuple(int(i) << top for i in root.index)
-        rel = cells[rows] - np.asarray(self.offset, dtype=np.int64)
+        rel = cells.take(rows, axis=0) - np.asarray(self.offset, dtype=np.int64)
         words = _morton_words([rel[:, a] for a in range(d)], top)
         order = np.lexsort(words[::-1])
         self.rows = rows[order]  # support rows, in Morton order of their cells
-        self.cells = cells[self.rows]
+        self.cells = cells.take(self.rows, axis=0)
         self.words = [w[order] for w in words]
         self._bits = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1  # child -> bits
         self.first = None  # the node arrays are built by the first view
@@ -128,71 +159,221 @@ class MortonIndex:
         grid, d, top = self.grid, self.grid.dim, self.root.level
         s = len(self.rows)
         n = self.fhat.n if self.fhat.support_size else 1
-        # nodes ending at point i are its levels below shared[i], the level
-        # from which points i and i+1 share their nodes (the bit length of
-        # the xor of their cells; frexp is exact below 2^53); the last point
-        # ends every level
+        # point i and i+1 share their nodes from level shared[i] up (the bit
+        # length of the xor of their cells; frexp is exact below 2^53), so a
+        # node of level l ends at a point whose shared level exceeds l, and
+        # the points with shared level l split the nodes of level l into
+        # their children.  The last point ends every level, and shared[-1]
+        # also stands before the first.
         diff = np.zeros(s, dtype=np.int64)
         for a in range(d):
             diff[:-1] |= self.cells[1:, a] ^ self.cells[:-1, a]
         shared = np.frexp(diff.astype(np.float64))[1].astype(np.int8)
         del diff
         shared[-1:] = top + 1
-        self.first = np.zeros(s + 1, dtype=np.int64)  # node at level l ending at point i: first[i] + l
-        np.cumsum(shared, out=self.first[1:])
-        total = int(self.first[-1])
-        self.level = np.empty(total, dtype=np.int8)
-        self.mass = np.empty(total)
-        self.vol = np.empty(total)
-        self.own = np.full(total, -1.0)  # largest volume of the node's own missing children; -1: none
-        self.own_child = np.zeros(total, dtype=np.min_scalar_type((1 << d) - 1))  # which child that is
+        cum = np.zeros(s + 1, dtype=np.int64)  # cum[i]: the counts of points 0..i; cum[-1] = 0
+        np.cumsum(self.fhat.counts[self.rows], out=cum[:-1])
         self.node_visits = s
-        if not s:
-            return
-        weight = 1 << np.arange(d - 1, -1, -1)
-        cum = np.zeros(s + 1, dtype=np.int64)
-        np.cumsum(self.fhat.counts[self.rows], out=cum[1:])
-        ends = np.flatnonzero(shared > 0)  # the last point of each node, level by level
-        for lev in range(top + 1):
+        first = np.zeros(s + 2, dtype=np.int64)
+        count = first[1:]  # the stored nodes ending at each point, summed below
+        count[:-1] = shared > 0  # every cell is stored
+        block = max(_BLOCK, s >> 3)  # nodes worked on at once, which bounds the temporaries
+        stored = []  # per level, its nodes' end points (None: the cells; then positions) and fields
+        ends = np.flatnonzero(shared > 0)  # where the nodes of the level end
+        for lev in range(top + 1 if s else 0):
             if lev:
-                k_ends, ends = ends, ends[shared[ends] > lev]
-            post = self.first[ends] + lev
-            self.level[post] = lev
-            self.mass[post] = np.diff(cum[ends + 1], prepend=0) / n
-            self.vol[post] = grid.dyadic_volume(lev, self.cells[ends] >> lev)
-            self.node_visits += len(post)
-            if lev == 0:
-                continue
-            # the node's own missing children, which sit one level higher
-            parent = np.searchsorted(ends, k_ends)  # a child ends at or before its parent's end
-            need = np.flatnonzero(np.bincount(parent, minlength=len(post)) < (1 << d))
-            if not len(need):
-                continue
-            row = np.full(len(post), -1)
-            row[need] = np.arange(len(need))
-            hit = row[parent] >= 0
-            digit = ((self.cells[k_ends[hit]] >> (lev - 1)) & 1) @ weight
-            pidx = self.cells[ends[need]] >> lev
-            cvol = np.ones((len(need), 1 << d))
-            for a in range(d):
-                b = grid.axes[a]
-                edge = [(2 * pidx[:, a] + j) << (lev - 1) for j in range(3)]
-                width = np.stack([b[edge[1]] - b[edge[0]], b[edge[2]] - b[edge[1]]], axis=1)
-                cvol *= width[:, self._bits[:, a]]
-            cvol[row[parent[hit]], digit] = -1.0
-            own = np.argmax(cvol, axis=1)  # first max: the lexicographically least child
-            self.own[post[need]] = cvol[np.arange(len(need)), own]
-            self.own_child[post[need]] = own
-            self.node_visits += cvol.size
+                sh = shared[ends]
+                up, split = sh > lev, sh == lev
+                node = np.cumsum(up)[split]  # the node each split point splits
+                pairs = ends[split] if d > 1 else None
+                ends = ends[up]
+                if not len(node):
+                    continue
+                if d == 1:  # a branching node of a binary tree has both children
+                    whose = None
+                else:
+                    new = np.ones(len(node), dtype=bool)
+                    new[1:] = node[1:] != node[:-1]
+                    node, whose = node[new], np.cumsum(new) - 1
+                end = ends[node]
+                count[end] += 1
+            else:
+                end = ends
+            mass, tops, own = np.empty(len(end)), np.empty(len(end), dtype=np.int8), None
+            for i in range(0, len(end), block):
+                e = end[i : i + block]
+                if lev:  # the end of the node before, or -1
+                    prev = np.where(node[i : i + block] > 0, ends[node[i : i + block] - 1], -1)
+                else:
+                    prev = end[i - 1 : i - 1 + len(e)] if i else np.r_[-1, e[:-1]]
+                mass[i : i + block] = (cum[e] - cum[prev]) / n
+                # the chain runs up to below the node that first takes in a neighbouring point
+                tops[i : i + block] = np.minimum(shared[prev], shared[e]) - 1
+                if lev and whose is not None:
+                    lo, hi = np.searchsorted(whose, [i, i + block])
+                    part = self._own_values(lev, e, prev + 1, whose[lo:hi] - i, pairs[lo:hi] + 1)
+                    if part is not None:
+                        own = np.full(len(end), -1.0) if own is None else own
+                        own[i : i + block] = part
+            stored.append({"level": lev, "at": end if lev else None, "mass": mass, "top_level": tops,
+                           "empty": own})
+        del cum
+        # place the nodes in post-order: at each point the highest takes the last place
+        np.cumsum(first[:-1], out=first[:-1])
+        total = int(first[s])
+        self.vol = np.empty(total)
+        for rec in reversed(stored):
+            end = np.flatnonzero(shared > 0) if rec["at"] is None else rec["at"]
+            count[end] -= 1
+            rec["at"] = pos = count[end]
+            for i in range(0, len(end), block):
+                index = self.cells.take(end[i : i + block], axis=0)
+                index >>= rec["level"]
+                self.vol[pos[i : i + block]] = grid.dyadic_volume(rec["level"], index)
+            del end, pos
+        del shared, ends
+        first[s + 1] = total
+        self.first = first[1:]  # stored nodes ending before each point
 
-    def decode(self, nodes: np.ndarray) -> np.ndarray:
-        """Dyadic indices (one row each) of the nodes at these positions."""
-        point = np.searchsorted(self.first, nodes, side="right") - 1
-        return self.cells[point] >> self.level[nodes][:, None].astype(np.int64)
+        def place(field, out):  # each field's lists are freed as it is placed
+            for rec in stored:
+                if rec[field] is not None:
+                    out[rec["at"]] = rec.pop(field)
+            return out
 
-    def missing_child(self, nodes: np.ndarray) -> np.ndarray:
-        """Indices (one row each) of the largest own missing child of each node."""
-        return 2 * self.decode(nodes) + self._bits[self.own_child[nodes]]
+        self.level = np.empty(total, dtype=np.int8)
+        for rec in stored:
+            self.level[rec["at"]] = rec["level"]
+        self.mass = place("mass", np.empty(total))
+        self.top_level = place("top_level", np.empty(total, dtype=np.int8))
+        self.empty = place("empty", np.full(total, -1.0))  # the nodes' own values; the walk adds the chains'
+        del stored
+        self.node_visits += total
+        self.chain_at = np.flatnonzero(self.top_level > self.level)
+        self.chain_top = np.empty(len(self.chain_at))
+        tops = self.top_level[self.chain_at]
+        for lev in range(1, top + 1):  # the chains, by their top level
+            group = np.flatnonzero(tops == lev)
+            for i in range(0, len(group), block >> 1):  # a chain's walk takes twice a node's temporaries
+                part = group[i : i + (block >> 1)]
+                at = self.chain_at[part]
+                self.empty[at], self.chain_top[part], seen = self._walk(at, lev, self.empty[at])
+                self.node_visits += seen
+
+    def _own_values(self, lev, end, start, whose, split) -> np.ndarray | None:
+        """The largest volume of each node's own missing children, -1 where it has none.
+
+        The level-``lev`` nodes hold points ``start..end``; the points
+        ``split`` start their other children, of the nodes ``whose``.  None
+        when every node has all its children.
+        """
+        need = np.flatnonzero(np.bincount(whose, minlength=len(end)) < (1 << self.grid.dim) - 1)
+        if not len(need):
+            return None
+        row = np.full(len(end), -1)
+        row[need] = np.arange(len(need))
+        hit = row[whose] >= 0
+        cvol = self._child_volumes(lev, self.cells.take(end[need], axis=0) >> lev)
+        firsts = self.cells.take(np.concatenate([start[need], split[hit]]), axis=0)
+        cvol[np.r_[np.arange(len(need)), row[whose[hit]]], self._digit(firsts, lev - 1)] = -1.0
+        self.node_visits += cvol.size
+        own = np.full(len(end), -1.0)
+        own[need] = cvol.max(axis=1)
+        return own
+
+    def _digit(self, cells: np.ndarray, b: int) -> np.ndarray:
+        """Which child at level ``b`` holds each of these cells, among its parent's children."""
+        bits = (cells >> b) & 1
+        digit = bits[:, 0].copy()
+        for a in range(1, self.grid.dim):
+            digit <<= 1
+            digit |= bits[:, a]
+        return digit
+
+    def _child_volumes(self, lev: int, parent: np.ndarray) -> np.ndarray:
+        """Volumes (one row each, children in lexicographic order) of the children of
+        the level-``lev`` rectangles with these indices."""
+        cvol = np.ones((len(parent), 1 << self.grid.dim))
+        for a, b in enumerate(self.grid.axes):
+            edge = [(2 * parent[:, a] + j) << (lev - 1) for j in range(3)]
+            width = np.stack([b[edge[1]] - b[edge[0]], b[edge[2]] - b[edge[1]]], axis=1)
+            cvol *= width[:, self._bits[:, a]]
+        return cvol
+
+    def _missing_max(self, lev: int, child: np.ndarray) -> tuple:
+        """The largest volume of a missing child of each one-child node at ``lev``, and its child's.
+
+        ``child`` holds the level-``lev - 1`` index of the child on the
+        chain.  The wider half on every axis gives the largest child; when
+        that is the chain's own child, strictly wider on every axis, the
+        largest other child is narrower on exactly one axis.  The products
+        run over the axes in order, as for every volume, and float products
+        of non-negative numbers are monotone, so this is exactly the largest
+        of the other 2^d - 1 children's volumes.
+        """
+        half = 1 << (lev - 1)
+        wide, narrow, ours = [], [], []
+        alone = np.ones(len(child), dtype=bool)  # the chain's child is the largest, and the only one
+        for b, c in zip(self.grid.axes, child.T):
+            lo = (c >> 1) << lev
+            mid = b[lo + half]
+            w0, w1 = mid - b[lo], b[lo + 2 * half] - mid
+            odd = (c & 1).astype(bool)
+            mine, other = np.where(odd, w1, w0), np.where(odd, w0, w1)
+            alone &= mine > other
+            wide.append(np.maximum(w0, w1))
+            narrow.append(np.minimum(w0, w1))
+            ours.append(mine)
+        most = reduce(np.multiply, wide)
+        if alone.any():
+            second = reduce(np.maximum, [reduce(np.multiply, wide[:a] + [narrow[a]] + wide[a + 1 :])
+                                         for a in range(len(wide))])
+            most = np.where(alone, second, most)
+        return most, reduce(np.multiply, ours)
+
+    def _present(self, lev: int, index) -> np.ndarray:
+        """Which children of the level-``lev`` rectangle ``index`` hold points (repeats kept)."""
+        lo, hi = self.run(DyadicRect(lev, tuple(int(i) for i in index)))
+        return self._digit(self.cells[lo:hi], lev - 1)
+
+    def _own(self, node: int) -> float:
+        """The largest volume of a stored node's own missing children (-1 if none)."""
+        lev = int(self.level[node])
+        if lev == 0:
+            return -1.0
+        parent = self.cells[self.point_of(node)][None, :] >> lev
+        cvol = self._child_volumes(lev, parent)[0]
+        cvol[self._present(lev, parent[0])] = -1.0
+        return float(cvol.max())
+
+    def _walk(self, nodes: np.ndarray, high: int, best: np.ndarray) -> tuple:
+        """Largest missing-child volume on the chains of ``nodes``, top-down.
+
+        Each chain is walked from level ``high`` down to just above its
+        stored node, starting from ``best``, that node's own value.  A
+        node's missing children are no larger than the node, and float
+        subtraction and products of non-negative numbers are monotone, so a
+        chain is dropped, exactly, once its node has volume <= its best so
+        far.  Returns the largest volumes, the chains' volumes at ``high``
+        and the number of chain levels walked.
+        """
+        points, low = self.point_of(nodes), self.level[nodes]
+        live, seen = np.arange(len(nodes)), 0
+        vol = topv = self.grid.dyadic_volume(high, self.cells.take(points, axis=0) >> high)
+        for lev in range(high, int(low.min()), -1):
+            live = live[vol > best[live]]
+            most, vol = self._missing_max(lev, self.cells.take(points[live], axis=0) >> (lev - 1))
+            best[live] = np.maximum(best[live], most)
+            seen += len(live)
+            deeper = low[live] < lev - 1
+            live, vol = live[deeper], vol[deeper]
+            if not len(live):
+                break
+        return best, topv, seen
+
+    def point_of(self, nodes: np.ndarray) -> np.ndarray:
+        """The point at which each of these stored nodes ends."""
+        return np.searchsorted(self.first, nodes, side="right") - 1
 
     def run(self, rect: DyadicRect) -> tuple:
         """Positions ``[lo, hi)`` of the points inside ``rect``, in Morton order."""
@@ -201,7 +382,7 @@ class MortonIndex:
             raise StructureError(f"{rect} lies outside the index root {self.root}")
         rel = [(i << rect.level) - o for i, o in zip(rect.index, self.offset)]
         low = _morton_words(rel, self.root.level)
-        high = _morton_words([r | ((1 << rect.level) - 1) for r in rel], self.root.level)
+        high = _ones_below(low, rect.level, self.root.level, len(rel))  # the key of rect's last cell
         return _search(self.words, low, "left"), _search(self.words, high, "right")
 
     def view(self, rect: DyadicRect) -> "SparseDyadicTree":
@@ -213,26 +394,45 @@ class MortonIndex:
         lo, hi = self.run(rect)
         if lo == hi:
             none = slice(0, 0)
-            return SparseDyadicTree(rect, self, 0, self.level[none], self.mass[none],
-                                    self.vol[none], self.grid.volume_of(rect), visits)
-        nodes = slice(int(self.first[lo]), int(self.first[hi - 1]) + rect.level + 1)
-        return SparseDyadicTree(rect, self, nodes.start, self.level[nodes], self.mass[nodes],
-                                self.vol[nodes], float(self.own[nodes].max()), visits)
+            return SparseDyadicTree(rect, self, 0, self.level[none], self.mass[none], self.vol[none],
+                                    self.chain_at[none], self.chain_top[none], self.empty[none],
+                                    self.grid.volume_of(rect), visits)
+        # the stored nodes below rect end at points lo..hi-1, and at hi-1 only up to rect's level
+        last = int(self.first[hi - 1])
+        stop = last + bisect.bisect_right(self.level[last : self.first[hi]].tolist(), rect.level)
+        nodes = slice(int(self.first[lo]), stop)
+        a, b = np.searchsorted(self.chain_at, (nodes.start, stop))
+        chain_at, chain_top, empty = self.chain_at[a:b] - nodes.start, self.chain_top[a:b], self.empty[nodes]
+        if self.top_level[stop - 1] > rect.level:  # rect sits inside the last node's chain, last in chain_at
+            chain_top, empty = chain_top.copy(), empty.copy()
+            chain_top[-1] = self.grid.volume_of(rect)
+            best, _, seen = self._walk(np.array([stop - 1]), rect.level, np.array([self._own(stop - 1)]))
+            empty[-1] = best[0]
+            visits += seen
+        return SparseDyadicTree(rect, self, nodes.start, self.level[nodes], self.mass[nodes], self.vol[nodes],
+                                chain_at, chain_top, empty, float(empty.max()), visits)
 
 
 @dataclass(eq=False)
 class SparseDyadicTree:
     """Sparse dyadic tree restricted below ``rect``: a view of a MortonIndex.
 
-    The node arrays are slices of the index's arrays, in post-order:
-    children before their parent, siblings in Morton order, and ``rect``
-    itself last.  That is not (level, lexicographic index) order, so
-    witnesses are chosen among ties by ``least_node``.  ``max_empty_vol`` is
-    the largest volume of an empty rectangle below ``rect`` (-1 if there is
-    none), the maximum of the slice's own missing-child volumes;
-    ``empty_witness`` and ``node_index`` are decoded on demand.
-    ``node_visits`` counts the entries read to find the view, plus the
-    index's own count when this view built the index's nodes.
+    The node arrays are slices of the index's stored nodes, in post-order:
+    children before their parent, siblings in Morton order.  The last node
+    is ``rect`` or the bottom of the chain ``rect`` sits in; its chain is
+    clipped at ``rect``, so ``top_vol[-1]`` is the volume of ``rect``.  Node
+    i stands for its chain: levels ``node_level[i]`` to ``top_level[i]``,
+    mass ``node_mass[i]``, volumes from ``node_vol[i]`` up to
+    ``top_vol[i]``, and ``node_empty[i]``, the largest volume of a missing
+    child on the chain (-1 if none).  Only the nodes ``chain_at`` have
+    one-child nodes above them; ``chain_top`` holds their top volumes.
+    ``max_empty_vol`` is the largest volume of an empty rectangle below
+    ``rect`` (-1 if there is none), the maximum of ``node_empty``.  Node
+    order is not (level, lexicographic index) order, so witnesses are found
+    among ties by walking the tied chains upward; they and ``node_index``
+    are decoded on demand.  ``node_visits`` counts the entries read to find
+    the view, plus the index's own count when this view built the index's
+    nodes.
     """
 
     rect: DyadicRect
@@ -241,6 +441,9 @@ class SparseDyadicTree:
     node_level: np.ndarray
     node_mass: np.ndarray
     node_vol: np.ndarray
+    chain_at: np.ndarray  # the nodes with one-child nodes above them
+    chain_top: np.ndarray  # the volumes at the tops of their chains
+    node_empty: np.ndarray
     max_empty_vol: float
     node_visits: int
 
@@ -249,8 +452,47 @@ class SparseDyadicTree:
         return len(self.node_mass)
 
     @property
+    def top_vol(self) -> np.ndarray:
+        """The volume at the top of each node's chain."""
+        top = self.node_vol.copy()
+        top[self.chain_at] = self.chain_top
+        return top
+
+    @property
+    def top_level(self) -> np.ndarray:
+        top = self.index.top_level[self.start : self.start + self.node_count].copy()
+        top[-1:] = self.rect.level
+        return top
+
+    @property
     def node_index(self) -> np.ndarray:
-        return self.index.decode(np.arange(self.start, self.start + self.node_count))
+        """Dyadic indices (one row each) of the nodes, at their own levels."""
+        nodes = np.arange(self.start, self.start + self.node_count)
+        cells = self.index.cells.take(self.index.point_of(nodes), axis=0)
+        return cells >> self.node_level[:, None].astype(np.int64)
+
+    def node_at(self, i: int) -> DyadicRect:
+        lev = int(self.node_level[i])
+        point = int(self.index.point_of(self.start + i))
+        return DyadicRect(lev, tuple(c >> lev for c in self.index.cells[point].tolist()))
+
+    def _least(self, nodes: np.ndarray, found) -> DyadicRect | None:
+        """The least (level, index) rectangle ``found`` names on the chains of ``nodes``.
+
+        The chains are walked upward together from the lowest bottom; at
+        each level ``found(lev, nodes, cells)`` gets the nodes whose chains
+        pass through it and the level-0 cells they end at, and returns
+        ``(level, indices)`` of the rectangles it finds there.
+        """
+        cells = self.index.cells.take(self.index.point_of(self.start + nodes), axis=0)
+        low, high = self.node_level[nodes], self.top_level[nodes]
+        for lev in range(int(low.min()), int(high.max()) + 1):
+            on = (low <= lev) & (lev <= high)
+            at, idx = found(lev, nodes[on], cells[on])
+            if len(idx):
+                least = idx[np.lexsort(idx.T[::-1])[0]]
+                return DyadicRect(at, tuple(int(i) for i in least))
+        return None
 
     @property
     def empty_witness(self) -> DyadicRect | None:
@@ -258,33 +500,56 @@ class SparseDyadicTree:
 
         It is ``rect`` itself when the tree has no nodes, and None when no
         rectangle below ``rect`` is empty.  Otherwise it is a missing child
-        of a node whose own largest one has that volume: of the nodes of
-        least level, the one whose child's index is least.
+        of some node on a chain whose largest one has that volume: of the
+        lowest such nodes, the one whose child's index is least.
         """
         if self.node_count == 0:
             return self.rect
         if self.max_empty_vol < 0:
             return None
-        own = self.index.own[self.start : self.start + self.node_count]
-        nodes = np.flatnonzero(own == self.max_empty_vol)
-        lev = self.node_level[nodes]
-        idx = self.index.missing_child(self.start + nodes[lev == lev.min()])
-        least = idx[np.lexsort(idx.T[::-1])[0]]
-        return DyadicRect(int(lev.min()) - 1, tuple(int(i) for i in least))
+        index, v = self.index, self.max_empty_vol
 
-    def node_at(self, i: int) -> DyadicRect:
-        lev = int(self.node_level[i])
-        point = int(self.index.first.searchsorted(self.start + i, side="right")) - 1
-        return DyadicRect(lev, tuple(c >> lev for c in self.index.cells[point].tolist()))
+        def found(lev, nodes, cells):
+            if lev == 0:
+                return 0, cells[:0]
+            parent = cells >> lev
+            cvol = index._child_volumes(lev, parent)
+            cvol[np.arange(len(nodes)), index._digit(cells, lev - 1)] = -1.0
+            for row in np.flatnonzero(self.node_level[nodes] == lev):  # a stored node: all its children
+                cvol[row, index._present(lev, parent[row])] = -1.0
+            row, child = np.nonzero(cvol == v)
+            return lev - 1, 2 * parent[row] + index._bits[child]
 
-    def least_node(self, nodes: np.ndarray) -> int:
-        """The node with least (level, lexicographic index) among ``nodes``."""
-        lev = self.node_level[nodes]
-        nodes = nodes[lev == lev.min()]
-        if len(nodes) > 1:
-            idx = self.index.decode(self.start + nodes)
-            nodes = nodes[np.lexsort(idx.T[::-1])]
-        return int(nodes[0])
+        return self._least(np.flatnonzero(self.node_empty == v), found)
+
+    def disc_witness(self, a: float, err: float) -> DyadicRect:
+        """The node with least (level, index) whose discrepancy |mass - a*vol| is ``err``."""
+        m, grid = self.node_mass, self.index.grid
+
+        def found(lev, nodes, cells):
+            idx = cells >> lev
+            return lev, idx[np.abs(m[nodes] - grid.dyadic_volume(lev, idx) * a) == err]
+
+        disc = np.maximum(np.abs(m - self.node_vol * a), np.abs(m - self.top_vol * a))
+        return self._least(np.flatnonzero(disc == err), found)
+
+    def densest(self) -> float:
+        """The largest mass/volume over the nodes of positive volume, chains included.
+
+        A chain's densest node is its lowest one of positive volume: its
+        bottom, or above a bottom of volume 0.
+        """
+        m, v = self.node_mass, self.node_vol
+        best = float((m[v > 0] / v[v > 0]).max(initial=0.0))
+        top = self.top_level
+        for i in self.chain_at[(v[self.chain_at] == 0) & (self.chain_top > 0)]:
+            cell = self.index.cells[self.index.point_of(self.start + i)][None, :]
+            for lev in range(int(self.node_level[i]) + 1, int(top[i]) + 1):
+                vol = float(self.index.grid.dyadic_volume(lev, cell >> lev)[0])
+                if vol > 0:
+                    best = max(best, float(m[i]) / vol)
+                    break
+        return best
 
 
 def build_tree(
@@ -312,24 +577,35 @@ def compute_d1(tree: SparseDyadicTree, a: float):
     """Max discrepancy |mass - a*vol| over dyadic sub-rectangles of ``tree.rect``.
 
     Returns ``(err, witness)`` where the witness attains the maximum; ties
-    are broken by least (level, index).  Reads only ``tree``: one pass over
-    its nodes.
+    are broken by least (level, index).  Reads only ``tree``.  Along a chain
+    |mass - a*vol| is largest at an end, so a chain's discrepancy is the
+    larger of its bottom's and its top's: one pass over the nodes' bottom
+    volumes and one over their top volumes.
     """
     if a < 0:
         raise ValueError(f"constant a must be nonnegative, got {a}")
     b2 = a * tree.max_empty_vol if tree.max_empty_vol >= 0 else -1.0  # the empty term
     if tree.node_count == 0:
         return b2, tree.empty_witness
-    disc = tree.node_vol * a
-    np.subtract(tree.node_mass, disc, out=disc)
+    m = tree.node_mass
+    low = tree.node_vol * a
+    np.subtract(m, low, out=low)
+    np.abs(low, out=low)
+    disc = tree.top_vol * a
+    np.subtract(m, disc, out=disc)
     np.abs(disc, out=disc)
+    np.maximum(low, disc, out=disc)
     i = int(disc.argmax())
     b1 = float(disc[i])
-    if i + 1 < len(disc) and disc[i + 1 :].max() == b1:
-        i = tree.least_node(np.flatnonzero(disc == b1))
-    if b2 > b1 or (b2 == b1 and tree.empty_witness < tree.node_at(i)):
+    if b2 > b1:
         return b2, tree.empty_witness
-    return b1, tree.node_at(i)
+    if low[i] == b1 and (i + 1 == len(disc) or disc[i + 1 :].max() < b1):
+        wit = tree.node_at(i)  # the one chain at b1, reached at its bottom
+    else:
+        wit = tree.disc_witness(a, b1)
+    if b2 == b1 and tree.empty_witness < wit:
+        return b2, tree.empty_witness
+    return b1, wit
 
 
 @dataclass(frozen=True)
@@ -355,16 +631,18 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
     The objective is F(a) = max(D(a), I(a)) over the tree's nodes (mass m_i,
     volume v_i): D(a) = max_i (m_i - a v_i) is convex and decreasing, and
     I(a) = max(max_i (a v_i - m_i), a V) is convex and increasing, where V is
-    the largest empty volume.  The search keeps a bracket [lo, hi] with
-    D >= I at lo and I >= D at hi, the line active in D at lo and the line
-    active in I at hi (a node's, or the empty term a V).  Both lines lie
-    below their envelopes, so their crossing c lies in the bracket and its
-    height is a lower bound on min F.  One pass at c gives D(c) and I(c).  If
-    they are equal, or the line active on the larger side is the one kept,
-    c attains the bound and is optimal; otherwise that side's end moves to
-    c and keeps the new active line.  This is Kelley's cutting-plane method
-    on a one-dimensional LP; every step activates a new line, so it ends,
-    in at most five probes on the benchmark's leaves.
+    the largest empty volume.  Along a chain the mass is fixed, so D needs
+    only each chain's bottom volume and I only its top volume.  The search
+    keeps a bracket [lo, hi] with D >= I at lo and I >= D at hi, the line
+    active in D at lo and the line active in I at hi (a node's, or the empty
+    term a V).  Both lines lie below their envelopes, so their crossing c
+    lies in the bracket and its height is a lower bound on min F.  One pass
+    at c gives D(c) and I(c).  If they are equal, or the line active on the
+    larger side is the one kept, c attains the bound and is optimal;
+    otherwise that side's end moves to c and keeps the new active line.
+    This is Kelley's cutting-plane method on a one-dimensional LP; every
+    step activates a new line, so it ends, in at most five probes on the
+    benchmark's leaves.
 
     At a = 0 and at every a beyond the largest node density, the root's own
     lines are active (the part of ``tree.rect`` outside any node is a union
@@ -379,39 +657,53 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
     m, v, ev = tree.node_mass, tree.node_vol, tree.max_empty_vol  # ev < 0: no empty term
     if tree.node_count == 0:
         return DFitResult(0.0, 0.0, 0)  # F(a) is a*vol(rect): a = 0 is optimal
-    if v[-1] <= 0:
+    ch, tc = tree.chain_at, tree.chain_top
+    many = len(ch) > len(m) >> 2  # then the top volumes are read in a second full pass, else patched in
+    t = tree.top_vol if many else None
+    mc = m[ch]
+    vr = tc[-1] if len(ch) and ch[-1] == len(m) - 1 else v[-1]  # ``rect`` tops the last chain
+    if vr <= 0:
         return DFitResult(0.0, float(m.max()), 1)  # every volume is 0, so F is constant
     lo, hi = 0.0, math.inf
-    p = q = tree.node_count - 1  # the root's lines (post-order puts ``rect`` last); q = -1 is the empty term
+    mp, vp = mq, vq = m[-1], vr  # the root's lines
+    empty = False  # whether the line kept at hi is the empty term
     best_err, best_a, probes = math.inf, 0.0, 0
     while probes < _MAX_PROBES:
-        vq, mq = (ev, 0.0) if q < 0 else (v[q], m[q])
-        c = float((m[p] + mq) / (v[p] + vq)) if v[p] + vq > 0 else math.nan
+        mh, vh = (0.0, ev) if empty else (mq, vq)
+        c = float((mp + mh) / (vp + vh)) if vp + vh > 0 else math.nan
         crossing = lo <= c <= hi
         if not crossing:
             if math.isinf(hi):
-                pos = v > 0
-                hi = float((m[pos] / v[pos]).max())  # the largest node density
+                hi = tree.densest()
             c = 0.5 * (lo + hi)
         r = v * c
         np.subtract(m, r, out=r)
-        i, j = int(r.argmax()), int(r.argmin())
-        down, up = float(r[i]), -float(r[j])
-        if ev >= 0 and c * ev > up:
-            up, j = c * ev, -1
+        i = int(r.argmax())
+        down = float(r[i])
+        if many:  # now r = m - t*c
+            r = t * c
+            np.subtract(m, r, out=r)
+        elif len(ch):
+            r[ch] = mc - tc * c
+        j = int(r.argmin())
+        up = -float(r[j])
+        top_empty = ev >= 0 and c * ev > up
+        if top_empty:
+            up = c * ev
         probes += 1
         if max(down, up) < best_err:
             best_err, best_a = max(down, up), c
         if down == up:
             break  # D(c) == I(c), which includes err == 0
         if down > up:
-            if crossing and r[p] == down:
+            if crossing and mp - vp * c == down:
                 break
-            lo, p = c, i
+            lo, mp, vp = c, m[i], v[i]
         else:
-            if crossing and (c * ev if q < 0 else -r[q]) == up:
+            if crossing and (c * ev if empty else -(mq - vq * c)) == up:
                 break
-            hi, q = c, j
+            k = int(np.searchsorted(ch, j))
+            hi, empty, mq, vq = c, top_empty, m[j], tc[k] if k < len(ch) and ch[k] == j else v[j]
     return DFitResult(best_a, best_err, probes)
 
 

@@ -5,19 +5,20 @@ LF, and only LF ends a line.  Line 1 is the header:
 
     # dim=<d> domain=<unit | discrete <m>> [kind=<arbitrary|partial>]
 
-with each key at most once.  After it, a line that is empty or starts with
-``#`` once spaces are stripped is skipped.  Samples have one point per line
-(d comma-separated fields, made only of ``0-9 . , + - e E`` and spaces);
-hypotheses have one piece per line (d interval pairs lo,hi then the value,
-each field read by ``float``).  Floats are written with 12 significant
-digits, which is stable under re-ingestion: writing a re-read file
-reproduces it byte for byte.
+with each key at most once and only spaces between fields.  After it, a
+line that is empty or starts with ``#`` once spaces are stripped is
+skipped.  Samples have one point per line (d comma-separated fields, made
+only of ``0-9 . , + - e E`` and spaces); hypotheses have one piece per line
+(d interval pairs lo,hi then the value, each field read by ``float``).
+Floats are written with 12 significant digits, which is stable under
+re-ingestion: writing a re-read file reproduces it byte for byte.
 
 ``read_samples`` blanks skipped lines in place, keeping their LF, so every
-row keeps its line number, and parses the file with one ``np.loadtxt`` call
-through an ``io.BytesIO`` that shares the buffer.  Only when that parse
-fails (a byte outside the body's set, a bad field, a point outside the
-domain, no rows) does a line walk run, to raise an error naming
+row keeps its line number; only the lines from the body's first ``#`` or
+space to its last are scanned.  It then parses the file with one
+``np.loadtxt`` call through an ``io.BytesIO`` that shares the buffer.  Only
+when that parse fails (a byte outside the body's set, a bad field, a point
+outside the domain, no rows) does a line walk run, to raise an error naming
 ``path:line``.  A file that is not UTF-8 fails as ``path:line: not valid
 UTF-8``, naming the line of its first bad byte.
 """
@@ -61,7 +62,7 @@ def _domain_header(domain: Domain) -> str:
 def _header_fields(line: str) -> tuple:
     if not line.startswith("#"):
         raise ValueError("missing '# dim=... domain=...' header")
-    fields = iter(line[1:].split())
+    fields = iter(f for f in line[1:].split(" ") if f)  # only spaces separate fields
     kv = {}
     for field in fields:
         key, eq, val = field.partition("=")
@@ -143,8 +144,13 @@ def read_samples(path) -> EmpiricalDist:
     """One sample per line; duplicate rows aggregate into counts."""
     raw, domain, _ = _read(path)
     body = raw.find(b"\n") + 1 or len(raw)  # the body's start, the end when no LF ends the header
-    if raw.find(b"#", body) >= 0 or raw.find(b" ", body) >= 0:
-        raw = _SKIPPED.sub(b"\n", raw)
+    marks = [i for i in (raw.find(b"#", body), raw.find(b" ", body)) if i >= 0]
+    if marks:  # blank the skipped lines, scanning only from the first line with a # or space to the last
+        lo = raw.rfind(b"\n", 0, min(marks))
+        hi = raw.find(b"\n", max(raw.rfind(b"#", body), raw.rfind(b" ", body)))
+        hi = len(raw) if hi < 0 else hi
+        with memoryview(raw) as view:  # joins the untouched parts without copying them first
+            raw = b"".join((view[:lo], _SKIPPED.sub(b"\n", view[lo:hi]), view[hi:]))
     # deleting the allowed bytes leaves only the header's others exactly when every body byte is allowed
     if raw.translate(None, _BODY_BYTES) == raw[:body].translate(None, _BODY_BYTES):
         try:

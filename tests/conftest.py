@@ -136,17 +136,84 @@ def cell_values(h: HistHypothesis, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def exact_fit_minimum(tree) -> float:
-    """True minimum over a >= 0 of a tree's fit objective, from its breakpoints.
+def twin_volume(grid: GridSpec, r: DyadicRect) -> float:
+    """Volume of a dyadic rectangle, in plain Python."""
+    v = 1.0
+    for b, i in zip(grid.axes, r.index):
+        v *= float(b[(i + 1) << r.level]) - float(b[i << r.level])
+    return v
 
-    The objective max(|m_i - a v_i|, a*V_empty) is piecewise linear.  Its
-    minimizer over a >= 0 sits at 0 or at a crossing of a decreasing line
-    (m_i - a v_i) with an increasing one, i.e. a = (m_i + m_j) / (v_i + v_j)
-    (node densities when i == j, for the flat-envelope corner cases) or
-    a = m_i / (v_i + V_empty).  Every candidate is evaluated by a dense
-    scan over all nodes, with the rounding of ``compute_d1``.
+
+def reference_tree(emp, grid, root):
+    """Plain-Python twin of the uncompressed tree below ``root``.
+
+    Returns ``(nodes, empty)``: ``{(level, index): mass}`` of the rectangles
+    holding mass, one per level of every chain, and ``{(level, index):
+    (vol, witness)}`` giving, for each of them, the largest empty rectangle
+    below it: the largest volume, then least (level, index), over the
+    missing children of its subtree (None when there is none).
     """
-    m, v, ev = tree.node_mass, tree.node_vol, tree.max_empty_vol  # ev < 0: no empty term
+    counts = {}
+    for cell, k in zip(grid.cell_index(emp.points), emp.counts):
+        cell = tuple(int(c) for c in cell)
+        if tuple(c >> root.level for c in cell) != root.index:
+            continue
+        for lev in range(root.level + 1):
+            key = (lev, tuple(c >> lev for c in cell))
+            counts[key] = counts.get(key, 0) + int(k)
+    nodes = {key: c / emp.n for key, c in counts.items()}
+    empty = {}
+    for lev, idx in sorted(nodes):  # children before parents
+        best = None
+        if lev > 0:
+            for ch in DyadicRect(lev, idx).children():
+                key = (ch.level, ch.index)
+                cand = empty[key] if key in nodes else (twin_volume(grid, ch), ch)
+                if cand is not None and (
+                    best is None or (-cand[0], cand[1]) < (-best[0], best[1])
+                ):
+                    best = cand
+        empty[(lev, idx)] = best
+    return nodes, empty
+
+
+def reference_lines(grid, rect, twin):
+    """The fit's lines below ``rect`` from the twin: masses, volumes and the empty volume.
+
+    ``twin`` is ``reference_tree`` over a root that contains ``rect``.
+    Every node of every chain gives its own line, so the compressed tree
+    is not read.  The empty volume is -1 when no rectangle below ``rect``
+    is empty.
+    """
+    nodes, empty = twin
+    below = [
+        (DyadicRect(lev, idx), m)
+        for (lev, idx), m in nodes.items()
+        if lev <= rect.level and tuple(i >> (rect.level - lev) for i in idx) == rect.index
+    ]
+    best = empty.get((rect.level, rect.index), (twin_volume(grid, rect), rect))
+    return (
+        np.array([m for _, m in below]),
+        np.array([twin_volume(grid, r) for r, _ in below]),
+        -1.0 if best is None else best[0],
+    )
+
+
+def exact_fit_minimum(m, v, ev) -> float:
+    """True minimum over a >= 0 of the fit objective on these lines, from its breakpoints.
+
+    ``m`` and ``v`` are the masses and volumes of every node below the
+    rectangle, and ``ev`` its largest empty volume (-1: none), as
+    ``reference_lines`` gives them.  The objective max(|m_i - a v_i|,
+    a*ev) is piecewise linear.  Its minimizer over a >= 0 sits at 0 or at
+    a crossing of a decreasing line (m_i - a v_i) with an increasing one,
+    i.e. a = (m_i + m_j) / (v_i + v_j) (node densities when i == j, for the
+    flat-envelope corner cases) or a = m_i / (v_i + ev).  Every candidate
+    is evaluated by a dense scan over all nodes, with the rounding of
+    ``compute_d1``.
+    """
+    if not len(m):
+        return 0.0
     mm, vv = m[v > 0], v[v > 0]
     cand = [np.zeros(1), ((mm[:, None] + mm) / (vv[:, None] + vv)).ravel()]
     if ev > 0:

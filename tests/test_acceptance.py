@@ -20,7 +20,15 @@ from dyadhist.oracle import dk_distance_between, opt_hier_l2, opt_partial_hier_d
 from dyadhist.split import SplitParams, adaptive_greedy_split, greedy_split, greedy_split_l2
 from dyadhist.theory import BudgetFormula, sample_budget, strictly_greater_region
 
-from conftest import cell_values, exact_fit_minimum, make_rng, random_hier_hist, random_partial_hist
+from conftest import (
+    cell_values,
+    exact_fit_minimum,
+    make_rng,
+    random_hier_hist,
+    random_partial_hist,
+    reference_lines,
+    reference_tree,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -81,9 +89,9 @@ def test_criterion_2_fit_d1_optimality():
     probes = 0
     for i in range(1000):
         emp, grid, rect, _ = _d1_instance(i)
-        tree = build_tree(emp, grid, rect)
-        fit = fit_d1(tree)
-        ok &= fit.err <= exact_fit_minimum(tree) + 1e-12
+        fit = fit_d1(build_tree(emp, grid, rect))
+        lines = reference_lines(grid, rect, reference_tree(emp, grid, rect))
+        ok &= fit.err <= exact_fit_minimum(*lines) + 1e-12
         probes = max(probes, fit.probes)
     ok &= probes <= 16
     # hand-derived instance: counts (2,1,0,1)/4 on [4], optimum 0.25 at a=0.25

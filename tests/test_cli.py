@@ -1,6 +1,7 @@
 """File formats, ground-truth generation, sampling, and the learn pipeline."""
 
 import io
+import re
 import subprocess
 import sys
 import tempfile
@@ -274,6 +275,31 @@ class TestSampleFileText:
         assert np.array_equal(reads[0].points, reads[1].points)
         assert np.array_equal(reads[0].counts, reads[1].counts)
 
+    def test_comment_pass_scans_only_the_commented_lines(self, tmp_path, monkeypatch):
+        # one comment among 999 rows: the blanking pass reads that line
+        # alone, and the rows after it keep their line numbers
+        scanned, skipped = [], fileio._SKIPPED
+
+        class Spy:
+            def sub(self, repl, text):
+                scanned.append(bytes(text))
+                return skipped.sub(repl, text)
+
+        monkeypatch.setattr(fileio, "_SKIPPED", Spy())
+        lines = ["# dim=1 domain=unit"] + [f"{i / 1000:.3f}" for i in range(1, 1000)]
+        lines.insert(502, "  # note")  # line 503
+        path = tmp_path / "s.txt"
+        path.write_bytes("\n".join(lines).encode())
+        emp = read_samples(path)
+        assert scanned == [b"\n  # note"]
+        assert emp.n == 999 and emp.points[:, 0].tolist() == [i / 1000 for i in range(1, 1000)]
+        for ln in (502, 504, 701, 1001):  # the line before the comment, the one after, and two further on
+            bad = lines[:]
+            bad[ln - 1] = "0.5x"
+            path.write_bytes("\n".join(bad).encode())
+            with pytest.raises(ValueError, match=re.escape(f"{path}:{ln}: ")):
+                read_samples(path)
+
     def test_writer_memory_stays_below_file_size(self, tmp_path):
         emp = EmpiricalDist.from_samples(Domain.unit(1), make_rng(5).random((300_000, 1)))
         assert emp.support_size == 300_000
@@ -516,11 +542,14 @@ class TestCommandLine:
         [
             "dim=x domain=unit", "dim=0 domain=unit", "dim=1 domain=discrete x", "dim=1 domain=discrete 0",
             "dim=1 domain=unit kind=partail", "dim=1 dim=2 domain=unit", "dim=1 domain=discrete 4 domain=unit",
+            # only spaces separate header fields
+            "dim=1\x0bdomain=unit", "dim=1\x0cdomain=unit", "dim=1\x85domain=unit", "dim=1\xa0domain=unit",
+            "dim=1\u2028domain=unit", "dim=1\tdomain=unit", "dim=1 domain=discrete\t4",
         ],
     )
     def test_bad_header_names_line_1(self, tmp_path, capsys, command, header):
         path = tmp_path / "in.txt"
-        path.write_text(f"# {header}\n" + ("1\n" if command == "learn" else "1,2,1\n"))
+        path.write_bytes((f"# {header}\n" + ("1\n" if command == "learn" else "1,2,1\n")).encode("utf-8"))
         args = ["--k", "1"] if command == "learn" else []
         assert main([command, "--in", str(path)] + args) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:1: ")

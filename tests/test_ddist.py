@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadhist import gen_truth, sample_from
 from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec
 from dyadhist.ddist import MortonIndex, brute_d1, build_tree, compute_d1, fit_d1
 from dyadhist.errors import OracleGuardError, StructureError
@@ -16,7 +18,16 @@ from dyadhist.errors import OracleGuardError, StructureError
 from dyadhist.oracle import all_dyadic_rects
 from dyadhist.split import build_adaptive_grid
 
-from conftest import exact_fit_minimum, make_rng, random_empirical, random_grid, random_points
+from conftest import (
+    exact_fit_minimum,
+    make_rng,
+    random_empirical,
+    random_grid,
+    random_points,
+    reference_lines,
+    reference_tree,
+    twin_volume,
+)
 
 
 def counts_2101():
@@ -57,10 +68,16 @@ class TestBuildTree:
         assert tree.empty_witness == rect
 
     def test_single_point_path_of_nodes(self):
+        # one stored node: the cell holding the point, whose chain of
+        # one-child nodes runs up to the root
         d = Domain.discrete(8, 1)
         emp = EmpiricalDist(d, np.array([[5]]), np.array([1]))
         tree = build_tree(emp, GridSpec.uniform(d, 8), DyadicRect(3, (0,)))
-        assert tree.node_count == 4  # one node per level 3..0
+        assert tree.node_count == 1
+        assert tree.node_level.tolist() == [0] and tree.top_level.tolist() == [3]
+        assert sorted(tree_nodes(tree)) == [(0, (4,)), (1, (2,)), (2, (1,)), (3, (0,))]  # one per level
+        assert tree.node_vol.tolist() == [1.0] and tree.top_vol.tolist() == [8.0]
+        assert tree.max_empty_vol == 4.0 and tree.empty_witness == DyadicRect(2, (0,))
 
     def test_two_points_in_different_root_children(self):
         d = Domain.discrete(2, 1)
@@ -71,11 +88,7 @@ class TestBuildTree:
     def test_parent_counts_are_sums_of_children(self, rng):
         for trial in range(25):
             emp, grid, rect, _ = random_instance(rng, trial)
-            tree = build_tree(emp, grid, rect)
-            nodes = {
-                (int(l), tuple(map(int, ix))): m
-                for l, ix, m in zip(tree.node_level, tree.node_index, tree.node_mass)
-            }
+            nodes = tree_nodes(build_tree(emp, grid, rect))
             for (lev, ix), m in nodes.items():
                 if lev == 0:
                     continue
@@ -120,11 +133,7 @@ class TestBuildTree:
 
         for trial in range(20):
             emp, grid, rect, _ = random_instance(rng, trial)
-            tree = build_tree(emp, grid, rect)
-            present = {
-                (int(l), tuple(map(int, ix)))
-                for l, ix in zip(tree.node_level, tree.node_index)
-            }
+            present = set(tree_nodes(build_tree(emp, grid, rect)))
             for r in all_dyadic_rects(grid):
                 if not rect.contains(r):
                     continue
@@ -140,46 +149,6 @@ class TestBuildTree:
             build_tree(emp, grid, DyadicRect(5, (0,)))
         with pytest.raises(StructureError):
             build_tree(emp, grid, DyadicRect(1, (7,)))
-
-
-def reference_tree(emp, grid, root):
-    """Plain-Python twin of the index below ``root``.
-
-    Returns ``(nodes, empty)``: ``{(level, index): mass}`` of the rectangles
-    holding mass, and ``{(level, index): (vol, witness)}`` giving, for each
-    of them, the largest empty rectangle below it: the largest volume, then
-    least (level, index), over the missing children of its subtree.
-    """
-    counts = {}
-    for cell, k in zip(grid.cell_index(emp.points), emp.counts):
-        cell = tuple(int(c) for c in cell)
-        if tuple(c >> root.level for c in cell) != root.index:
-            continue
-        for lev in range(root.level + 1):
-            key = (lev, tuple(c >> lev for c in cell))
-            counts[key] = counts.get(key, 0) + int(k)
-    nodes = {key: c / emp.n for key, c in counts.items()}
-    axes = [a.tolist() for a in grid.axes]
-
-    def volume(r):
-        v = 1.0
-        for b, i in zip(axes, r.index):
-            v *= b[(i + 1) << r.level] - b[i << r.level]
-        return v
-
-    empty = {}
-    for lev, idx in sorted(nodes):  # children before parents
-        best = None
-        if lev > 0:
-            for ch in DyadicRect(lev, idx).children():
-                key = (ch.level, ch.index)
-                cand = empty[key] if key in nodes else (volume(ch), ch)
-                if cand is not None and (
-                    best is None or (-cand[0], cand[1]) < (-best[0], best[1])
-                ):
-                    best = cand
-        empty[(lev, idx)] = best
-    return nodes, empty
 
 
 def root_empty_ties(emp, grid):
@@ -213,11 +182,30 @@ def root_empty_ties(emp, grid):
     return {ch.level for _, ch in tied}, morton_first, least
 
 
+def chains(tree):
+    """Each stored node's chain, expanded: ``(rects bottom to top, mass)``.
+
+    The rectangles are the node at its own level and the one-child nodes
+    above it up to its top level; the last node's chain ends at the
+    tree's rectangle.
+    """
+    out = []
+    for lev, top, ix, m in zip(tree.node_level, tree.top_level, tree.node_index, tree.node_mass):
+        lev, ix = int(lev), tuple(int(i) for i in ix)
+        rects = [DyadicRect(l, tuple(i >> (l - lev) for i in ix)) for l in range(lev, int(top) + 1)]
+        out.append((rects, float(m)))
+    return out
+
+
 def tree_nodes(tree):
-    return {
-        (int(l), tuple(int(v) for v in ix)): float(m)
-        for l, ix, m in zip(tree.node_level, tree.node_index, tree.node_mass)
-    }
+    """``{(level, index): mass}`` of every rectangle of every chain of the tree."""
+    return {(r.level, r.index): m for rects, m in chains(tree) for r in rects}
+
+
+def chain_empty(grid, nodes, rects):
+    """The largest volume of a missing child over a chain's rectangles, from the twin's nodes."""
+    missing = [ch for r in rects if r.level for ch in r.children() if (ch.level, ch.index) not in nodes]
+    return max((twin_volume(grid, ch) for ch in missing), default=-1.0)
 
 
 def big_key_instances():
@@ -233,6 +221,21 @@ def big_key_instances():
     return out
 
 
+def twin_d1(grid, nodes, empty, rect, a):
+    """compute_d1 from the twin: the largest discrepancy over its nodes below
+    ``rect`` and its empty term, and the least (level, index) witness."""
+    below = [DyadicRect(*key) for key in nodes if rect.contains(DyadicRect(*key))]
+    disc = {q: abs(nodes[(q.level, q.index)] - a * twin_volume(grid, q)) for q in below}
+    err = max(disc.values())
+    best = empty[(rect.level, rect.index)]
+    witness = min(q for q in below if disc[q] == err)
+    if best is not None and a * best[0] > err:
+        return a * best[0], best[1]
+    if best is not None and a * best[0] == err:
+        return err, min(best[1], witness)
+    return err, witness
+
+
 class TestMortonIndex:
     def check_views(self, emp, grid, pick=None):
         """Views of the root's index against standalone builds and the twin.
@@ -243,35 +246,50 @@ class TestMortonIndex:
         index = MortonIndex(emp, grid, grid.root())
         nodes, empty = reference_tree(emp, grid, grid.root())
         rects = all_dyadic_rects(grid) if pick is None else pick(nodes)
+        clipped = 0
         for r in rects:
             view = build_tree(emp, grid, r, index=index)
             alone = build_tree(emp, grid, r)
             want = {key: m for key, m in nodes.items() if r.contains(DyadicRect(*key))}
             best = empty.get((r.level, r.index), (grid.volume_of(r), r))
             for tree in (view, alone):
+                expanded = chains(tree)
                 assert tree_nodes(tree) == want, r
+                assert sum(len(rects) for rects, _ in expanded) == len(want), r  # the chains do not overlap
+                # the chain's bottom and top volumes, and its largest missing child
+                assert tree.node_vol.tolist() == [twin_volume(grid, rects[0]) for rects, _ in expanded], r
+                assert tree.top_vol.tolist() == [twin_volume(grid, rects[-1]) for rects, _ in expanded], r
+                want_empty = [chain_empty(grid, nodes, rects) for rects, _ in expanded]
+                assert tree.node_empty.tolist() == want_empty, r
                 assert (tree.max_empty_vol, tree.empty_witness) == (best or (-1.0, None)), r
                 assert tree.node_level.tolist() == [tree.node_at(i).level for i in range(tree.node_count)]
                 if tree.node_count:
-                    assert tree.node_at(tree.node_count - 1) == r  # post-order: the root is last
-            assert np.array_equal(view.node_mass, alone.node_mass), r
-            assert np.array_equal(view.node_vol, alone.node_vol), r
+                    assert expanded[-1][0][-1] == r  # post-order: the chain that r sits in is last
+            if view.node_count:
+                clipped += view.top_level[-1] < index.top_level[view.start + view.node_count - 1]
+            for name in ("node_level", "top_level", "node_mass", "node_vol", "top_vol", "node_empty"):
+                assert np.array_equal(getattr(view, name), getattr(alone, name)), (r, name)
+        return clipped
 
     def test_views_match_standalone_builds_on_random_family(self, rng):
+        clipped = 0
         for trial in range(60):
             emp, grid, _, _ = random_instance(rng, trial)
             if trial % 5 == 0:
                 grid = build_adaptive_grid(emp)  # zero-width padded cells
-            self.check_views(emp, grid)
+            clipped += self.check_views(emp, grid)
+        assert clipped > 20  # views whose rectangle sits inside a chain, which they clip
 
     def test_views_match_when_keys_need_several_words(self):
         def pick(nodes):
             rects = [DyadicRect(*key) for key in sorted(nodes)][::3]
             return rects + [ch for r in rects[::5] if r.level for ch in r.children()[::9]]
 
+        clipped = 0
         for emp, grid in big_key_instances():
             assert grid.dim * grid.levels > 62
-            self.check_views(emp, grid, pick)
+            clipped += self.check_views(emp, grid, pick)
+        assert clipped > 0
 
     def test_index_is_bound_to_its_samples_and_root(self):
         emp, grid = counts_2101()
@@ -331,6 +349,68 @@ class TestMortonIndex:
         assert lev2 == {0} and morton2 != least2 and lev3 == {0} and morton3 != least3
         assert levw == {0, 1} and leastw == DyadicRect(0, (2, 2))
 
+    def test_witness_ties_inside_chains(self):
+        # warped grids with far more cells than lattice values have many
+        # zero-width halves, so volumes repeat up a chain: its discrepancy
+        # and its missing children then tie across its levels.  Both
+        # witnesses must still be the least (level, index), as brute_d1
+        # and the twin choose it.
+        disc_ties = disc_above_bottom = empty_ties = 0
+        for seed in range(60):
+            rng = make_rng(63_000 + seed)
+            dim = 1 + seed % 2
+            domain = Domain.discrete(4, dim)
+            grid = random_grid(rng, domain, 32 if dim == 1 else 8, warp=True)
+            emp = random_empirical(rng, domain, int(rng.integers(1, 6)))
+            index = MortonIndex(emp, grid, grid.root())
+            nodes, empty = reference_tree(emp, grid, grid.root())
+            for r in all_dyadic_rects(grid):
+                tree = build_tree(emp, grid, r, index=index)
+                expanded = chains(tree)
+                for a in (0.0, 0.1, 0.5, 2.0):
+                    err, wit = compute_d1(tree, a)
+                    assert err == brute_d1(emp, grid, r, a)[0], (seed, r, a)
+                    if tree.node_count:  # an empty tree's witness is its rectangle
+                        assert (err, wit) == twin_d1(grid, nodes, empty, r, a), (seed, r, a)
+                    for rects, m in expanded:
+                        tied = [q for q in rects if abs(m - a * twin_volume(grid, q)) == err]
+                        if wit in rects and len(tied) > 1:
+                            disc_ties += 1
+                            disc_above_bottom += wit != rects[0]
+                best = empty.get((r.level, r.index))
+                if tree.node_count and best is not None:
+                    assert tree.empty_witness == best[1], (seed, r)
+                    for rects, _ in expanded:
+                        levels = {
+                            q.level for q in rects if q.level
+                            for ch in q.children()
+                            if (ch.level, ch.index) not in nodes and twin_volume(grid, ch) == best[0]
+                        }
+                        empty_ties += len(levels) > 1 and best[1].level + 1 in levels
+        counts = (disc_ties, disc_above_bottom, empty_ties)
+        assert disc_ties > 500 and disc_above_bottom > 10 and empty_ties > 50, counts
+
+    def test_densest_node_reads_above_zero_volume_bottoms(self):
+        # fit_d1 brackets a bisection with the largest node density; a chain
+        # whose bottom has volume 0 has its densest node higher up
+        zero_bottoms = 0
+        for seed in range(30):
+            rng = make_rng(64_000 + seed)
+            domain = Domain.unit(1 + seed % 2)
+            pts = random_points(rng, domain, int(rng.integers(1, 8)))
+            pts[::2, 0] = 1.0  # in the zero-width top cell on axis 0
+            grid = random_grid(rng, domain, 8)
+            grid = GridSpec(domain, (np.r_[grid.axes[0][:-2], 1.0, 1.0],) + grid.axes[1:])
+            emp = EmpiricalDist.from_samples(domain, pts)
+            index = MortonIndex(emp, grid, grid.root())
+            twin = reference_tree(emp, grid, grid.root())
+            for r in all_dyadic_rects(grid):
+                tree = build_tree(emp, grid, r, index=index)
+                m, v, _ = reference_lines(grid, r, twin)
+                assert tree.densest() == max((m[v > 0] / v[v > 0]).tolist(), default=0.0), (seed, r)
+                zero_bottoms += bool(((tree.node_vol == 0) & (tree.top_vol > 0)).any())
+        assert zero_bottoms > 20
+
     def test_discrepancy_ties_pick_least_level_then_index(self):
         # three cells holding one point each: near a = 1/16 their level-0
         # nodes tie for the maximum.  Morton order puts cell (1,0) first;
@@ -342,6 +422,45 @@ class TestMortonIndex:
             err, wit = compute_d1(build_tree(emp, grid, grid.root()), a)
             assert wit == DyadicRect(0, (0, 3))
             assert (err, wit) == brute_d1(emp, grid, grid.root(), a)
+
+
+def benchmark_sized_index(dim, n):
+    """The index of the learner on ``n`` samples of the benchmark's truth in [0,1]^dim, built."""
+    emp = sample_from(gen_truth(5, Domain.unit(dim), seed=11), n, seed=3)
+    grid = build_adaptive_grid(emp)
+    index = MortonIndex(emp, grid, grid.root())
+    return index, grid
+
+
+class TestIndexSize:
+    """Machine-independent guards on what the compressed index stores."""
+
+    @pytest.mark.parametrize("dim, n", [(1, 30_000), (2, 40_000), (3, 20_000)])
+    def test_at_most_two_stored_nodes_per_point(self, dim, n):
+        index, grid = benchmark_sized_index(dim, n)
+        tree = index.view(grid.root())
+        s = len(index.rows)
+        assert tree.node_count == len(index.level) <= 2 * s + 1  # the cells and the branching nodes
+        levels = int((tree.top_level - tree.node_level + 1).sum())  # one per level of every chain
+        if dim > 1:
+            assert levels > 4 * tree.node_count  # most of the tree sits on one-child chains
+        else:
+            assert levels < 1.01 * tree.node_count  # nearly every node of the d=1 tree branches
+
+    def test_build_peak_within_half_again_what_it_keeps(self):
+        # the build's temporaries are worked on in blocks, and its lists
+        # are freed as the node arrays fill, so its peak stays near what
+        # the index keeps
+        index, grid = benchmark_sized_index(2, 40_000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tree = index.view(grid.root())
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.node_count > 40_000
+        assert peak - base <= 1.5 * (kept - base), (peak - base, kept - base)
 
 
 class TestComputeD1:
@@ -428,13 +547,13 @@ class TestFitD1:
         m, v = tree.node_mass, tree.node_vol
         p = int(np.flatnonzero((m == 0.35) & (v == 1.0))[0])
         q = tree.node_count - 1  # the root, last in post-order
-        assert (m[q], v[q]) == (1.0, 8.0)
+        assert (m[q], v[q], tree.top_vol[q]) == (1.0, 8.0, 8.0)
         fit = fit_d1(tree)
         assert fit.a == (m[p] + m[q]) / (v[p] + v[q]) == math.nextafter(0.15, 1.0)
         assert float((Fraction(m[p]) + Fraction(m[q])) / (Fraction(v[p]) + Fraction(v[q]))) == 0.15
         assert (m[p] + m[q]) * (1 / (v[p] + v[q])) == m[p] / (v[p] + v[q]) + m[q] / (v[p] + v[q]) == 0.15
-        r = m - fit.a * v
-        assert r.argmax() == p and r.argmin() == q  # the two lines are the active ones
+        # the two lines are the active ones: D reads the chains' bottoms, I their tops
+        assert (m - fit.a * v).argmax() == p and (m - fit.a * tree.top_vol).argmin() == q
         assert fit.err == compute_d1(tree, fit.a)[0]
 
     def test_exact_without_a_tolerance(self):
@@ -443,7 +562,8 @@ class TestFitD1:
         with pytest.raises(TypeError):
             fit_d1(tree, 1e-6)  # the fit takes no tolerance
         fit = fit_d1(tree)
-        assert fit.err == exact_fit_minimum(tree)
+        lines = reference_lines(grid, grid.root(), reference_tree(emp, grid, grid.root()))
+        assert fit.err == exact_fit_minimum(*lines)
         assert fit.probes <= 16
 
     def test_no_worse_than_dense_scan(self, rng):
@@ -458,7 +578,8 @@ class TestFitD1:
             if tree.node_count == 0:
                 assert fit.err == 0.0
                 continue
-            dens = tree.node_mass[tree.node_vol > 0] / tree.node_vol[tree.node_vol > 0]
+            m, v, _ = reference_lines(grid, rect, reference_tree(emp, grid, rect))
+            dens = m[v > 0] / v[v > 0]
             hi = float(dens.max()) if len(dens) else 0.0
             best = np.inf
             for a in np.arange(0.0, hi + step, step / (4 * vol)):
@@ -485,7 +606,8 @@ class TestFitD1:
             rect = DyadicRect(lev, tuple(int(i) for i in rng.integers(grid.M >> lev, size=dim)))
             tree = build_tree(emp, grid, rect)
             fit = fit_d1(tree)
-            worst = max(worst, fit.err - exact_fit_minimum(tree))
+            lines = reference_lines(grid, rect, reference_tree(emp, grid, rect))
+            worst = max(worst, fit.err - exact_fit_minimum(*lines))
             assert fit.err == compute_d1(tree, fit.a)[0]
         assert worst <= 1e-12
 
@@ -502,6 +624,7 @@ class TestFitD1:
             emp, *rest = thunk.__defaults__
             grid = rest[0] if len(rest) == 2 else build_adaptive_grid(emp)
             index = MortonIndex(emp, grid, grid.root())
+            twin = reference_tree(emp, grid, grid.root())
             _, trace = thunk()
             for rect in sorted({r for rec in trace.iterations for r in rec.leaves}):
                 tree = build_tree(emp, grid, rect, index=index)
@@ -509,8 +632,9 @@ class TestFitD1:
                 assert fit.err == compute_d1(tree, fit.a)[0], (name, rect)
                 checked += 1
                 zero_width += grid.volume_of(rect) == 0
-                if tree.node_count <= 200:
-                    assert fit.err <= exact_fit_minimum(tree) + 1e-12, (name, rect)
+                lines = reference_lines(grid, rect, twin)
+                if len(lines[0]) <= 200:
+                    assert fit.err <= exact_fit_minimum(*lines) + 1e-12, (name, rect)
                     exact += 1
         assert checked > 1400 and exact > 1000 and zero_width > 0
 

@@ -26,7 +26,14 @@ from dyadhist.split import (
     renormalize,
 )
 
-from conftest import exact_fit_minimum, make_rng, random_empirical, random_hier_hist
+from conftest import (
+    exact_fit_minimum,
+    make_rng,
+    random_empirical,
+    random_hier_hist,
+    reference_lines,
+    reference_tree,
+)
 
 
 class TestGreedySplit:
@@ -297,11 +304,11 @@ def test_leaf_values_are_exact_fits():
         emp = random_empirical(make_rng(800 + seed), Domain.discrete(16, 2), 40)
         grid = GridSpec.uniform(emp.domain, 16)
         _, trace = greedy_split(emp, grid, SplitParams(k=2, xi=1.0))
+        twin = reference_tree(emp, grid, grid.root())
         for rec in trace.iterations:
             for rect, a, e in zip(rec.leaves, rec.values, rec.errors):
-                tree = build_tree(emp, grid, rect)
-                assert e <= exact_fit_minimum(tree) + 1e-12
-                assert e == compute_d1(tree, a)[0]
+                assert e <= exact_fit_minimum(*reference_lines(grid, rect, twin)) + 1e-12
+                assert e == compute_d1(build_tree(emp, grid, rect), a)[0]
 
 
 @pytest.mark.parametrize("learner", ["l1", "l2"])
