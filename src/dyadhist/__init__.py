@@ -15,7 +15,7 @@ from .core import (
     mass,
     volume,
 )
-from .ddist import DFitResult, SparseDyadicTree, brute_d1, build_tree, compute_d1, fit_d1
+from .ddist import DFitResult, SparseDyadicTree, build_tree, compute_d1, fit_d1
 from .split import (
     SplitParams,
     SplitTrace,
@@ -29,6 +29,7 @@ from .split import (
 from .theory import BudgetFormula, SampleBudget, sample_budget, strictly_greater_region, to_hierarchical
 from .oracle import (
     OracleGuard,
+    brute_d1,
     dk_distance,
     dk_distance_between,
     opt_hier_l2,

@@ -29,6 +29,7 @@ from .core import (
     l1_dist,
     l2_sq_dist,
     log2_int,
+    volume,
 )
 from .errors import OracleGuardError
 from .fileio import read_hypothesis, read_samples, write_hypothesis, write_samples
@@ -90,10 +91,7 @@ def gen_truth(k: int, domain: Domain, seed: int) -> HistHypothesis:
     masses = raw / raw.sum()
     pieces = []
     for r, ms in zip(rects, masses):
-        vol = 1.0
-        for l, h in zip(r.lo, r.hi):
-            vol *= float(h) - float(l)
-        pieces.append(Piece(r, ms / vol))
+        pieces.append(Piece(r, ms / volume(r, domain)))
     return HistHypothesis(domain=domain, pieces=tuple(pieces), kind=HistKind.ARBITRARY)
 
 
@@ -106,10 +104,7 @@ def sample_from(h: HistHypothesis, n: int, seed: int) -> EmpiricalDist:
         raise ValueError(f"hypothesis must be normalized to mass 1, has {total}")
     rng = np.random.Generator(np.random.PCG64(seed))
     disc = h.domain.is_discrete
-    masses = np.array(
-        [p.value * np.prod([float(b) - float(a) for a, b in zip(p.rect.lo, p.rect.hi)])
-         for p in h.pieces]
-    )
+    masses = np.array([p.value * volume(p.rect, h.domain) for p in h.pieces])
     cum = np.cumsum(masses)
     u = rng.random(n) * cum[-1]
     idx = np.minimum(np.searchsorted(cum, u, side="right"), len(h.pieces) - 1)

@@ -410,9 +410,10 @@ class Piece:
 class HistHypothesis:
     """Piecewise-constant density given by disjoint rectangles with values.
 
-    Every piece has the domain's dimension and lies inside it.  ARBITRARY
-    and HIERARCHICAL pieces cover the full domain; PARTIAL leaves the
-    uncovered region at value 0.  Hierarchical hypotheses carry the grid and
+    Every piece has the domain's dimension and lies inside it, and no two
+    overlap.  ARBITRARY and HIERARCHICAL pieces cover the full domain (a gap
+    is a StructureError naming a point of it); PARTIAL leaves the uncovered
+    region at value 0.  Hierarchical hypotheses carry the grid and
     the dyadic identity of every piece.
     """
 
@@ -430,8 +431,13 @@ class HistHypothesis:
             raise StructureError("dyadic ids must align with pieces")
         for p in self.pieces:
             _check_inside(p.rect, self.domain)
-        if (piece_coverage(self.domain, self.pieces)[1] > 1).any():
+        axes, counts = piece_coverage(self.domain, self.pieces)
+        if (counts > 1).any():
             raise StructureError("pieces overlap")
+        if self.kind is not HistKind.PARTIAL and not counts.all():
+            gap = np.argwhere(counts == 0)[0]
+            x = [float((axes[a][c] + axes[a][c + 1]) / 2) for a, c in enumerate(gap)]
+            raise StructureError(f"kind={self.kind.value} pieces leave the point {x} uncovered")
 
     @property
     def piece_count(self) -> int:
@@ -455,13 +461,11 @@ class HistHypothesis:
         inside = self.domain.contains_points(pts)
         if not inside.all():
             raise DomainViolationError(f"point {pts[~inside][0]} outside domain")
-        axes, counts = piece_coverage(self.domain, self.pieces)
+        axes = _overlay_axes(self.domain, self.pieces)
         cell = tuple(
             np.clip(np.searchsorted(ax, pts[:, a], side="right") - 1, 0, len(ax) - 2)
             for a, ax in enumerate(axes)
         )
-        if self.kind is not HistKind.PARTIAL and not counts[cell].all():
-            raise StructureError("point not covered by any piece of a total histogram")
         vals = _rasterize(self, axes)[cell]
         return float(vals[0]) if single else vals
 

@@ -37,13 +37,18 @@ worst, after which the best pass is kept).  Of a chain's lines the
 decreasing envelope needs only the bottom's and the increasing one only the
 top's.  The best pass gives the error too, so the fit reads no witness.
 
-Ties.  Wherever a witness is chosen among equal discrepancies or equal empty
-volumes, the least (level, lexicographic index) wins, as in ``brute_d1``.
-Morton order is not lexicographic order within a level, and a tie can sit
-inside a chain (zero-width halves repeat a volume up it), so ties are
-resolved explicitly, when ``compute_d1`` or ``empty_witness`` asks for a
-witness: the tied chains are walked upward together from the lowest level,
-and the first level that holds a tied rectangle gives the least one there.
+Ties.  ``compute_d1``'s witness is the least (level, lexicographic index)
+rectangle among the ones it reads: the tree's nodes, chains included, at
+the largest discrepancy, and the missing children of tree nodes at the
+largest empty volume (``rect`` itself when the tree is empty).  Morton order
+is not lexicographic order within a level, and a tie can sit inside a chain
+(zero-width halves repeat a volume up it), so ties are resolved explicitly,
+when ``compute_d1`` or ``empty_witness`` asks for a witness: the tied chains
+are walked upward together from the lowest level, and the first level that
+holds a tied rectangle gives the least one there.  ``oracle.brute_d1``
+scans every dyadic rectangle, so its error is the same but its witness may
+be another: zero-width halves let an empty rectangle of the largest volume
+nest inside a larger empty one, below the missing child that holds it.
 
 All node masses are integer counts divided by n exactly once, so results are
 bit-identical to a dense enumeration that aggregates the same integers.
@@ -59,7 +64,7 @@ from functools import reduce
 import numpy as np
 
 from .core import DyadicRect, EmpiricalDist, GridSpec
-from .errors import OracleGuardError, StructureError
+from .errors import StructureError
 
 
 def check_dyadic(grid: GridSpec, rect: DyadicRect) -> None:
@@ -125,15 +130,16 @@ class MortonIndex:
     ``top_level[i]``, of mass ``mass[i]``, with volumes from ``vol[i]`` up to
     the chain's top; ``empty[i]`` is the largest volume of a missing child
     on the chain (-1 when there is none).  The nodes with one-child nodes
-    above them are ``chain_at``, in order, and ``chain_top`` their chains'
-    top volumes; most nodes have none at d = 1 and on dense grids, so the
-    top volumes are kept for these alone.  ``first[p]`` counts the nodes that
-    end before point p.  The first ``view`` builds these arrays, so a caller
-    that needs only ``run`` never pays for them, and that view's
-    ``node_visits`` includes the index's.  Dyadic indices are decoded from
-    the points on demand.  ``node_visits`` counts the points placed, the
-    nodes stored, the candidate empty children of branching nodes examined
-    and the levels of one-child chains walked.
+    above them are ``chain_at``, in order, ``chain_top`` their chains' top
+    volumes and ``chain_own`` the largest volumes of their own missing
+    children, which a view clipping the chain starts from; most nodes have
+    none at d = 1 and on dense grids, so these are kept for them alone.
+    ``first[p]`` counts the nodes that end before point p.  The first
+    ``view`` builds these arrays, so a caller that needs only ``run`` never
+    pays for them, and that view's ``node_visits`` includes the index's.
+    Dyadic indices are decoded from the points on demand.  ``node_visits``
+    counts the points placed, the nodes stored, the candidate empty children
+    of branching nodes examined and the levels of one-child chains walked.
     """
 
     def __init__(self, fhat: EmpiricalDist, grid: GridSpec, root: DyadicRect):
@@ -251,6 +257,7 @@ class MortonIndex:
         self.node_visits += total
         self.chain_at = np.flatnonzero(self.top_level > self.level)
         self.chain_top = np.empty(len(self.chain_at))
+        self.chain_own = self.empty[self.chain_at]
         tops = self.top_level[self.chain_at]
         for lev in range(1, top + 1):  # the chains, by their top level
             group = np.flatnonzero(tops == lev)
@@ -293,12 +300,8 @@ class MortonIndex:
     def _child_volumes(self, lev: int, parent: np.ndarray) -> np.ndarray:
         """Volumes (one row each, children in lexicographic order) of the children of
         the level-``lev`` rectangles with these indices."""
-        cvol = np.ones((len(parent), 1 << self.grid.dim))
-        for a, b in enumerate(self.grid.axes):
-            edge = [(2 * parent[:, a] + j) << (lev - 1) for j in range(3)]
-            width = np.stack([b[edge[1]] - b[edge[0]], b[edge[2]] - b[edge[1]]], axis=1)
-            cvol *= width[:, self._bits[:, a]]
-        return cvol
+        child = (2 * parent[:, None, :] + self._bits).reshape(-1, self.grid.dim)
+        return self.grid.dyadic_volume(lev - 1, child).reshape(len(parent), -1)
 
     def _missing_max(self, lev: int, child: np.ndarray) -> tuple:
         """The largest volume of a missing child of each one-child node at ``lev``, and its child's.
@@ -335,16 +338,6 @@ class MortonIndex:
         """Which children of the level-``lev`` rectangle ``index`` hold points (repeats kept)."""
         lo, hi = self.run(DyadicRect(lev, tuple(int(i) for i in index)))
         return self._digit(self.cells[lo:hi], lev - 1)
-
-    def _own(self, node: int) -> float:
-        """The largest volume of a stored node's own missing children (-1 if none)."""
-        lev = int(self.level[node])
-        if lev == 0:
-            return -1.0
-        parent = self.cells[self.point_of(node)][None, :] >> lev
-        cvol = self._child_volumes(lev, parent)[0]
-        cvol[self._present(lev, parent[0])] = -1.0
-        return float(cvol.max())
 
     def _walk(self, nodes: np.ndarray, high: int, best: np.ndarray) -> tuple:
         """Largest missing-child volume on the chains of ``nodes``, top-down.
@@ -406,7 +399,7 @@ class MortonIndex:
         if self.top_level[stop - 1] > rect.level:  # rect sits inside the last node's chain, last in chain_at
             chain_top, empty = chain_top.copy(), empty.copy()
             chain_top[-1] = self.grid.volume_of(rect)
-            best, _, seen = self._walk(np.array([stop - 1]), rect.level, np.array([self._own(stop - 1)]))
+            best, _, seen = self._walk(np.array([stop - 1]), rect.level, self.chain_own[b - 1 : b].copy())
             empty[-1] = best[0]
             visits += seen
         return SparseDyadicTree(rect, self, nodes.start, self.level[nodes], self.mass[nodes], self.vol[nodes],
@@ -490,8 +483,7 @@ class SparseDyadicTree:
             on = (low <= lev) & (lev <= high)
             at, idx = found(lev, nodes[on], cells[on])
             if len(idx):
-                least = idx[np.lexsort(idx.T[::-1])[0]]
-                return DyadicRect(at, tuple(int(i) for i in least))
+                return DyadicRect(at, min(map(tuple, idx.tolist())))
         return None
 
     @property
@@ -521,17 +513,6 @@ class SparseDyadicTree:
             return lev - 1, 2 * parent[row] + index._bits[child]
 
         return self._least(np.flatnonzero(self.node_empty == v), found)
-
-    def disc_witness(self, a: float, err: float) -> DyadicRect:
-        """The node with least (level, index) whose discrepancy |mass - a*vol| is ``err``."""
-        m, grid = self.node_mass, self.index.grid
-
-        def found(lev, nodes, cells):
-            idx = cells >> lev
-            return lev, idx[np.abs(m[nodes] - grid.dyadic_volume(lev, idx) * a) == err]
-
-        disc = np.maximum(np.abs(m - self.node_vol * a), np.abs(m - self.top_vol * a))
-        return self._least(np.flatnonzero(disc == err), found)
 
     def densest(self) -> float:
         """The largest mass/volume over the nodes of positive volume, chains included.
@@ -576,36 +557,33 @@ def build_tree(
 def compute_d1(tree: SparseDyadicTree, a: float):
     """Max discrepancy |mass - a*vol| over dyadic sub-rectangles of ``tree.rect``.
 
-    Returns ``(err, witness)`` where the witness attains the maximum; ties
-    are broken by least (level, index).  Reads only ``tree``.  Along a chain
-    |mass - a*vol| is largest at an end, so a chain's discrepancy is the
-    larger of its bottom's and its top's: one pass over the nodes' bottom
-    volumes and one over their top volumes.
+    Returns ``(err, witness)`` where the witness attains the maximum: of
+    the tree's nodes and their missing children that do, the least by
+    (level, index), as the module docstring's "Ties" says.  Reads only
+    ``tree``.  Along a chain |mass - a*vol| is largest at an end, so a
+    chain's discrepancy is the larger of its bottom's and its top's.
     """
     if a < 0:
         raise ValueError(f"constant a must be nonnegative, got {a}")
     b2 = a * tree.max_empty_vol if tree.max_empty_vol >= 0 else -1.0  # the empty term
     if tree.node_count == 0:
         return b2, tree.empty_witness
-    m = tree.node_mass
-    low = tree.node_vol * a
-    np.subtract(m, low, out=low)
-    np.abs(low, out=low)
-    disc = tree.top_vol * a
-    np.subtract(m, disc, out=disc)
-    np.abs(disc, out=disc)
-    np.maximum(low, disc, out=disc)
-    i = int(disc.argmax())
-    b1 = float(disc[i])
+    m, grid = tree.node_mass, tree.index.grid
+    disc = np.maximum(np.abs(m - tree.node_vol * a), np.abs(m - tree.top_vol * a))
+    b1 = float(disc.max())
     if b2 > b1:
         return b2, tree.empty_witness
-    if low[i] == b1 and (i + 1 == len(disc) or disc[i + 1 :].max() < b1):
-        wit = tree.node_at(i)  # the one chain at b1, reached at its bottom
-    else:
-        wit = tree.disc_witness(a, b1)
-    if b2 == b1 and tree.empty_witness < wit:
-        return b2, tree.empty_witness
-    return b1, wit
+
+    def found(lev, nodes, cells):  # the rectangles at ``lev`` of these chains whose discrepancy is b1
+        idx = cells >> lev
+        vol = tree.node_vol[nodes]  # a chain's bottom volume is stored, the ones above it are not
+        up = np.flatnonzero(tree.node_level[nodes] < lev)
+        if len(up):
+            vol[up] = grid.dyadic_volume(lev, idx[up])
+        return lev, idx[np.abs(m[nodes] - vol * a) == b1]
+
+    wit = tree._least(np.flatnonzero(disc == b1), found)
+    return b1, min(wit, tree.empty_witness) if b2 == b1 else wit
 
 
 @dataclass(frozen=True)
@@ -707,68 +685,6 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
     return DFitResult(best_a, best_err, probes)
 
 
-_BRUTE_GUARD = 10**6  # dyadic rectangles brute_d1 may enumerate
-
-
-def brute_d1(
-    fhat: EmpiricalDist,
-    grid: GridSpec,
-    rect: DyadicRect,
-    a: float,
-):
-    """Oracle twin of compute_d1: exhaustively scan every dyadic sub-rectangle.
-
-    Dense per-level aggregation of integer counts (divided by n once), so the
-    result matches compute_d1 bit-for-bit on any instance within the guard,
-    ``_BRUTE_GUARD`` rectangles.
-    """
-    check_dyadic(grid, rect)
-    d = grid.dim
-    depth = rect.level
-    total = sum((1 << (depth - lev)) ** d for lev in range(depth + 1))
-    if total > _BRUTE_GUARD:
-        raise OracleGuardError(f"{total} dyadic rectangles exceeds guard {_BRUTE_GUARD}")
-
-    side0 = 1 << depth
-    counts = np.zeros((side0,) * d, dtype=np.int64)
-    if fhat.support_size:
-        cells = grid.cell_index(fhat.points)
-        inside = np.ones(len(cells), dtype=bool)
-        for ax in range(d):
-            inside &= (cells[:, ax] >> depth) == rect.index[ax]
-        rel = cells[inside] - (np.asarray(rect.index, dtype=np.int64) << depth)
-        np.add.at(counts, tuple(rel.T), fhat.counts[inside])
-    n = fhat.n if fhat.support_size else 1
-
-    best = (-1.0, None)
-    level_counts = counts
-    for lev in range(0, depth + 1):
-        if lev > 0:
-            shrink = level_counts
-            for ax in range(d):
-                s = shrink.shape[ax] // 2
-                shrink = shrink.reshape(
-                    shrink.shape[:ax] + (s, 2) + shrink.shape[ax + 1 :]
-                ).sum(axis=ax + 1)
-            level_counts = shrink
-        side = 1 << (depth - lev)
-        widths = []
-        for ax in range(d):
-            abs_idx = (rect.index[ax] << (depth - lev)) + np.arange(side, dtype=np.int64)
-            b = grid.axes[ax]
-            widths.append(b[(abs_idx + 1) << lev] - b[abs_idx << lev])
-        vols = reduce(np.multiply.outer, widths) if d > 1 else widths[0]
-        disc = np.abs(level_counts / n - a * vols)
-        i = int(np.argmax(disc))  # C-order ravel = lexicographic index order
-        if disc.flat[i] > best[0]:
-            rel_idx = np.unravel_index(i, disc.shape)
-            abs_idx = tuple(
-                int((rect.index[ax] << (depth - lev)) + rel_idx[ax]) for ax in range(d)
-            )
-            best = (float(disc.flat[i]), DyadicRect(lev, abs_idx))
-    return best[0], best[1]
-
-
 __all__ = [
     "MortonIndex",
     "SparseDyadicTree",
@@ -776,6 +692,5 @@ __all__ = [
     "build_tree",
     "compute_d1",
     "fit_d1",
-    "brute_d1",
     "check_dyadic",
 ]

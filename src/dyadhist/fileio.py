@@ -35,7 +35,7 @@ from typing import NoReturn
 import numpy as np
 
 from .core import Domain, EmpiricalDist, HistHypothesis, HistKind, Piece, Rect, piece_coverage
-from .errors import ConfigurationError, DomainViolationError
+from .errors import ConfigurationError, DomainViolationError, StructureError
 
 # Every byte a sample body can hold once its skipped lines are blanked.
 _BODY_BYTES = b"0123456789.,+-eE \n"
@@ -213,7 +213,9 @@ def read_hypothesis(path) -> HistHypothesis:
 
     Numbers must be finite and, on discrete domains, bounds integral; pieces
     must lie in the domain and be pairwise disjoint, and an ``arbitrary``
-    (total) file must cover the domain.  Errors name ``path:line``.
+    (total) file must cover the domain.  Errors name ``path:line``.  The
+    pieces' coverage is computed once, by ``HistHypothesis``; only when it
+    raises are the pieces searched for the line an overlap is on.
     """
     raw, domain, kv = _read(path)
     kind = HistKind.PARTIAL if kv.get("kind") == "partial" else HistKind.ARBITRARY
@@ -245,21 +247,16 @@ def read_hypothesis(path) -> HistHypothesis:
         lines.append(ln)
     if not pieces:
         raise ConfigurationError(f"{path}: no pieces")
-    axes, counts = piece_coverage(domain, pieces)
-
-    def center(cell) -> np.ndarray:
-        return np.array([[(axes[a][c] + axes[a][c + 1]) / 2 for a, c in enumerate(cell)]])
-
-    overlaps = np.argwhere(counts > 1)
-    if len(overlaps):
-        x = center(overlaps[0])
+    try:
+        return HistHypothesis(domain=domain, pieces=tuple(pieces), kind=kind)
+    except StructureError as exc:  # pieces overlap, or a total file leaves a gap
+        axes, counts = piece_coverage(domain, pieces)
+        overlaps = np.argwhere(counts > 1)
+        if not len(overlaps):
+            raise ConfigurationError(f"{path}:1: {exc}") from None
+        x = np.array([[(axes[a][c] + axes[a][c + 1]) / 2 for a, c in enumerate(overlaps[0])]])
         hits = [ln for p, ln in zip(pieces, lines) if p.rect.contains_points(x, domain)[0]]
-        raise ConfigurationError(f"{path}:{hits[1]}: piece overlaps the piece on line {hits[0]}")
-    gaps = np.argwhere(counts == 0)
-    if kind is HistKind.ARBITRARY and len(gaps):
-        x = center(gaps[0])[0].tolist()
-        raise ConfigurationError(f"{path}:1: kind=arbitrary pieces leave the point {x} uncovered")
-    return HistHypothesis(domain=domain, pieces=tuple(pieces), kind=kind)
+        raise ConfigurationError(f"{path}:{hits[1]}: piece overlaps the piece on line {hits[0]}") from None
 
 
 __all__ = [

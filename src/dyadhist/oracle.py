@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .core import (
     HistKind,
     Piece,
 )
+from .ddist import check_dyadic
 from .errors import OracleGuardError
 
 
@@ -54,16 +56,22 @@ def all_dyadic_rects(grid: GridSpec, guard: OracleGuard = DEFAULT_GUARD) -> list
     return out
 
 
+def _cell_counts(fhat: EmpiricalDist, grid: GridSpec, rect: DyadicRect) -> np.ndarray:
+    """Sample count of every level-0 cell of ``rect``, shape (2^level,)*d."""
+    counts = np.zeros((1 << rect.level,) * grid.dim, dtype=np.int64)
+    if fhat.support_size:
+        cells = grid.cell_index(fhat.points)
+        inside = ((cells >> rect.level) == np.asarray(rect.index)).all(axis=1)
+        rel = cells[inside] - (np.asarray(rect.index, dtype=np.int64) << rect.level)
+        np.add.at(counts, tuple(rel.T), fhat.counts[inside])
+    return counts
+
+
 def cell_masses(g, grid: GridSpec) -> np.ndarray:
     """Mass of ``g`` on every level-0 cell, shape (M,)*d."""
-    shape = (grid.M,) * grid.dim
     if isinstance(g, EmpiricalDist):
-        counts = np.zeros(shape, dtype=np.int64)
-        if g.support_size:
-            cells = grid.cell_index(g.points)
-            np.add.at(counts, tuple(cells.T), g.counts)
-        return counts / (g.n if g.support_size else 1)
-    out = np.zeros(shape)
+        return _cell_counts(g, grid, grid.root()) / (g.n if g.support_size else 1)
+    out = np.zeros((grid.M,) * grid.dim)
     for p in g.pieces:
         factors = []
         for a in range(grid.dim):
@@ -296,10 +304,7 @@ def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     rects = all_dyadic_rects(grid, guard)
-    counts = np.zeros((grid.M,) * grid.dim, dtype=np.int64)
-    if fhat.support_size:
-        np.add.at(counts, tuple(grid.cell_index(fhat.points).T), fhat.counts)
-    sums = _level_sums(counts, grid.levels)
+    sums = _level_sums(_cell_counts(fhat, grid, grid.root()), grid.levels)
     n = fhat.n if fhat.support_size else 1
 
     rect_count = np.array([int(sums[r.level][r.index]) for r in rects], dtype=np.int64)
@@ -383,10 +388,48 @@ def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int,
     return best
 
 
+# ---------------------------------------------------------------------------
+# Max dyadic discrepancy against a constant
+# ---------------------------------------------------------------------------
+
+_BRUTE_GUARD = 10**6  # dyadic rectangles brute_d1 may enumerate
+
+
+def brute_d1(fhat: EmpiricalDist, grid: GridSpec, rect: DyadicRect, a: float):
+    """Exhaustive twin of ``ddist.compute_d1``: scan every dyadic sub-rectangle of ``rect``.
+
+    Returns ``(err, witness)``, the witness being the least (level, index)
+    rectangle at the maximum.  The integer counts are aggregated per level
+    and divided by n once, so ``err`` matches ``compute_d1`` bit for bit on
+    any instance within the guard, ``_BRUTE_GUARD`` rectangles.  The witness
+    may differ: ``compute_d1`` takes the least among tree nodes and their
+    missing children, and zero-width halves let an empty rectangle of the
+    largest volume nest inside a larger empty one.
+    """
+    check_dyadic(grid, rect)
+    d, depth = grid.dim, rect.level
+    total = sum((1 << (depth - lev)) ** d for lev in range(depth + 1))
+    if total > _BRUTE_GUARD:
+        raise OracleGuardError(f"{total} dyadic rectangles exceeds guard {_BRUTE_GUARD}")
+    n = fhat.n if fhat.support_size else 1
+    best = (-1.0, None)
+    for lev, level_counts in _level_sums(_cell_counts(fhat, grid, rect), depth).items():
+        offset = [(i << (depth - lev)) + np.arange(1 << (depth - lev), dtype=np.int64) for i in rect.index]
+        widths = [b[(i + 1) << lev] - b[i << lev] for b, i in zip(grid.axes, offset)]
+        vols = reduce(np.multiply.outer, widths)
+        disc = np.abs(level_counts / n - a * vols)
+        i = int(np.argmax(disc))  # C-order ravel = lexicographic index order
+        if disc.flat[i] > best[0]:
+            index = tuple(int(o[j]) for o, j in zip(offset, np.unravel_index(i, disc.shape)))
+            best = (float(disc.flat[i]), DyadicRect(lev, index))
+    return best
+
+
 __all__ = [
     "OracleGuard",
     "DEFAULT_GUARD",
     "all_dyadic_rects",
+    "brute_d1",
     "cell_masses",
     "dk_distance",
     "dk_distance_between",

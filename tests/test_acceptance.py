@@ -15,8 +15,8 @@ import pytest
 
 import dyadhist as dh
 from dyadhist.core import Domain, EmpiricalDist, GridSpec, l1_dist, l2_sq_dist
-from dyadhist.ddist import brute_d1, build_tree, compute_d1, fit_d1
-from dyadhist.oracle import dk_distance_between, opt_hier_l2, opt_partial_hier_dk
+from dyadhist.ddist import build_tree, compute_d1, fit_d1
+from dyadhist.oracle import brute_d1, dk_distance_between, opt_hier_l2, opt_partial_hier_dk
 from dyadhist.split import SplitParams, adaptive_greedy_split, greedy_split, greedy_split_l2
 from dyadhist.theory import BudgetFormula, sample_budget, strictly_greater_region
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dyadhist.core import (
     Domain,
+    DyadicRect,
     EmpiricalDist,
     GridSpec,
     HistHypothesis,
@@ -262,11 +263,13 @@ class TestEval:
 
     def test_uncovered_point_of_total_histogram_rejected(self):
         d = Domain.unit(1)
-        h = HistHypothesis(d, (Piece(Rect((0.0,), (0.5,)), 2.0),), HistKind.ARBITRARY)
-        assert h.value_at([0.25]) == 2.0
-        for bad in ([0.75], [[0.25], [0.5]]):
-            with pytest.raises(StructureError):
-                h.value_at(bad)
+        # the constructor names the centre of the first uncovered overlay cell
+        with pytest.raises(StructureError, match=r"^kind=arbitrary pieces leave the point \[0\.75\] uncovered$"):
+            HistHypothesis(d, (Piece(Rect((0.0,), (0.5,)), 2.0),), HistKind.ARBITRARY)
+        grid = GridSpec.uniform(Domain.discrete(4, 2), 4)
+        corner = DyadicRect(1, (0, 0))  # the cells [1, 3) x [1, 3)
+        with pytest.raises(StructureError, match=r"^kind=hierarchical .* point \[2\.0, 4\.0\] uncovered$"):
+            HistHypothesis(grid.domain, (Piece(grid.rect_of(corner), 1.0),), HistKind.HIERARCHICAL, grid, (corner,))
 
     def test_overlapping_pieces_rejected(self):
         d = Domain.unit(1)

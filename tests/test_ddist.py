@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from dyadhist import gen_truth, sample_from
 from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec
-from dyadhist.ddist import MortonIndex, brute_d1, build_tree, compute_d1, fit_d1
+from dyadhist.ddist import MortonIndex, build_tree, compute_d1, fit_d1
 from dyadhist.errors import OracleGuardError, StructureError
 
-from dyadhist.oracle import all_dyadic_rects
+from dyadhist.oracle import all_dyadic_rects, brute_d1
 from dyadhist.split import build_adaptive_grid
 
 from conftest import (

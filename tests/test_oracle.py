@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec, l1_dist
-from dyadhist.ddist import brute_d1
 from dyadhist.errors import OracleGuardError
 from dyadhist.oracle import (
     OracleGuard,
     all_dyadic_rects,
+    brute_d1,
     cell_masses,
     dk_distance,
     dk_distance_between,
