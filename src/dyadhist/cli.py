@@ -48,6 +48,10 @@ from .split import (
 # Synthetic ground truth and sampling
 # ---------------------------------------------------------------------------
 
+# Rows ``sample_from`` draws per block.
+_DRAW_ROWS = 1 << 16
+
+
 def gen_truth(k: int, domain: Domain, seed: int) -> HistHypothesis:
     """Random k-piece axis-aligned partition with values normalized to mass 1.
 
@@ -96,7 +100,14 @@ def gen_truth(k: int, domain: Domain, seed: int) -> HistHypothesis:
 
 
 def sample_from(h: HistHypothesis, n: int, seed: int) -> EmpiricalDist:
-    """Inverse-CDF sampling: pick a piece by mass, then uniform within it."""
+    """Inverse-CDF sampling: pick a piece by mass, then uniform within it.
+
+    All n piece choices are drawn before any offset.  Both are drawn in
+    blocks of ``_DRAW_ROWS`` rows, and the offsets are written into one
+    (n, d) array, so the temporaries stay bounded.  Split ``random`` calls
+    continue one PCG64 stream, so the blocks give bit for bit the points of
+    drawing all n choices and then all n x d offsets in one call each.
+    """
     if n < 1:
         raise ValueError("sample count must be >= 1")
     total = h.total_mass()
@@ -106,16 +117,25 @@ def sample_from(h: HistHypothesis, n: int, seed: int) -> EmpiricalDist:
     disc = h.domain.is_discrete
     masses = np.array([p.value * volume(p.rect, h.domain) for p in h.pieces])
     cum = np.cumsum(masses)
-    u = rng.random(n) * cum[-1]
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(h.pieces) - 1)
-    lo = np.array([p.rect.lo for p in h.pieces], dtype=np.float64)[idx]
-    hi = np.array([p.rect.hi for p in h.pieces], dtype=np.float64)[idx]
-    frac = rng.random((n, h.domain.dim))
-    if disc:
-        pts = (lo + np.floor(frac * (hi - lo))).astype(np.int64)
-        pts = np.minimum(pts, hi.astype(np.int64) - 1)
-    else:
-        pts = lo + frac * (hi - lo)
+    last = len(h.pieces) - 1
+    piece = np.empty(n, dtype=np.min_scalar_type(len(h.pieces)))
+    for start in range(0, n, _DRAW_ROWS):
+        u = rng.random(min(_DRAW_ROWS, n - start)) * cum[-1]
+        piece[start : start + _DRAW_ROWS] = np.minimum(np.searchsorted(cum, u, side="right"), last)
+    lo = np.array([p.rect.lo for p in h.pieces], dtype=np.float64)
+    hi = np.array([p.rect.hi for p in h.pieces], dtype=np.float64)
+    width, top = hi - lo, hi.astype(np.int64) - 1
+    pts = np.empty((n, h.domain.dim), dtype=np.int64 if disc else np.float64)
+    for start in range(0, n, _DRAW_ROWS):
+        idx = piece[start : start + _DRAW_ROWS]
+        off = rng.random((len(idx), h.domain.dim)) * width[idx]
+        if disc:
+            np.floor(off, out=off)
+        off += lo[idx]
+        block = pts[start : start + _DRAW_ROWS]
+        block[...] = off
+        if disc:
+            np.minimum(block, top[idx], out=block)
     return EmpiricalDist.from_samples(h.domain, pts)
 
 

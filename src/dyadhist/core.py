@@ -293,6 +293,10 @@ class GridSpec:
 # Empirical distributions
 # ---------------------------------------------------------------------------
 
+# Rows ``_count_lattice`` checks and ranks per block.
+_COUNT_ROWS = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalDist:
     """Weighted multiset of sample points with total mass 1.
@@ -336,11 +340,13 @@ class EmpiricalDist:
         lattice = _count_lattice(domain, samples)
         if lattice is not None:
             return EmpiricalDist(domain, *lattice)
-        if samples.dtype.kind == "f":
-            samples = samples + 0  # -0.0 -> 0.0: the row kept for equal rows is then unique
-        rows = samples[np.lexsort(samples.T[::-1])]
+        rows = samples.take(np.lexsort(samples.T[::-1]), axis=0)
+        if rows.dtype.kind == "f":
+            rows += 0  # -0.0 -> 0.0: the row kept for equal rows is then unique
         first = np.ones(len(rows), dtype=bool)
         first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        if first.all():
+            return EmpiricalDist(domain, rows, np.ones(len(rows), dtype=np.int64))
         starts = np.flatnonzero(first)
         return EmpiricalDist(domain, rows[starts], np.diff(starts, append=len(rows)))
 
@@ -364,26 +370,41 @@ def _count_lattice(domain: Domain, samples: np.ndarray):
 
     Each row is keyed by its C-order rank in {1..m}^d, so the keys sort the
     rows lexicographically, as ``from_samples``' general path does.  The
-    keys are counted with one ``bincount`` when there are no more cells
-    than twice the samples, else with ``unique``.  None when the domain is
-    not discrete, a key would not fit in 63 bits, or some row is not a
-    lattice point of the domain (the general path then keeps the error).
+    rows are checked and ranked in blocks of ``_COUNT_ROWS`` rows, so the
+    temporaries stay bounded.  When there are no more cells than twice the
+    samples, each block's keys are counted by a ``bincount`` added into one
+    count array (the blocks then hold at least as many rows as there are
+    cells, so a block's count costs no more than its rows); else the keys are
+    gathered and counted with ``unique``.  None when the domain is not
+    discrete, a key would not fit in 63 bits, or some row is not a lattice
+    point of the domain (the general path then keeps the error).
     """
     m, d = domain.m, domain.dim
     if m is None or samples.shape[1] != d or m**d >= 1 << 63 or samples.dtype.kind not in "iuf":
         return None
-    if not ((samples >= 1) & (samples <= m)).all():
-        return None
-    if samples.dtype.kind == "f" and not (samples == np.floor(samples)).all():
-        return None
-    key = np.ravel_multi_index(tuple((samples.astype(np.int64) - 1).T), (m,) * d)
-    if m**d <= 2 * len(key):
-        counts = np.bincount(key, minlength=m**d)
-        key = np.flatnonzero(counts)
-        counts = counts[key]
+    n, cells, shape = len(samples), m**d, (m,) * d
+    dense = cells <= 2 * n
+    if dense:
+        counts, step = np.zeros(cells, dtype=np.int64), max(_COUNT_ROWS, cells)
     else:
-        key, counts = np.unique(key, return_counts=True)
-    return np.stack(np.unravel_index(key, (m,) * d), axis=1) + 1, counts
+        keys, step = np.empty(n, dtype=np.int64), _COUNT_ROWS
+    for start in range(0, n, step):
+        block = samples[start : start + step]
+        if not ((block >= 1) & (block <= m)).all():
+            return None
+        if block.dtype.kind == "f" and not (block == np.floor(block)).all():
+            return None
+        key = np.ravel_multi_index(tuple((block.astype(np.int64) - 1).T), shape)
+        if dense:
+            counts += np.bincount(key, minlength=cells)
+        else:
+            keys[start : start + step] = key
+    if dense:
+        keys = np.flatnonzero(counts)
+        counts = counts[keys]
+    else:
+        keys, counts = np.unique(keys, return_counts=True)
+    return np.stack(np.unravel_index(keys, shape), axis=1) + 1, counts
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dyadhist.core import (
     HistHypothesis,
     HistKind,
     Piece,
+    volume,
 )
 from dyadhist.oracle import all_dyadic_rects
 
@@ -238,6 +239,24 @@ def lattice_points(rect, domain: Domain) -> int:
     for _ in itertools.product(*ranges):
         total += 1
     return total
+
+
+def one_shot_sample_from(h: HistHypothesis, n: int, seed: int) -> EmpiricalDist:
+    """``cli.sample_from`` drawing all n piece choices, then all n x d offsets, in one call each."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    masses = np.array([p.value * volume(p.rect, h.domain) for p in h.pieces])
+    cum = np.cumsum(masses)
+    u = rng.random(n) * cum[-1]
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(h.pieces) - 1)
+    lo = np.array([p.rect.lo for p in h.pieces], dtype=np.float64)[idx]
+    hi = np.array([p.rect.hi for p in h.pieces], dtype=np.float64)[idx]
+    frac = rng.random((n, h.domain.dim))
+    if h.domain.is_discrete:
+        pts = (lo + np.floor(frac * (hi - lo))).astype(np.int64)
+        pts = np.minimum(pts, hi.astype(np.int64) - 1)
+    else:
+        pts = lo + frac * (hi - lo)
+    return EmpiricalDist.from_samples(h.domain, pts)
 
 
 @pytest.fixture

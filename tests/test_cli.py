@@ -14,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadhist.cli import LearnReport, RunConfig, gen_truth, main, run_learn, sample_from
-from dyadhist import fileio
+from dyadhist import cli, fileio
 from dyadhist.core import Domain, EmpiricalDist, HistKind, l1_dist, mass, volume
 from dyadhist.errors import ConfigurationError, DomainViolationError
 from dyadhist.fileio import fmt_num, read_hypothesis, read_samples, write_hypothesis, write_samples
 
-from conftest import make_rng
+from conftest import make_rng, one_shot_sample_from
 
 
 def grammar_twin(path):
@@ -373,6 +373,32 @@ class TestSampleFrom:
         b = sample_from(h, 200, seed=7)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, cli._DRAW_ROWS])
+    @pytest.mark.parametrize("m", [None, 9])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blocks_match_one_shot_twin(self, block, m, dim, monkeypatch):
+        domain = Domain.unit(dim) if m is None else Domain.discrete(m, dim)
+        h = gen_truth(4, domain, seed=dim)
+        monkeypatch.setattr(cli, "_DRAW_ROWS", block)
+        for n in sorted({1, block - 1, block, block + 1, 3 * block + 2} - {0}):
+            got, want = sample_from(h, n, seed=n), one_shot_sample_from(h, n, seed=n)
+            assert got.points.dtype == want.points.dtype and got.counts.dtype == want.counts.dtype
+            assert np.array_equal(got.points, want.points) and np.array_equal(got.counts, want.counts)
+
+    def test_peak_within_half_again_the_points(self):
+        # the offsets are drawn in blocks straight into the one (n, d) point
+        # array, and the lattice count ranks it in blocks
+        h, n = gen_truth(5, Domain.discrete(256, 2), seed=11), 1_000_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            emp = sample_from(h, n, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert emp.n == n
+        assert peak <= 1.5 * n * 2 * 8, peak
 
     def test_piece_frequencies_within_4_sigma(self):
         h = gen_truth(4, Domain.unit(2), seed=8)

@@ -2,6 +2,7 @@
 
 import itertools
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadhist import core
 from dyadhist.core import (
     Domain,
     DyadicRect,
@@ -471,17 +473,62 @@ class TestEmpiricalDist:
         dim = data.draw(st.integers(1, 3))
         if data.draw(st.booleans()):
             domain, coord = Domain.discrete(5, dim), st.integers(1, 5)
+            dtype = data.draw(st.sampled_from([np.int64, np.float64]))  # integral floats count as lattice points
         else:
             pool = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
-            domain, coord = Domain.unit(dim), st.one_of(pool, st.floats(0.0, 1.0))
+            domain, coord, dtype = Domain.unit(dim), st.one_of(pool, st.floats(0.0, 1.0)), np.float64
         rows = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=40))
-        samples = np.array(rows, dtype=np.int64 if domain.is_discrete else np.float64)
-        emp = EmpiricalDist.from_samples(domain, samples)
+        samples = np.array(rows, dtype=dtype)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_COUNT_ROWS", data.draw(st.sampled_from([1, 2, 5, core._COUNT_ROWS])))
+            emp = EmpiricalDist.from_samples(domain, samples)
         uniq, counts = np.unique(samples, axis=0, return_counts=True)
+        if domain.is_discrete:
+            uniq = uniq.astype(np.int64)
         assert emp.points.dtype == uniq.dtype and emp.counts.tolist() == counts.tolist()
         # np.unique keeps either zero of a tied pair; from_samples keeps +0.0
         assert emp.points.tobytes() == (uniq + 0).tobytes()
         assert not np.signbit(emp.points).any()
+
+    @pytest.mark.parametrize("dim", [2, 3])  # 25 cells: bincount blocks of 25 rows; 125 cells: unique
+    @pytest.mark.parametrize("bad, message", [(0.0, "outside domain"), (6.0, "outside domain"), (2.5, "non-integral")])
+    def test_late_non_lattice_row_takes_the_general_path(self, dim, bad, message, monkeypatch):
+        # every block before the last is ranked before the bad row is seen
+        ranked, rank = [], np.ravel_multi_index
+        monkeypatch.setattr(core, "_COUNT_ROWS", 2)
+        monkeypatch.setattr(np, "ravel_multi_index", lambda *a, **k: ranked.append(len(a[0][0])) or rank(*a, **k))
+        samples = make_rng(dim).integers(1, 6, size=(40, dim)).astype(np.float64)
+        samples[-1, -1] = bad
+        with pytest.raises(DomainViolationError, match=message):
+            EmpiricalDist.from_samples(Domain.discrete(5, dim), samples)
+        assert sum(ranked) == (25 if dim == 2 else 38)
+
+    def test_sparse_lattice_counts_with_unique(self, monkeypatch):
+        calls, unique = [], np.unique
+        monkeypatch.setattr(core, "_COUNT_ROWS", 3)
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(len(a[0])) or unique(*a, **k))
+        rng = make_rng(4)
+        for m, dim, n in [(8, 2, 31), (3, 3, 13), (4, 2, 8)]:  # 64 > 62 and 27 > 26 cells: unique; 16 cells: bincount
+            samples = rng.integers(1, m + 1, size=(n, dim))
+            emp = EmpiricalDist.from_samples(Domain.discrete(m, dim), samples)
+            uniq, counts = unique(samples, axis=0, return_counts=True)
+            assert np.array_equal(emp.points, uniq) and np.array_equal(emp.counts, counts)
+        assert calls == [31, 13]
+
+    def test_from_samples_peak_within_three_and_a_half_inputs(self):
+        # on distinct rows the general path keeps one sorted copy, a
+        # count of ones and the dist's own copy of the points
+        samples = make_rng(5).random((300_000, 1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            emp = EmpiricalDist.from_samples(Domain.unit(1), samples)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert emp.support_size == 300_000 and emp.counts.tolist() == [1] * 300_000
+        assert np.array_equal(emp.points, np.sort(samples, axis=0))
+        assert peak <= 3.5 * samples.nbytes, peak
 
 
 class TestGridSpec:
