@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 validation error, 3 oracle/guard overflow.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -156,23 +155,25 @@ class RunConfig:
     report_path: str | None = None
     truth_path: str | None = None
 
+    @property
+    def fixed_grid(self) -> bool:
+        """Whether the run learns on a fixed grid; the l2 learner always does."""
+        return self.metric == "l2" or self.grid_mode == "fixed"
+
     def validate(self) -> None:
         if self.metric not in {"l1", "l2"}:
             raise ValueError(f"metric must be l1 or l2, got {self.metric}")
         if self.grid_mode not in {"adaptive", "fixed"}:
             raise ValueError(f"grid must be adaptive or fixed, got {self.grid_mode}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0 < self.xi < math.inf:
-            raise ValueError(f"xi must be positive and finite, got {self.xi}")
-        if self.m is not None and self.metric == "l1" and self.grid_mode == "adaptive":
+        SplitParams(k=self.k, xi=self.xi)
+        if self.m is not None and not self.fixed_grid:
             raise ValueError("--m sets the cells of a fixed grid; the adaptive l1 grid takes none")
 
     def echo(self) -> list:
         items = [
             ("input", self.input_path),
             ("metric", self.metric),
-            ("grid", self.grid_mode),
+            ("grid", "fixed" if self.fixed_grid else "adaptive"),
             ("k", str(self.k)),
             ("xi", f"{self.xi:.12g}"),
             ("m", "none" if self.m is None else str(self.m)),
@@ -217,7 +218,7 @@ class LearnReport:
 
 
 def _make_grid(cfg: RunConfig, emp: EmpiricalDist) -> GridSpec:
-    if cfg.metric == "l2" or cfg.grid_mode == "fixed":
+    if cfg.fixed_grid:
         if emp.domain.is_discrete:
             m = cfg.m if cfg.m is not None else emp.domain.m
             if m != emp.domain.m:

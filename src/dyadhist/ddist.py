@@ -464,11 +464,6 @@ class SparseDyadicTree:
         cells = self.index.cells.take(self.index.point_of(nodes), axis=0)
         return cells >> self.node_level[:, None].astype(np.int64)
 
-    def node_at(self, i: int) -> DyadicRect:
-        lev = int(self.node_level[i])
-        point = int(self.index.point_of(self.start + i))
-        return DyadicRect(lev, tuple(c >> lev for c in self.index.cells[point].tolist()))
-
     def _least(self, nodes: np.ndarray, found) -> DyadicRect | None:
         """The least (level, index) rectangle ``found`` names on the chains of ``nodes``.
 

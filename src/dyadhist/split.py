@@ -16,14 +16,16 @@ split and has positive score into its 2^d children.
 
 Each leaf is scored once, when made: the root before the first round and
 each child when its parent splits.  An unsplit leaf's score cannot change,
-so results are identical to rescoring every round.  Everything is
-deterministic: ties in "largest e_R" break by (e desc, level desc, index asc).
+so results are identical to rescoring every round.  The trace keeps each
+score once, in ``SplitTrace.scores``, and per round only the chosen and
+split leaves.  Everything is deterministic: ties in "largest e_R" break by
+(e desc, level desc, index asc).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,28 +67,39 @@ def piece_bound(k: int, xi: float, dim: int, levels: int) -> int:
 @dataclass
 class IterationRecord:
     iteration: int
-    leaves: list
-    values: list
-    errors: list
     chosen: list
     split: list
 
 
+def _name(r) -> str:
+    return f"{r.level}:{','.join(map(str, r.index))}"
+
+
 @dataclass
 class SplitTrace:
-    """Per-iteration record of leaves, scores, the chosen set and actual splits."""
+    """The scored tree and each round's choices.
 
+    ``scores`` holds each scored rect's ``(a, err)``: the root first, then
+    each split's children in order.
+    """
+
+    scores: dict = field(default_factory=dict)
     iterations: list = field(default_factory=list)
 
     def to_text(self) -> str:
-        """Canonical serialization; byte-equal traces mean identical runs."""
+        """Canonical serialization, replayed from the root; byte-equal traces mean identical runs."""
+        leaves = {next(iter(self.scores))} if self.scores else set()
         out = []
         for rec in self.iterations:
             out.append(f"iteration {rec.iteration}")
-            for r, a, e in zip(rec.leaves, rec.values, rec.errors):
-                out.append(f"  leaf {r.level}:{','.join(map(str, r.index))} a={a!r} e={e!r}")
-            out.append("  chosen " + " ".join(f"{r.level}:{','.join(map(str, r.index))}" for r in rec.chosen))
-            out.append("  split " + " ".join(f"{r.level}:{','.join(map(str, r.index))}" for r in rec.split))
+            for r in sorted(leaves):
+                a, e = self.scores[r]
+                out.append(f"  leaf {_name(r)} a={a!r} e={e!r}")
+            out.append("  chosen " + " ".join(map(_name, rec.chosen)))
+            out.append("  split " + " ".join(map(_name, rec.split)))
+            for r in rec.split:
+                leaves.remove(r)
+                leaves.update(r.children())
         return "\n".join(out) + "\n"
 
 
@@ -95,28 +108,17 @@ def _run_split_loop(grid, params, score):
     n_split = math.ceil((1.0 + params.xi) * params.k)
 
     root = grid.root()
-    leaves = {root: score(root)}  # rect -> (a, err)
-    trace = SplitTrace()
+    trace = SplitTrace({root: score(root)})
+    leaves = dict(trace.scores)  # the current leaves: rect -> (a, err)
 
     for it in range(1, grid.levels + 1):
-        order = sorted(leaves, key=lambda r: (-leaves[r][1], -r.level, r.index))
-        chosen = order[:n_split]
+        chosen = sorted(leaves, key=lambda r: (-leaves[r][1], -r.level, r.index))[:n_split]
         to_split = [r for r in chosen if r.level > 0 and leaves[r][1] > 0.0]
-        snapshot = sorted(leaves)
-        trace.iterations.append(
-            IterationRecord(
-                iteration=it,
-                leaves=snapshot,
-                values=[leaves[r][0] for r in snapshot],
-                errors=[leaves[r][1] for r in snapshot],
-                chosen=list(chosen),
-                split=list(to_split),
-            )
-        )
+        trace.iterations.append(IterationRecord(it, chosen, to_split))
         for rect in to_split:
             del leaves[rect]
             for ch in rect.children():
-                leaves[ch] = score(ch)
+                leaves[ch] = trace.scores[ch] = score(ch)
 
     bound = piece_bound(params.k, params.xi, grid.dim, grid.levels)
     assert len(leaves) <= bound, f"{len(leaves)} leaves exceed bound {bound}"
@@ -231,14 +233,7 @@ def renormalize(h: HistHypothesis) -> HistHypothesis:
     if total <= 0:
         raise DegenerateRegionError("cannot renormalize a zero-mass hypothesis")
     scale = 1.0 / total
-    pieces = tuple(Piece(p.rect, p.value * scale) for p in h.pieces)
-    return HistHypothesis(
-        domain=h.domain,
-        pieces=pieces,
-        kind=h.kind,
-        grid=h.grid,
-        dyadic=h.dyadic,
-    )
+    return replace(h, pieces=tuple(Piece(p.rect, p.value * scale) for p in h.pieces))
 
 
 __all__ = [

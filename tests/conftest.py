@@ -219,14 +219,23 @@ def exact_fit_minimum(m, v, ev) -> float:
     cand = [np.zeros(1), ((mm[:, None] + mm) / (vv[:, None] + vv)).ravel()]
     if ev > 0:
         cand.append(mm / (vv + ev))
-    cand = np.unique(np.concatenate(cand))
-    best = np.inf
-    for chunk in np.array_split(cand, 1 + len(cand) * len(m) // (1 << 20)):
+    return float(fit_objective(m, v, ev, np.unique(np.concatenate(cand))).min())
+
+
+def fit_objective(m, v, ev, a) -> np.ndarray:
+    """The fit objective max(|m_i - a v_i|, a*ev) at each constant in ``a``.
+
+    ``m``, ``v`` and ``ev`` are as ``reference_lines`` gives them (ev < 0:
+    no empty term).  The rounding is that of ``compute_d1``.  The constants
+    are taken in chunks, so the temporaries stay near 2^20 floats.
+    """
+    out = np.empty(len(a))
+    step = max(1, (1 << 20) // max(1, len(m)))
+    for lo in range(0, len(a), step):
+        chunk = a[lo : lo + step]
         f = np.abs(m - np.multiply.outer(chunk, v)).max(axis=1, initial=0.0)
-        if ev >= 0:
-            f = np.maximum(f, chunk * ev)
-        best = min(best, float(f.min()))
-    return best
+        out[lo : lo + step] = np.maximum(f, chunk * ev) if ev >= 0 else f
+    return out
 
 
 def lattice_points(rect, domain: Domain) -> int:

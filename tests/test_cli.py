@@ -521,6 +521,28 @@ class TestCommandLine:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,grid",
+        [
+            (["--metric", "l2"], "fixed"),
+            (["--metric", "l2", "--grid", "adaptive"], "fixed"),
+            (["--metric", "l1", "--grid", "fixed"], "fixed"),
+            (["--metric", "l1"], "adaptive"),
+        ],
+    )
+    def test_report_echoes_the_grid_used(self, tmp_path, capsys, args, grid):
+        # the l2 learner always runs on the fixed grid
+        truth, samples = tmp_path / "t.hist", tmp_path / "s.txt"
+        assert main(["gen", "--k", "3", "--dim", "1", "--domain", "discrete", "--m", "16",
+                     "--seed", "1", "--out", str(truth)]) == 0
+        assert main(["sample", "--in", str(truth), "--n", "200", "--seed", "2", "--out", str(samples)]) == 0
+        capsys.readouterr()
+        assert main(["learn", "--in", str(samples), "--k", "2"] + args) == 0
+        report = capsys.readouterr().out
+        assert f"config.grid: {grid}\n" in report
+        if grid == "fixed":
+            assert "grid.M: 16\ngrid.levels: 4\ngrid.padded_cells: 0\n" in report
+
     def test_guard_overflow_exit_3(self, tmp_path):
         truth = tmp_path / "t.hist"
         samples = tmp_path / "s.txt"
@@ -585,6 +607,8 @@ class TestCommandLine:
         [
             (["--xi", "inf"], "xi must be positive and finite, got inf"),
             (["--xi", "nan"], "xi must be positive and finite, got nan"),
+            (["--xi", "0"], "xi must be positive and finite, got 0.0"),
+            (["--k", "0"], "k must be >= 1, got 0"),
             (["--m", "16"], "--m sets the cells of a fixed grid; the adaptive l1 grid takes none"),
         ],
     )

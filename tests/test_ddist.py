@@ -20,6 +20,7 @@ from dyadhist.split import build_adaptive_grid
 
 from conftest import (
     exact_fit_minimum,
+    fit_objective,
     make_rng,
     random_empirical,
     random_grid,
@@ -262,7 +263,6 @@ class TestMortonIndex:
                 want_empty = [chain_empty(grid, nodes, rects) for rects, _ in expanded]
                 assert tree.node_empty.tolist() == want_empty, r
                 assert (tree.max_empty_vol, tree.empty_witness) == (best or (-1.0, None)), r
-                assert tree.node_level.tolist() == [tree.node_at(i).level for i in range(tree.node_count)]
                 if tree.node_count:
                     assert expanded[-1][0][-1] == r  # post-order: the chain that r sits in is last
             if view.node_count:
@@ -567,25 +567,47 @@ class TestFitD1:
         assert fit.probes <= 16
 
     def test_no_worse_than_dense_scan(self, rng):
+        # the twin's objective over a dense grid of constants, in one numpy
+        # pass; compute_d1 gives the same value bit for bit on a sample of them
         step = 1e-4
         for trial in range(12):
             emp, grid, rect, _ = random_instance(rng, trial)
             vol = grid.volume_of(rect)
             if vol <= 0:
                 continue
-            fit = fit_d1(build_tree(emp, grid, rect))
             tree = build_tree(emp, grid, rect)
+            fit = fit_d1(tree)
             if tree.node_count == 0:
                 assert fit.err == 0.0
                 continue
-            m, v, _ = reference_lines(grid, rect, reference_tree(emp, grid, rect))
+            m, v, ev = reference_lines(grid, rect, reference_tree(emp, grid, rect))
             dens = m[v > 0] / v[v > 0]
             hi = float(dens.max()) if len(dens) else 0.0
-            best = np.inf
-            for a in np.arange(0.0, hi + step, step / (4 * vol)):
-                err, _ = compute_d1(tree, float(a))
-                best = min(best, err)
-            assert fit.err <= best + 1e-15
+            a = np.arange(0.0, hi + step, step / (4 * vol))
+            f = fit_objective(m, v, ev, a)
+            assert fit.err <= f.min() + 1e-15
+            for i in np.r_[np.linspace(0, len(a) - 1, 64).astype(int), f.argmin()]:
+                assert compute_d1(tree, float(a[i]))[0] == f[i], (trial, a[i])
+
+    def test_rounding_fallback_keeps_the_best_probe(self):
+        # one stored node whose chain top's volume is its bottom's plus its
+        # missing child's: the first probe, mass/top volume, is the optimum,
+        # and the later crossing of the bottom's line with the empty term
+        # rounds past the bracket at that same constant, so the fit bisects
+        # through all 64 probes and keeps the first
+        rng = make_rng(901900)
+        pts = random_points(rng, Domain.unit(2), int(rng.integers(1, 30)))
+        pts[::3, 0] = 1.0
+        emp = EmpiricalDist.from_samples(Domain.unit(2), pts)
+        grid = build_adaptive_grid(emp)
+        index = MortonIndex(emp, grid, grid.root())
+        twin = reference_tree(emp, grid, grid.root())
+        for rect in (DyadicRect(1, (3, 6)), DyadicRect(1, (7, 4))):
+            lines = reference_lines(grid, rect, twin)
+            for tree in (build_tree(emp, grid, rect, index=index), build_tree(emp, grid, rect)):
+                fit = fit_d1(tree)
+                assert (tree.node_count, fit.probes) == (1, 64), rect
+                assert fit.err == exact_fit_minimum(*lines) == compute_d1(tree, fit.a)[0], rect
 
     def test_exact_on_larger_random_trees(self):
         # up to 3-D, 160 points and 64 cells per axis, with warped and
@@ -612,7 +634,7 @@ class TestFitD1:
         assert worst <= 1e-12
 
     def test_exact_on_every_golden_leaf(self):
-        # every leaf of every round of the L1 golden runs, through one shared
+        # every scored leaf of the L1 golden runs, through one shared
         # index as the learner uses it: err is compute_d1 at the returned
         # constant, bit for bit, and (up to 200 nodes) the exact minimum
         from test_golden import sweep_cases
@@ -626,7 +648,7 @@ class TestFitD1:
             index = MortonIndex(emp, grid, grid.root())
             twin = reference_tree(emp, grid, grid.root())
             _, trace = thunk()
-            for rect in sorted({r for rec in trace.iterations for r in rec.leaves}):
+            for rect in sorted(trace.scores):
                 tree = build_tree(emp, grid, rect, index=index)
                 fit = fit_d1(tree)
                 assert fit.err == compute_d1(tree, fit.a)[0], (name, rect)

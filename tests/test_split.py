@@ -1,5 +1,7 @@
 """The greedy splitting learners and the adaptive grid construction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from dyadhist.core import (
     mass,
 )
 from dyadhist import split
-from dyadhist.ddist import MortonIndex, build_tree, compute_d1
+from dyadhist.ddist import MortonIndex, build_tree, compute_d1, fit_d1
 from dyadhist.errors import DegenerateRegionError, UnsupportedDomainError
 from dyadhist.oracle import dk_distance_between, opt_hier_l2, opt_partial_hier_dk
 from dyadhist.split import (
@@ -68,8 +70,6 @@ class TestGreedySplit:
         assert [r.iteration for r in trace.iterations] == list(range(1, grid.levels + 1))
 
     def test_zero_error_and_level0_leaves_never_split(self, rng):
-        import math
-
         for trial in range(10):
             emp = random_empirical(make_rng(trial), Domain.discrete(8, 2), 20)
             grid = GridSpec.uniform(Domain.discrete(8, 2), 8)
@@ -77,10 +77,9 @@ class TestGreedySplit:
             _, trace = greedy_split(emp, grid, SplitParams(k=k, xi=xi))
             for rec in trace.iterations:
                 assert len(rec.chosen) <= math.ceil((1 + xi) * k)
-                errs = dict(zip(rec.leaves, rec.errors))
                 for r in rec.split:
                     assert r.level > 0
-                    assert errs[r] > 0.0
+                    assert trace.scores[r][1] > 0.0
 
     def test_piece_bound_holds_on_random_runs(self, rng):
         for trial in range(15):
@@ -299,16 +298,15 @@ class TestRenormalize:
 
 
 def test_leaf_values_are_exact_fits():
-    # every leaf of every round holds its exact best constant and its error
+    # every scored leaf holds its exact best constant and its error
     for seed in range(4):
         emp = random_empirical(make_rng(800 + seed), Domain.discrete(16, 2), 40)
         grid = GridSpec.uniform(emp.domain, 16)
         _, trace = greedy_split(emp, grid, SplitParams(k=2, xi=1.0))
         twin = reference_tree(emp, grid, grid.root())
-        for rec in trace.iterations:
-            for rect, a, e in zip(rec.leaves, rec.values, rec.errors):
-                assert e <= exact_fit_minimum(*reference_lines(grid, rect, twin)) + 1e-12
-                assert e == compute_d1(build_tree(emp, grid, rect), a)[0]
+        for rect, (a, e) in trace.scores.items():
+            assert e <= exact_fit_minimum(*reference_lines(grid, rect, twin)) + 1e-12
+            assert e == compute_d1(build_tree(emp, grid, rect), a)[0]
 
 
 @pytest.mark.parametrize("learner", ["l1", "l2"])
@@ -342,3 +340,69 @@ def test_each_leaf_scored_once_when_made(learner, monkeypatch):
         assert len(scored) == 1 + (1 << dim) * len(splits)
         assert scored[0] == grid.root()
         assert sorted(scored) == sorted(made)  # every leaf that ever exists, each once
+
+
+def snapshot_twin(emp, grid, params, learner):
+    """Each round's sorted leaves with their ``(a, err)``, and its chosen and split leaves.
+
+    This is the loop that copied every leaf every round, with a scorer of
+    its own: the fit on a standalone tree (L1), or the flattening of the
+    support points inside the leaf (L2).
+    """
+
+    def score(rect):
+        if learner == "l1":
+            fit = fit_d1(build_tree(emp, grid, rect))
+            return fit.a, fit.err
+        masses = emp.counts[grid.rect_of(rect).contains_points(emp.points, emp.domain)] / emp.n
+        vol = grid.volume_of(rect)
+        if vol <= 0:
+            return 0.0, 0.0
+        a = float(masses.sum()) / vol
+        return a, max(0.0, float(np.sum((masses - a) ** 2)) + (vol - len(masses)) * a * a)
+
+    n_split = math.ceil((1.0 + params.xi) * params.k)
+    leaves = {grid.root(): score(grid.root())}
+    rounds = []
+    for _ in range(grid.levels):
+        chosen = sorted(leaves, key=lambda r: (-leaves[r][1], -r.level, r.index))[:n_split]
+        to_split = [r for r in chosen if r.level > 0 and leaves[r][1] > 0.0]
+        rounds.append(([(r, *leaves[r]) for r in sorted(leaves)], chosen, to_split))
+        for r in to_split:
+            del leaves[r]
+            leaves.update((ch, score(ch)) for ch in r.children())
+    return rounds
+
+
+def snapshot_text(rounds) -> str:
+    """The trace text as it was written from the per-round copies."""
+
+    def name(r):
+        return f"{r.level}:{','.join(map(str, r.index))}"
+
+    out = []
+    for it, (snapshot, chosen, to_split) in enumerate(rounds, 1):
+        out.append(f"iteration {it}")
+        out += [f"  leaf {name(r)} a={a!r} e={e!r}" for r, a, e in snapshot]
+        out.append("  chosen " + " ".join(map(name, chosen)))
+        out.append("  split " + " ".join(map(name, to_split)))
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("learner", ["l1", "l2"])
+@pytest.mark.parametrize("dim,m", [(1, 64), (2, 16)])
+def test_trace_keeps_each_scored_leaf_once(learner, dim, m):
+    emp = random_empirical(make_rng(840 + dim), Domain.discrete(m, dim), 60)
+    grid = GridSpec.uniform(emp.domain, m)
+    params = SplitParams(k=2, xi=1.0)
+    _, trace = (greedy_split if learner == "l1" else greedy_split_l2)(emp, grid, params)
+    splits = [r for rec in trace.iterations for r in rec.split]
+    made = [grid.root()] + [ch for r in splits for ch in r.children()]
+    assert len(splits) > 3
+    assert len(set(made)) == len(made) == len(trace.scores) == 1 + (1 << dim) * len(splits)
+    assert list(trace.scores) == made  # the root, then each split's children in order
+    # the values are those the per-round copies held, and the text replays them
+    rounds = snapshot_twin(emp, grid, params, learner)
+    assert [(rec.chosen, rec.split) for rec in trace.iterations] == [r[1:] for r in rounds]
+    assert all(trace.scores[r] == (a, e) for snapshot, _, _ in rounds for r, a, e in snapshot)
+    assert trace.to_text() == snapshot_text(rounds)
