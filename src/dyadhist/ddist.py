@@ -9,9 +9,9 @@ query rectangle R) that contain support points.  The discrepancy
   holds no mass; every such rectangle is R itself (empty tree) or a missing
   child of some tree node.
 
-Layout.  ``MortonIndex`` sorts the support points inside one root rectangle
-once, by the Morton (Z-order) key of their level-0 cell, so the points of
-every dyadic rectangle form one contiguous run.  The tree is stored
+Layout.  ``MortonIndex`` sorts the support points once, by the Morton
+(Z-order) key of their level-0 cell, so the points of every dyadic
+rectangle of the grid form one contiguous run.  The tree is stored
 path-compressed: only the level-0 cells and the branching nodes (two or
 more children holding mass), at most 2s - 1 for s cells whatever the grid
 depth, as in the compressed quadtree (Har-Peled, Geometric Approximation
@@ -32,10 +32,10 @@ Fit.  ``fit_d1`` finds the constant a >= 0 with the least discrepancy
 exactly, not to a tolerance: the objective is the upper envelope of one
 decreasing and one increasing convex piecewise-linear function, and its
 minimum is the crossing of two of their lines, which cutting planes reach
-in a few passes over the tree (at most 5 on the benchmark's leaves, 64 at
-worst, after which the best pass is kept).  Of a chain's lines the
-decreasing envelope needs only the bottom's and the increasing one only the
-top's.  The best pass gives the error too, so the fit reads no witness.
+in a few passes over the tree (at most 5 on the benchmark's leaves).  Of a
+chain's lines the decreasing envelope needs only the bottom's and the
+increasing one only the top's.  The best pass gives the error too, so the
+fit reads no witness.
 
 Ties.  ``compute_d1``'s witness is the least (level, lexicographic index)
 rectangle among the ones it reads: the tree's nodes, chains included, at
@@ -122,7 +122,7 @@ _BLOCK = 1 << 10  # the fewest nodes the build works on at once
 
 
 class MortonIndex:
-    """Compressed sparse dyadic tree of the support inside ``root``, in Morton post-order.
+    """Compressed sparse dyadic tree of the support over the grid, in Morton post-order.
 
     The learner builds one per run and takes a ``view`` per leaf.  The
     stored nodes are the level-0 cells holding mass and the branching
@@ -142,27 +142,20 @@ class MortonIndex:
     of branching nodes examined and the levels of one-child chains walked.
     """
 
-    def __init__(self, fhat: EmpiricalDist, grid: GridSpec, root: DyadicRect):
-        check_dyadic(grid, root)
-        d, top = grid.dim, root.level
-        self.fhat, self.grid, self.root = fhat, grid, root
+    def __init__(self, fhat: EmpiricalDist, grid: GridSpec):
+        d = grid.dim
+        self.fhat, self.grid = fhat, grid
         cells = grid.cell_index(fhat.points) if fhat.support_size else np.zeros((0, d), np.int64)
-        inside = np.ones(len(cells), dtype=bool)
-        for a in range(d):
-            inside &= (cells[:, a] >> top) == root.index[a]
-        rows = np.flatnonzero(inside)
-        self.offset = tuple(int(i) << top for i in root.index)
-        rel = cells.take(rows, axis=0) - np.asarray(self.offset, dtype=np.int64)
-        words = _morton_words([rel[:, a] for a in range(d)], top)
+        words = _morton_words([cells[:, a] for a in range(d)], grid.levels)
         order = np.lexsort(words[::-1])
-        self.rows = rows[order]  # support rows, in Morton order of their cells
-        self.cells = cells.take(self.rows, axis=0)
+        self.rows = order  # support rows, in Morton order of their cells
+        self.cells = cells.take(order, axis=0)
         self.words = [w[order] for w in words]
         self._bits = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1  # child -> bits
         self.first = None  # the node arrays are built by the first view
 
     def _build_nodes(self) -> None:
-        grid, d, top = self.grid, self.grid.dim, self.root.level
+        grid, d, top = self.grid, self.grid.dim, self.grid.levels
         s = len(self.rows)
         n = self.fhat.n if self.fhat.support_size else 1
         # point i and i+1 share their nodes from level shared[i] up (the bit
@@ -371,20 +364,18 @@ class MortonIndex:
     def run(self, rect: DyadicRect) -> tuple:
         """Positions ``[lo, hi)`` of the points inside ``rect``, in Morton order."""
         check_dyadic(self.grid, rect)
-        if not self.root.contains(rect):
-            raise StructureError(f"{rect} lies outside the index root {self.root}")
-        rel = [(i << rect.level) - o for i, o in zip(rect.index, self.offset)]
-        low = _morton_words(rel, self.root.level)
-        high = _ones_below(low, rect.level, self.root.level, len(rel))  # the key of rect's last cell
+        levels = self.grid.levels
+        low = _morton_words([i << rect.level for i in rect.index], levels)
+        high = _ones_below(low, rect.level, levels, rect.dim)  # the key of rect's last cell
         return _search(self.words, low, "left"), _search(self.words, high, "right")
 
     def view(self, rect: DyadicRect) -> "SparseDyadicTree":
         """The tree of mass-carrying dyadic rectangles below ``rect``."""
+        lo, hi = self.run(rect)
         visits = 2 * len(self.words) * len(self.rows).bit_length() + 1
         if self.first is None:
             self._build_nodes()
             visits += self.node_visits
-        lo, hi = self.run(rect)
         if lo == hi:
             none = slice(0, 0)
             return SparseDyadicTree(rect, self, 0, self.level[none], self.mass[none], self.vol[none],
@@ -422,8 +413,8 @@ class SparseDyadicTree:
     ``max_empty_vol`` is the largest volume of an empty rectangle below
     ``rect`` (-1 if there is none), the maximum of ``node_empty``.  Node
     order is not (level, lexicographic index) order, so witnesses are found
-    among ties by walking the tied chains upward; they and ``node_index``
-    are decoded on demand.  ``node_visits`` counts the entries read to find
+    among ties by walking the tied chains upward, decoding the nodes'
+    rectangles on demand.  ``node_visits`` counts the entries read to find
     the view, plus the index's own count when this view built the index's
     nodes.
     """
@@ -456,13 +447,6 @@ class SparseDyadicTree:
         top = self.index.top_level[self.start : self.start + self.node_count].copy()
         top[-1:] = self.rect.level
         return top
-
-    @property
-    def node_index(self) -> np.ndarray:
-        """Dyadic indices (one row each) of the nodes, at their own levels."""
-        nodes = np.arange(self.start, self.start + self.node_count)
-        cells = self.index.cells.take(self.index.point_of(nodes), axis=0)
-        return cells >> self.node_level[:, None].astype(np.int64)
 
     def _least(self, nodes: np.ndarray, found) -> DyadicRect | None:
         """The least (level, index) rectangle ``found`` names on the chains of ``nodes``.
@@ -509,24 +493,6 @@ class SparseDyadicTree:
 
         return self._least(np.flatnonzero(self.node_empty == v), found)
 
-    def densest(self) -> float:
-        """The largest mass/volume over the nodes of positive volume, chains included.
-
-        A chain's densest node is its lowest one of positive volume: its
-        bottom, or above a bottom of volume 0.
-        """
-        m, v = self.node_mass, self.node_vol
-        best = float((m[v > 0] / v[v > 0]).max(initial=0.0))
-        top = self.top_level
-        for i in self.chain_at[(v[self.chain_at] == 0) & (self.chain_top > 0)]:
-            cell = self.index.cells[self.index.point_of(self.start + i)][None, :]
-            for lev in range(int(self.node_level[i]) + 1, int(top[i]) + 1):
-                vol = float(self.index.grid.dyadic_volume(lev, cell >> lev)[0])
-                if vol > 0:
-                    best = max(best, float(m[i]) / vol)
-                    break
-        return best
-
 
 def build_tree(
     fhat: EmpiricalDist,
@@ -537,13 +503,13 @@ def build_tree(
 ) -> SparseDyadicTree:
     """Build the sparse tree of mass-carrying dyadic rectangles below ``rect``.
 
-    ``index`` is a MortonIndex over ``fhat`` and ``grid`` whose root contains
-    ``rect``; the greedy splitter builds one per run, up front.  Without it
-    an index rooted at ``rect`` is built.  Either way the view that builds
-    the index's nodes counts that work in its ``node_visits``.
+    ``index`` is a MortonIndex over ``fhat`` and ``grid``; the greedy
+    splitter builds one per run, up front.  Without it one is built here.
+    Either way the view that builds the index's nodes counts that work in
+    its ``node_visits``.
     """
     if index is None:
-        index = MortonIndex(fhat, grid, rect)
+        index = MortonIndex(fhat, grid)
     elif index.fhat is not fhat or index.grid is not grid:
         raise ValueError("the index was built over another sample set or grid")
     return index.view(rect)
@@ -622,9 +588,10 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
     of nodes and empty rectangles, so it is no denser), so the first
     crossing is the flattening mass/vol(rect) and constant data stops there
     with err == 0.  Where the two lines are both flat, or rounding puts the
-    crossing outside the bracket, the step bisects the bracket instead, and
-    after 64 probes the best one is kept.  The error returned is that
-    probe's max(D(c), I(c)), which is ``compute_d1`` at c; no witness is
+    crossing outside the bracket, a probed end of the bracket is already
+    optimal, to a few ulps in the rounding case, since the crossing's height
+    bounds min F from below; the fit then stops.  It returns its best probe,
+    whose error max(D(c), I(c)) is ``compute_d1`` at c; no witness is
     chosen.  The fit reads only ``tree``.
     """
     m, v, ev = tree.node_mass, tree.node_vol, tree.max_empty_vol  # ev < 0: no empty term
@@ -644,11 +611,8 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
     while probes < _MAX_PROBES:
         mh, vh = (0.0, ev) if empty else (mq, vq)
         c = float((mp + mh) / (vp + vh)) if vp + vh > 0 else math.nan
-        crossing = lo <= c <= hi
-        if not crossing:
-            if math.isinf(hi):
-                hi = tree.densest()
-            c = 0.5 * (lo + hi)
+        if not lo <= c <= hi:
+            break
         r = v * c
         np.subtract(m, r, out=r)
         i = int(r.argmax())
@@ -669,11 +633,11 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
         if down == up:
             break  # D(c) == I(c), which includes err == 0
         if down > up:
-            if crossing and mp - vp * c == down:
+            if mp - vp * c == down:
                 break
             lo, mp, vp = c, m[i], v[i]
         else:
-            if crossing and (c * ev if empty else -(mq - vq * c)) == up:
+            if (c * ev if empty else -(mq - vq * c)) == up:
                 break
             k = int(np.searchsorted(ch, j))
             hi, empty, mq, vq = c, top_empty, m[j], tc[k] if k < len(ch) and ch[k] == j else v[j]

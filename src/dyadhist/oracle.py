@@ -330,36 +330,42 @@ def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int,
                 out[i] = rect_vol[s]
         return out
 
-    ov_cache: dict = {}
+    col_cache: dict = {}
 
     def union_weights(s: int) -> np.ndarray:
-        if s not in ov_cache:
-            ov_cache[s] = np.concatenate([overlap_with(s), [0.0]])
-        return ov_cache[s][comp].sum(axis=1)
+        """vol(U ∩ rects[s]) for every union U, computed once per rect."""
+        if s not in col_cache:
+            col_cache[s] = np.concatenate([overlap_with(s), [0.0]])[comp].sum(axis=1)
+        return col_cache[s]
 
-    # supports are the nonempty unions; the empty support means h == 0
+    def weights(support: tuple) -> tuple:
+        W = np.column_stack([union_weights(s) for s in support])
+        return W, W.sum(axis=1) > 0
+
+    # supports are the nonempty unions; the empty support means h == 0.  Only
+    # the bounds are kept per support: its weight matrix is rebuilt from the
+    # cached columns when it reaches the LP, so memory grows as rects x unions,
+    # not as unions^2 x k
     best = float(abs_f.max())
     candidates = []
-    for si, support in enumerate(unions):
-        if not support:
-            continue
-        W = np.column_stack([union_weights(s) for s in support])
-        covered = W.sum(axis=1) > 0
+    for support in unions[1:]:
+        W, covered = weights(support)
         lb = float(abs_f[~covered].max()) if (~covered).any() else 0.0
         a_flat = np.array(
             [rect_mass[s] / rect_vol[s] if rect_vol[s] > 0 else 0.0 for s in support]
         )
         ub = float(np.abs(f_union - W @ a_flat).max())
-        candidates.append((ub, lb, support, W, covered))
+        candidates.append((ub, lb, support))
         if ub < best:
             best = ub
 
     # processing order only affects pruning, never the exact minimum;
     # _order="reversed" exists so tests can cross-check enumeration orders
     candidates.sort(key=lambda c: c[0], reverse=(_order == "reversed"))
-    for ub, lb, support, W, covered in candidates:
+    for ub, lb, support in candidates:
         if lb >= best - 1e-12:
             continue
+        W, covered = weights(support)
         if not covered.any():
             best = min(best, lb)
             continue

@@ -6,8 +6,8 @@ decomposition, repeat ``levels`` times: rank the leaves by score, pick the
 split and has positive score into its 2^d children.
 
 * ``greedy_split``      scores a leaf by the best-constant max dyadic
-                        discrepancy (fit_d1 / compute_d1) and outputs the
-                        best constants.
+                        discrepancy (``fit_d1``) and outputs the best
+                        constants.
 * ``greedy_split_l2``   scores by the exact squared error of the flattening
                         (discrete domains) and outputs flattenings.
 * ``adaptive_greedy_split`` first builds the data-dependent grid whose axis
@@ -149,7 +149,7 @@ def greedy_split(fhat: EmpiricalDist, grid: GridSpec, params: SplitParams):
     if fhat.domain != grid.domain:
         raise ValueError("empirical distribution and grid disagree on the domain")
 
-    index = MortonIndex(fhat, grid, grid.root())
+    index = MortonIndex(fhat, grid)
 
     def score(rect):
         fit = fit_d1(build_tree(fhat, grid, rect, index=index))
@@ -171,7 +171,7 @@ def greedy_split_l2(g: EmpiricalDist, grid: GridSpec, params: SplitParams):
     if g.domain != grid.domain:
         raise ValueError("empirical distribution and grid disagree on the domain")
     n = g.n if g.support_size else 1
-    index = MortonIndex(g, grid, grid.root())
+    index = MortonIndex(g, grid)
 
     def score(rect):
         vol = grid.volume_of(rect)

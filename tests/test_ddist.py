@@ -121,7 +121,7 @@ class TestBuildTree:
         for trial in range(12):
             emp, grid, _, _ = random_instance(rng, trial)
             root = grid.root()
-            index = MortonIndex(emp, grid, root)
+            index = MortonIndex(emp, grid)
             first = index.view(root)
             assert build_tree(emp, grid, root).node_visits == first.node_visits
             assert index.node_visits > 0
@@ -190,10 +190,10 @@ def chains(tree):
     above it up to its top level; the last node's chain ends at the
     tree's rectangle.
     """
-    out = []
-    for lev, top, ix, m in zip(tree.node_level, tree.top_level, tree.node_index, tree.node_mass):
-        lev, ix = int(lev), tuple(int(i) for i in ix)
-        rects = [DyadicRect(l, tuple(i >> (l - lev) for i in ix)) for l in range(lev, int(top) + 1)]
+    index, out = tree.index, []
+    for i, (lev, top, m) in enumerate(zip(tree.node_level, tree.top_level, tree.node_mass)):
+        cell = index.cells[index.point_of(tree.start + i)]  # the level-0 cell at which node i ends
+        rects = [DyadicRect(l, tuple(int(c) >> l for c in cell)) for l in range(int(lev), int(top) + 1)]
         out.append((rects, float(m)))
     return out
 
@@ -244,7 +244,7 @@ class TestMortonIndex:
         ``pick`` chooses the rectangles to view from the twin's nodes; by
         default every dyadic rectangle of the grid is viewed.
         """
-        index = MortonIndex(emp, grid, grid.root())
+        index = MortonIndex(emp, grid)
         nodes, empty = reference_tree(emp, grid, grid.root())
         rects = all_dyadic_rects(grid) if pick is None else pick(nodes)
         clipped = 0
@@ -291,19 +291,19 @@ class TestMortonIndex:
             clipped += self.check_views(emp, grid, pick)
         assert clipped > 0
 
-    def test_index_is_bound_to_its_samples_and_root(self):
+    def test_index_is_bound_to_its_samples_and_grid(self):
         emp, grid = counts_2101()
-        index = MortonIndex(emp, grid, DyadicRect(1, (0,)))
-        with pytest.raises(StructureError):
-            build_tree(emp, grid, DyadicRect(1, (1,)), index=index)
+        index = MortonIndex(emp, grid)
         other = EmpiricalDist(emp.domain, emp.points, emp.counts)
         with pytest.raises(ValueError):
             build_tree(other, grid, DyadicRect(0, (0,)), index=index)
+        with pytest.raises(ValueError):
+            build_tree(emp, GridSpec.uniform(emp.domain, 4), DyadicRect(0, (0,)), index=index)
 
     def test_discrepancy_through_views_matches_brute_force(self, rng):
         for trial in range(150):
             emp, grid, _, a = random_instance(rng, trial)
-            index = MortonIndex(emp, grid, grid.root())
+            index = MortonIndex(emp, grid)
             for r in all_dyadic_rects(grid)[:: max(1, trial % 4)]:
                 tree = build_tree(emp, grid, r, index=index)
                 err, wit = compute_d1(tree, a)
@@ -362,7 +362,7 @@ class TestMortonIndex:
             domain = Domain.discrete(4, dim)
             grid = random_grid(rng, domain, 32 if dim == 1 else 8, warp=True)
             emp = random_empirical(rng, domain, int(rng.integers(1, 6)))
-            index = MortonIndex(emp, grid, grid.root())
+            index = MortonIndex(emp, grid)
             nodes, empty = reference_tree(emp, grid, grid.root())
             for r in all_dyadic_rects(grid):
                 tree = build_tree(emp, grid, r, index=index)
@@ -390,27 +390,6 @@ class TestMortonIndex:
         counts = (disc_ties, disc_above_bottom, empty_ties)
         assert disc_ties > 500 and disc_above_bottom > 10 and empty_ties > 50, counts
 
-    def test_densest_node_reads_above_zero_volume_bottoms(self):
-        # fit_d1 brackets a bisection with the largest node density; a chain
-        # whose bottom has volume 0 has its densest node higher up
-        zero_bottoms = 0
-        for seed in range(30):
-            rng = make_rng(64_000 + seed)
-            domain = Domain.unit(1 + seed % 2)
-            pts = random_points(rng, domain, int(rng.integers(1, 8)))
-            pts[::2, 0] = 1.0  # in the zero-width top cell on axis 0
-            grid = random_grid(rng, domain, 8)
-            grid = GridSpec(domain, (np.r_[grid.axes[0][:-2], 1.0, 1.0],) + grid.axes[1:])
-            emp = EmpiricalDist.from_samples(domain, pts)
-            index = MortonIndex(emp, grid, grid.root())
-            twin = reference_tree(emp, grid, grid.root())
-            for r in all_dyadic_rects(grid):
-                tree = build_tree(emp, grid, r, index=index)
-                m, v, _ = reference_lines(grid, r, twin)
-                assert tree.densest() == max((m[v > 0] / v[v > 0]).tolist(), default=0.0), (seed, r)
-                zero_bottoms += bool(((tree.node_vol == 0) & (tree.top_vol > 0)).any())
-        assert zero_bottoms > 20
-
     def test_discrepancy_ties_pick_least_level_then_index(self):
         # three cells holding one point each: near a = 1/16 their level-0
         # nodes tie for the maximum.  Morton order puts cell (1,0) first;
@@ -428,7 +407,7 @@ def benchmark_sized_index(dim, n):
     """The index of the learner on ``n`` samples of the benchmark's truth in [0,1]^dim, built."""
     emp = sample_from(gen_truth(5, Domain.unit(dim), seed=11), n, seed=3)
     grid = build_adaptive_grid(emp)
-    index = MortonIndex(emp, grid, grid.root())
+    index = MortonIndex(emp, grid)
     return index, grid
 
 
@@ -592,21 +571,21 @@ class TestFitD1:
     def test_rounding_fallback_keeps_the_best_probe(self):
         # one stored node whose chain top's volume is its bottom's plus its
         # missing child's: the first probe, mass/top volume, is the optimum,
-        # and the later crossing of the bottom's line with the empty term
-        # rounds past the bracket at that same constant, so the fit bisects
-        # through all 64 probes and keeps the first
+        # and the second one's crossing of the bottom's line with the empty
+        # term rounds past the bracket at that same constant, so the fit
+        # stops there and keeps the first
         rng = make_rng(901900)
         pts = random_points(rng, Domain.unit(2), int(rng.integers(1, 30)))
         pts[::3, 0] = 1.0
         emp = EmpiricalDist.from_samples(Domain.unit(2), pts)
         grid = build_adaptive_grid(emp)
-        index = MortonIndex(emp, grid, grid.root())
+        index = MortonIndex(emp, grid)
         twin = reference_tree(emp, grid, grid.root())
         for rect in (DyadicRect(1, (3, 6)), DyadicRect(1, (7, 4))):
             lines = reference_lines(grid, rect, twin)
             for tree in (build_tree(emp, grid, rect, index=index), build_tree(emp, grid, rect)):
                 fit = fit_d1(tree)
-                assert (tree.node_count, fit.probes) == (1, 64), rect
+                assert (tree.node_count, fit.probes) == (1, 2), rect
                 assert fit.err == exact_fit_minimum(*lines) == compute_d1(tree, fit.a)[0], rect
 
     def test_exact_on_larger_random_trees(self):
@@ -645,7 +624,7 @@ class TestFitD1:
                 continue
             emp, *rest = thunk.__defaults__
             grid = rest[0] if len(rest) == 2 else build_adaptive_grid(emp)
-            index = MortonIndex(emp, grid, grid.root())
+            index = MortonIndex(emp, grid)
             twin = reference_tree(emp, grid, grid.root())
             _, trace = thunk()
             for rect in sorted(trace.scores):
@@ -683,7 +662,7 @@ class TestFitD1:
                 if unit:
                     top = np.r_[grid.axes[0][:-2], 1.0, 1.0]
                     grid = GridSpec(domain, (top,) + grid.axes[1:])
-            index = MortonIndex(emp, grid, grid.root())
+            index = MortonIndex(emp, grid)
             cells = grid.cell_index(emp.points)
             rects = set()
             for lev in range(grid.levels + 1):  # every node, and some rects picked at random

@@ -1,6 +1,7 @@
 """Brute-force baselines: D_k distances and exact optimal fits."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec, l1_dist
 from dyadhist.errors import OracleGuardError
 from dyadhist.oracle import (
+    DEFAULT_GUARD,
     OracleGuard,
+    _disjoint_unions,
     all_dyadic_rects,
     brute_d1,
     cell_masses,
@@ -169,6 +172,25 @@ class TestOptPartialHierDk:
         grid = GridSpec.uniform(d, 8)
         with pytest.raises(OracleGuardError):
             opt_partial_hier_dk(emp, grid, 3, OracleGuard(max_partitions=100))
+
+    def test_memory_grows_as_rects_times_unions(self):
+        # one cached union-weight column per rectangle; a weight matrix kept
+        # per support would hold unions^2 x k floats, about 200 MB here
+        d = Domain.discrete(8, 2)
+        grid = GridSpec.uniform(d, 8)
+        rects = all_dyadic_rects(grid)
+        unions = _disjoint_unions(rects, 2, DEFAULT_GUARD)
+        assert (len(rects), len(unions)) == (85, 3428)
+        emp = random_empirical(make_rng(5), d, 30)
+        opt_partial_hier_dk(emp, grid, 1)  # imports scipy before the measurement
+        tracemalloc.start()
+        try:
+            val = opt_partial_hier_dk(emp, grid, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert val == 0.11441441441441444
+        assert peak < 4 * len(rects) * len(unions) * 8, peak  # 9.3 MB; the oracle takes about 4.2 MB
 
 
 # ---------------------------------------------------------------------------
