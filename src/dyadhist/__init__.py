@@ -10,9 +10,11 @@ from .core import (
     Piece,
     Rect,
     flatten,
+    gen_truth,
     l1_dist,
     l2_sq_dist,
     mass,
+    sample_from,
     volume,
 )
 from .ddist import DFitResult, SparseDyadicTree, build_tree, compute_d1, fit_d1
@@ -35,18 +37,5 @@ from .oracle import (
     opt_hier_l2,
     opt_partial_hier_dk,
 )
-
-_CLI_NAMES = ("RunConfig", "LearnReport", "gen_truth", "run_learn", "sample_from")
-
-
-def __getattr__(name):
-    # ``cli`` is imported on first use, so that ``python -m dyadhist.cli``
-    # does not find it already imported when it runs it as __main__
-    if name in _CLI_NAMES:
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __version__ = "0.1.0"

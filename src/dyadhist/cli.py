@@ -1,8 +1,10 @@
-"""Batch front door: synthetic truths, sampling, learning runs, reports.
+"""Learning runs, reports and the command line.
 
-Everything a run produces is text (see fileio) and deterministic given the
-config and seed; wall-clock timings go to a separate ``.timing`` sidecar so
-report files are byte-identical across repeat runs.
+The ``gen`` and ``sample`` commands call ``core.gen_truth`` and
+``core.sample_from``.  Everything a run produces is text (see fileio) and
+deterministic given the config and seed; wall-clock timings go to a
+separate ``.timing`` sidecar so report files are byte-identical across
+repeat runs.
 
 Exit codes: 0 success, 2 validation error, 3 oracle/guard overflow.
 """
@@ -22,13 +24,11 @@ from .core import (
     EmpiricalDist,
     GridSpec,
     HistHypothesis,
-    HistKind,
-    Piece,
-    Rect,
+    gen_truth,
     l1_dist,
     l2_sq_dist,
     log2_int,
-    volume,
+    sample_from,
 )
 from .errors import OracleGuardError
 from .fileio import read_hypothesis, read_samples, write_hypothesis, write_samples
@@ -41,101 +41,6 @@ from .split import (
     piece_bound,
     renormalize,
 )
-
-
-# ---------------------------------------------------------------------------
-# Synthetic ground truth and sampling
-# ---------------------------------------------------------------------------
-
-# Rows ``sample_from`` draws per block.
-_DRAW_ROWS = 1 << 16
-
-
-def gen_truth(k: int, domain: Domain, seed: int) -> HistHypothesis:
-    """Random k-piece axis-aligned partition with values normalized to mass 1.
-
-    Built by k-1 random guillotine cuts: pick a splittable piece, an axis
-    with room, and a cut in the middle 60% of its extent (interior lattice
-    boundary on discrete domains).  Deterministic under the seed.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rects = [domain.full_rect()]
-    disc = domain.is_discrete
-
-    def split_axes(r: Rect) -> list:
-        if disc:
-            return [a for a in range(domain.dim) if r.hi[a] - r.lo[a] >= 2]
-        return [a for a in range(domain.dim) if r.hi[a] > r.lo[a]]
-
-    for _ in range(k - 1):
-        options = [i for i, r in enumerate(rects) if split_axes(r)]
-        if not options:
-            raise ValueError(f"cannot construct {k} pieces on this domain")
-        ri = options[int(rng.integers(len(options)))]
-        r = rects.pop(ri)
-        axes = split_axes(r)
-        a = axes[int(rng.integers(len(axes)))]
-        lo, hi = r.lo[a], r.hi[a]
-        if disc:
-            cut = int(rng.integers(lo + 1, hi))
-        else:
-            cut = lo + (hi - lo) * rng.uniform(0.2, 0.8)
-        lo1, hi1 = list(r.lo), list(r.hi)
-        lo2, hi2 = list(r.lo), list(r.hi)
-        hi1[a] = cut
-        lo2[a] = cut
-        rects.append(Rect(tuple(lo1), tuple(hi1)))
-        rects.append(Rect(tuple(lo2), tuple(hi2)))
-
-    rects.sort(key=lambda r: (r.lo, r.hi))
-    raw = rng.uniform(0.2, 1.0, size=len(rects))
-    masses = raw / raw.sum()
-    pieces = []
-    for r, ms in zip(rects, masses):
-        pieces.append(Piece(r, ms / volume(r, domain)))
-    return HistHypothesis(domain=domain, pieces=tuple(pieces), kind=HistKind.ARBITRARY)
-
-
-def sample_from(h: HistHypothesis, n: int, seed: int) -> EmpiricalDist:
-    """Inverse-CDF sampling: pick a piece by mass, then uniform within it.
-
-    All n piece choices are drawn before any offset.  Both are drawn in
-    blocks of ``_DRAW_ROWS`` rows, and the offsets are written into one
-    (n, d) array, so the temporaries stay bounded.  Split ``random`` calls
-    continue one PCG64 stream, so the blocks give bit for bit the points of
-    drawing all n choices and then all n x d offsets in one call each.
-    """
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    total = h.total_mass()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"hypothesis must be normalized to mass 1, has {total}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    disc = h.domain.is_discrete
-    masses = np.array([p.value * volume(p.rect, h.domain) for p in h.pieces])
-    cum = np.cumsum(masses)
-    last = len(h.pieces) - 1
-    piece = np.empty(n, dtype=np.min_scalar_type(len(h.pieces)))
-    for start in range(0, n, _DRAW_ROWS):
-        u = rng.random(min(_DRAW_ROWS, n - start)) * cum[-1]
-        piece[start : start + _DRAW_ROWS] = np.minimum(np.searchsorted(cum, u, side="right"), last)
-    lo = np.array([p.rect.lo for p in h.pieces], dtype=np.float64)
-    hi = np.array([p.rect.hi for p in h.pieces], dtype=np.float64)
-    width, top = hi - lo, hi.astype(np.int64) - 1
-    pts = np.empty((n, h.domain.dim), dtype=np.int64 if disc else np.float64)
-    for start in range(0, n, _DRAW_ROWS):
-        idx = piece[start : start + _DRAW_ROWS]
-        off = rng.random((len(idx), h.domain.dim)) * width[idx]
-        if disc:
-            np.floor(off, out=off)
-        off += lo[idx]
-        block = pts[start : start + _DRAW_ROWS]
-        block[...] = off
-        if disc:
-            np.minimum(block, top[idx], out=block)
-    return EmpiricalDist.from_samples(h.domain, pts)
 
 
 # ---------------------------------------------------------------------------

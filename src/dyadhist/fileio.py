@@ -132,12 +132,24 @@ def _read(path) -> tuple:
     return raw, domain, kv
 
 
-def _data_lines(raw: bytes):
-    """(line number, text stripped of spaces) of each line after the header that is not skipped."""
+def _data_lines(path, raw: bytes, count: int, parse):
+    """(line number, text stripped of spaces, fields) of each line after the header not skipped.
+
+    Each line must split at commas into ``count`` fields, each read by
+    ``parse``; the first that does not raises naming ``path:line``.
+    """
     for ln, line in enumerate(raw.decode("utf-8").split("\n")[1:], start=2):
         line = line.strip(" ")
-        if line and not line.startswith("#"):
-            yield ln, line
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != count:
+            raise ValueError(f"{path}:{ln}: expected {count} fields, got {len(parts)}")
+        try:
+            fields = [parse(p) for p in parts]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
+        yield ln, line, fields
 
 
 def read_samples(path) -> EmpiricalDist:
@@ -175,14 +187,7 @@ def _raise_bad_line(path, raw: bytes, domain: Domain) -> NoReturn:
     outside ``_BODY_BYTES`` and for an integer ``np.loadtxt`` cannot hold.
     With every line good, the file has no rows.
     """
-    for ln, line in _data_lines(raw):
-        parts = line.split(",")
-        if len(parts) != domain.dim:
-            raise ValueError(f"{path}:{ln}: expected {domain.dim} fields, got {len(parts)}")
-        try:
-            row = [int(p) if domain.is_discrete else float(p) for p in parts]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{ln}: {exc}") from None
+    for ln, line, row in _data_lines(path, raw, domain.dim, int if domain.is_discrete else float):
         if not domain.contains_points(np.asarray([row])).all():
             raise DomainViolationError(f"{path}:{ln}: coordinate outside domain")
         bad = line.encode("utf-8").translate(None, _BODY_BYTES)
@@ -220,16 +225,7 @@ def read_hypothesis(path) -> HistHypothesis:
     raw, domain, kv = _read(path)
     kind = HistKind.PARTIAL if kv.get("kind") == "partial" else HistKind.ARBITRARY
     pieces, lines = [], []
-    for ln, line in _data_lines(raw):
-        parts = line.split(",")
-        if len(parts) != 2 * domain.dim + 1:
-            raise ValueError(
-                f"{path}:{ln}: expected {2 * domain.dim + 1} fields, got {len(parts)}"
-            )
-        try:
-            nums = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{ln}: {exc}") from None
+    for ln, _, nums in _data_lines(path, raw, 2 * domain.dim + 1, float):
         if not all(math.isfinite(x) for x in nums):
             raise ValueError(f"{path}:{ln}: non-finite number")
         bounds = nums[:-1]

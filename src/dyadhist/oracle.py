@@ -269,20 +269,29 @@ def opt_hier_l2_dp_1d(g: EmpiricalDist, grid: GridSpec, k: int) -> float:
 # Optimal partial hierarchical fit in D_k distance
 # ---------------------------------------------------------------------------
 
+_COLUMN_GUARD = 1 << 26  # rects x unions floats opt_partial_hier_dk may cache, about 0.5 GB
+
+
 def _disjoint_unions(rects: list, k: int, guard: OracleGuard) -> list:
-    """All tuples of <= k mutually disjoint rect indices (ascending)."""
+    """All tuples of <= k mutually disjoint rect indices (ascending).
+
+    Raises as soon as the unions pass ``guard.max_partitions``, or rects x
+    unions, the floats of ``opt_partial_hier_dk``'s cached union-weight
+    columns, passes ``_COLUMN_GUARD``.
+    """
     n = len(rects)
-    unions = [()]
-    frontier = [(i,) for i in range(n)]
-    unions.extend(frontier)
-    for _ in range(1, k):
+    unions, frontier = [()], [()]
+    for _ in range(k):
         nxt = []
         for combo in frontier:
-            for j in range(combo[-1] + 1, n):
+            for j in range(combo[-1] + 1 if combo else 0, n):
                 if all(rects[i].disjoint_from(rects[j]) for i in combo):
                     nxt.append(combo + (j,))
-                    if len(unions) + len(nxt) > guard.max_partitions:
+                    total = len(unions) + len(nxt)
+                    if total > guard.max_partitions:
                         raise OracleGuardError("union enumeration exceeds guard")
+                    if n * total > _COLUMN_GUARD:
+                        raise OracleGuardError(f"{n} rectangles x {total} unions exceeds guard {_COLUMN_GUARD}")
         unions.extend(nxt)
         frontier = nxt
     return unions
@@ -344,8 +353,8 @@ def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int,
 
     # supports are the nonempty unions; the empty support means h == 0.  Only
     # the bounds are kept per support: its weight matrix is rebuilt from the
-    # cached columns when it reaches the LP, so memory grows as rects x unions,
-    # not as unions^2 x k
+    # cached columns when it reaches the LP, so memory grows as rects x unions
+    # (bounded by _COLUMN_GUARD), not as unions^2 x k
     best = float(abs_f.max())
     candidates = []
     for support in unions[1:]:

@@ -7,6 +7,7 @@ not certificates).  Grid logs are base 2; the confidence term uses ln(1/delta).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -110,31 +111,19 @@ def to_hierarchical(h: HistHypothesis, grid: GridSpec) -> HistHypothesis:
         raise ConfigurationError("histogram and grid disagree on the domain")
     pieces = []
     for p in h.pieces:
-        rank_lo, rank_hi = [], []
-        for a in range(grid.dim):
-            axis = grid.axes[a]
-            i0 = int(np.searchsorted(axis, p.rect.lo[a], side="left"))
-            i1 = int(np.searchsorted(axis, p.rect.hi[a], side="left"))
-            if i0 >= len(axis) or axis[i0] != p.rect.lo[a]:
-                raise StructureError(f"piece vertex {p.rect.lo[a]} not on grid axis {a}")
-            if i1 >= len(axis) or axis[i1] != p.rect.hi[a]:
-                raise StructureError(f"piece vertex {p.rect.hi[a]} not on grid axis {a}")
-            rank_lo.append(i0)
-            rank_hi.append(i1)
-        blocks = [dyadic_intervals(l, r) for l, r in zip(rank_lo, rank_hi)]
-
-        def emit(axis, lo_acc, hi_acc):
-            if axis == grid.dim:
-                pieces.append(Piece(Rect(tuple(lo_acc), tuple(hi_acc)), p.value))
-                return
-            for s, t in blocks[axis]:
-                emit(
-                    axis + 1,
-                    lo_acc + [grid.coord(axis, s)],
-                    hi_acc + [grid.coord(axis, s + (1 << t))],
-                )
-
-        emit(0, [], [])
+        blocks = []
+        for a, axis in enumerate(grid.axes):
+            ends = (p.rect.lo[a], p.rect.hi[a])
+            ranks = [int(r) for r in np.searchsorted(axis, ends, side="left")]
+            for r, x in zip(ranks, ends):
+                if r >= len(axis) or axis[r] != x:
+                    raise StructureError(f"piece vertex {x} not on grid axis {a}")
+            blocks.append(
+                [(grid.coord(a, s), grid.coord(a, s + (1 << t))) for s, t in dyadic_intervals(*ranks)]
+            )
+        for combo in itertools.product(*blocks):
+            lo, hi = zip(*combo)
+            pieces.append(Piece(Rect(lo, hi), p.value))
     return HistHypothesis(domain=h.domain, pieces=tuple(pieces), kind=h.kind, grid=grid)
 
 

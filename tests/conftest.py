@@ -251,7 +251,7 @@ def lattice_points(rect, domain: Domain) -> int:
 
 
 def one_shot_sample_from(h: HistHypothesis, n: int, seed: int) -> EmpiricalDist:
-    """``cli.sample_from`` drawing all n piece choices, then all n x d offsets, in one call each."""
+    """``core.sample_from`` drawing all n piece choices, then all n x d offsets, in one call each."""
     rng = np.random.Generator(np.random.PCG64(seed))
     masses = np.array([p.value * volume(p.rect, h.domain) for p in h.pieces])
     cum = np.cumsum(masses)

@@ -58,10 +58,12 @@ def _d1_instance(i: int):
 
 
 SWEEP = list(itertools.product((1, 2), (4, 8), (1, 2), (0.5, 1.0, 2.0)))
+# criterion 3 alone also runs d=1, M=16; k=3 there costs about 1.6 s an instance
+SWEEP_M16 = list(itertools.product((1,), (16,), (1, 2), (0.5, 1.0, 2.0)))
 
 
-def _sweep_instance(i: int, seed_base: int):
-    dim, M, k, xi = SWEEP[i % len(SWEEP)]
+def _sweep_instance(i: int, seed_base: int, sweep: list = SWEEP):
+    dim, M, k, xi = sweep[i % len(sweep)]
     rng = make_rng(seed_base + i)
     dom = Domain.discrete(M, dim)
     s = int(rng.integers(2, 17))
@@ -107,8 +109,9 @@ def test_criterion_3_greedy_split_guarantee():
     t0 = time.perf_counter()
     ok = True
     bound_ok = True
-    for i in range(200):
-        emp, grid, k, xi, dim, M = _sweep_instance(i, 10_000)
+    instances = [_sweep_instance(i, 10_000) for i in range(200)]
+    instances += [_sweep_instance(i, 70_000, SWEEP_M16) for i in range(48)]
+    for emp, grid, k, xi, dim, M in instances:
         hyp, _ = greedy_split(emp, grid, SplitParams(k=k, xi=xi))
         lhs = dk_distance_between(emp, hyp, grid, k)
         opt = opt_partial_hier_dk(emp, grid, k)
@@ -117,7 +120,7 @@ def test_criterion_3_greedy_split_guarantee():
     wall = time.perf_counter() - t0
     ok &= wall < 300.0
     test_criterion_3_greedy_split_guarantee.bound_ok = bound_ok
-    assert _report(3, "GreedySplit (3 + 6/xi^2) guarantee", ok, f"{wall:.1f}s/200 instances")
+    assert _report(3, "GreedySplit (3 + 6/xi^2) guarantee", ok, f"{wall:.1f}s/{len(instances)} instances")
 
 
 def test_criterion_4_piece_bound_everywhere():

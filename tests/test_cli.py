@@ -1,10 +1,12 @@
 """File formats, ground-truth generation, sampling, and the learn pipeline."""
 
+import importlib
 import io
 import re
 import subprocess
 import sys
 import tempfile
+import tomllib
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadhist.cli import LearnReport, RunConfig, gen_truth, main, run_learn, sample_from
-from dyadhist import cli, fileio
+from dyadhist import core, fileio
 from dyadhist.core import Domain, EmpiricalDist, HistKind, l1_dist, mass, volume
 from dyadhist.errors import ConfigurationError, DomainViolationError
 from dyadhist.fileio import fmt_num, read_hypothesis, read_samples, write_hypothesis, write_samples
@@ -374,13 +376,13 @@ class TestSampleFrom:
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.counts, b.counts)
 
-    @pytest.mark.parametrize("block", [1, 2, 5, cli._DRAW_ROWS])
+    @pytest.mark.parametrize("block", [1, 2, 5, core._DRAW_ROWS])
     @pytest.mark.parametrize("m", [None, 9])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_blocks_match_one_shot_twin(self, block, m, dim, monkeypatch):
         domain = Domain.unit(dim) if m is None else Domain.discrete(m, dim)
         h = gen_truth(4, domain, seed=dim)
-        monkeypatch.setattr(cli, "_DRAW_ROWS", block)
+        monkeypatch.setattr(core, "_DRAW_ROWS", block)
         for n in sorted({1, block - 1, block, block + 1, 3 * block + 2} - {0}):
             got, want = sample_from(h, n, seed=n), one_shot_sample_from(h, n, seed=n)
             assert got.points.dtype == want.points.dtype and got.counts.dtype == want.counts.dtype
@@ -661,12 +663,11 @@ class TestCommandLine:
         assert read_hypothesis(path).total_mass() == 1.0
 
     def test_import_leaves_scipy_unloaded(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, dyadhist; print('scipy' in sys.modules)"],
-            capture_output=True, text=True,
-        )
+        # nor the CLI module, which ``python -m dyadhist.cli`` must find unimported
+        code = "import sys, dyadhist; print('scipy' in sys.modules, 'dyadhist.cli' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
     def test_module_run_leaves_stderr_empty(self):
         proc = subprocess.run(
@@ -675,11 +676,12 @@ class TestCommandLine:
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
+        assert "gen" in proc.stdout
 
     def test_console_script_installed(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "dyadhist.cli", "--help"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
-        assert "gen" in proc.stdout
+        # the entry point an install would write the ``dyadhist`` script for
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"dyadhist": "dyadhist.cli:main"}
+        module, _, attr = scripts["dyadhist"].partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))

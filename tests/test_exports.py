@@ -20,11 +20,12 @@ def test_module_all_resolves(name):
 
 
 def test_package_reexports_resolve():
-    # the package re-exports by ``from .module import name``, and the CLI's
-    # names lazily through ``__getattr__``
-    names = [n for n in vars(dyadhist) if not n.startswith("_")] + list(dyadhist._CLI_NAMES)
+    # the package re-exports by ``from .module import name``
+    names = [n for n in vars(dyadhist) if not n.startswith("_")]
     for name in names:
         assert getattr(dyadhist, name) is not None, name
+    assert dyadhist.gen_truth is dyadhist.core.gen_truth
+    assert dyadhist.sample_from is dyadhist.core.sample_from
     assert "dyadhist.cli" in MODULES  # the discovery above found the modules
 
 

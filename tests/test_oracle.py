@@ -1,6 +1,7 @@
 """Brute-force baselines: D_k distances and exact optimal fits."""
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadhist.cli import main
 from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec, l1_dist
 from dyadhist.errors import OracleGuardError
+from dyadhist.fileio import write_samples
 from dyadhist.oracle import (
     DEFAULT_GUARD,
     OracleGuard,
@@ -191,6 +194,21 @@ class TestOptPartialHierDk:
             tracemalloc.stop()
         assert val == 0.11441441441441444
         assert peak < 4 * len(rects) * len(unions) * 8, peak  # 9.3 MB; the oracle takes about 4.2 MB
+
+    def test_column_guard_bounds_rects_times_unions(self, tmp_path, capsys):
+        # {1..32}^2 with k=2 passes both OracleGuard limits (1365 rects, 925,924
+        # unions), but one column per rect over all unions is about 10 GB
+        d = Domain.discrete(32, 2)
+        emp = random_empirical(make_rng(32), d, 20)
+        grid = GridSpec.uniform(d, 32)
+        t0 = time.perf_counter()
+        with pytest.raises(OracleGuardError, match="1365 rectangles x"):
+            opt_partial_hier_dk(emp, grid, 2)
+        assert time.perf_counter() - t0 < 5.0
+        path = tmp_path / "s.txt"
+        write_samples(path, emp)
+        assert main(["oracle", "--in", str(path), "--k", "2", "--m", "32"]) == 3
+        assert "exceeds guard" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
