@@ -28,9 +28,8 @@ from .split import (
     piece_bound,
     renormalize,
 )
-from .theory import BudgetFormula, SampleBudget, sample_budget, strictly_greater_region, to_hierarchical
+from .theory import BudgetFormula, sample_budget, strictly_greater_region, to_hierarchical
 from .oracle import (
-    OracleGuard,
     brute_d1,
     dk_distance,
     dk_distance_between,

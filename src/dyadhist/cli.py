@@ -6,7 +6,8 @@ deterministic given the config and seed; wall-clock timings go to a
 separate ``.timing`` sidecar so report files are byte-identical across
 repeat runs.
 
-Exit codes: 0 success, 2 validation error, 3 oracle/guard overflow.
+Exit codes: 0 success, 2 validation error or an input too large for memory,
+3 oracle/guard overflow.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
 )
 from .errors import OracleGuardError
 from .fileio import read_hypothesis, read_samples, write_hypothesis, write_samples
-from .oracle import DEFAULT_GUARD, dk_distance_between, opt_hier_l2, opt_partial_hier_dk
+from .oracle import dk_distance_between, opt_hier_l2, opt_partial_hier_dk
 from .split import (
     SplitParams,
     build_adaptive_grid,
@@ -160,8 +161,10 @@ def run_learn(cfg: RunConfig):
 
     t0 = time.perf_counter()
     errors = []
-    if grid.dyadic_rect_count() <= DEFAULT_GUARD.max_dyadic_rects:
+    try:
         errors.append(("dk_vs_empirical", dk_distance_between(emp, hyp, grid, cfg.k)))
+    except OracleGuardError:
+        pass  # the exact D_k oracle runs on desk-scale grids only
     if cfg.truth_path:
         truth = read_hypothesis(cfg.truth_path)
         if cfg.metric == "l1":
@@ -360,8 +363,8 @@ def main(argv=None) -> int:
     except OracleGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

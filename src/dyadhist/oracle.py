@@ -1,6 +1,7 @@
 """Exact brute-force baselines at desk scale.
 
-Everything here is deterministic, pure, and guarded: enumerations abort with
+Everything here is deterministic, pure, and guarded: one set of module
+limits is checked before any work, and enumerations abort with
 OracleGuardError instead of grinding.  These routines exist to certify the
 learners' guarantees on small instances, so they favor straight-line clarity
 and independence from the production code paths they check.
@@ -14,7 +15,6 @@ rectangles" reduce to a small tree knapsack.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -28,26 +28,25 @@ from .core import (
     Piece,
 )
 from .ddist import check_dyadic
-from .errors import OracleGuardError
+from .errors import OracleGuardError, UnsupportedDomainError
 
-
-@dataclass(frozen=True)
-class OracleGuard:
-    max_dyadic_rects: int = 10_000
-    max_partitions: int = 1_000_000
-
-
-DEFAULT_GUARD = OracleGuard()
+_MAX_RECTS = 10_000  # dyadic rectangles of a grid the oracles take
+_MAX_PARTITIONS = 1_000_000  # partitions or unions an enumeration may visit
 
 
 # ---------------------------------------------------------------------------
 # Shared enumeration helpers
 # ---------------------------------------------------------------------------
 
-def all_dyadic_rects(grid: GridSpec, guard: OracleGuard = DEFAULT_GUARD) -> list:
+def _check_rects(grid: GridSpec) -> None:
+    """Refuse a grid with more than ``_MAX_RECTS`` dyadic rectangles, before any allocation."""
     total = grid.dyadic_rect_count()
-    if total > guard.max_dyadic_rects:
-        raise OracleGuardError(f"{total} dyadic rectangles exceeds guard")
+    if total > _MAX_RECTS:
+        raise OracleGuardError(f"{total} dyadic rectangles exceeds guard {_MAX_RECTS}")
+
+
+def all_dyadic_rects(grid: GridSpec) -> list:
+    _check_rects(grid)
     out = []
     for lev in range(grid.levels + 1):
         side = grid.M >> lev
@@ -69,6 +68,7 @@ def _cell_counts(fhat: EmpiricalDist, grid: GridSpec, rect: DyadicRect) -> np.nd
 
 def cell_masses(g, grid: GridSpec) -> np.ndarray:
     """Mass of ``g`` on every level-0 cell, shape (M,)*d."""
+    _check_rects(grid)
     if isinstance(g, EmpiricalDist):
         return _cell_counts(g, grid, grid.root()) / (g.n if g.support_size else 1)
     out = np.zeros((grid.M,) * grid.dim)
@@ -103,8 +103,7 @@ def _level_sums(cells: np.ndarray, levels: int) -> dict:
 # D_k distance by tree knapsack
 # ---------------------------------------------------------------------------
 
-def dk_distance(u_cells: np.ndarray, grid: GridSpec, k: int,
-                guard: OracleGuard = DEFAULT_GUARD) -> float:
+def dk_distance(u_cells: np.ndarray, grid: GridSpec, k: int) -> float:
     """Max |u(U)| over unions U of at most k disjoint dyadic rectangles.
 
     ``u_cells`` holds the signed mass of the overlay on every level-0 cell.
@@ -113,13 +112,16 @@ def dk_distance(u_cells: np.ndarray, grid: GridSpec, k: int,
     node itself (spending one rectangle) or distribute the budget among the
     children.  Both signs are searched; the empty union contributes 0.
     """
-    if grid.dyadic_rect_count() > guard.max_dyadic_rects:
-        raise OracleGuardError("grid too large for dk_distance")
+    _check_rects(grid)
     if k < 1:
         raise ValueError("k must be >= 1")
     u_cells = np.asarray(u_cells, dtype=np.float64).reshape((grid.M,) * grid.dim)
     sums = _level_sums(u_cells, grid.levels)
     d = grid.dim
+    # merging a child is dp[j] = max over t <= j of dp[j - t] + ch[t], one
+    # numpy step: rest[j, t] = j - t, and the t > j entries are masked off
+    rest = np.subtract.outer(np.arange(k + 1), np.arange(k + 1))
+    ok = rest >= 0
 
     def best(masses: dict, level: int, idx: tuple) -> np.ndarray:
         own = float(masses[level][idx])
@@ -131,10 +133,7 @@ def dk_distance(u_cells: np.ndarray, grid: GridSpec, k: int,
         for bits in range(1 << d):
             child = tuple(2 * idx[a] + ((bits >> (d - 1 - a)) & 1) for a in range(d))
             ch = best(masses, level - 1, child)
-            ndp = dp.copy()
-            for j in range(k + 1):
-                ndp[j] = max(dp[j - t] + ch[t] for t in range(j + 1))
-            dp = ndp
+            dp = np.where(ok, dp[rest] + ch, -np.inf).max(axis=1)
         dp[1:] = np.maximum(dp[1:], own)
         return np.maximum.accumulate(dp)
 
@@ -143,17 +142,16 @@ def dk_distance(u_cells: np.ndarray, grid: GridSpec, k: int,
     return float(max(plus, minus, 0.0))
 
 
-def dk_distance_between(g1, g2, grid: GridSpec, k: int,
-                        guard: OracleGuard = DEFAULT_GUARD) -> float:
+def dk_distance_between(g1, g2, grid: GridSpec, k: int) -> float:
     """D_k distance between two empiricals/hypotheses via their cell overlay."""
-    return dk_distance(cell_masses(g1, grid) - cell_masses(g2, grid), grid, k, guard)
+    return dk_distance(cell_masses(g1, grid) - cell_masses(g2, grid), grid, k)
 
 
 # ---------------------------------------------------------------------------
 # Optimal hierarchical fits
 # ---------------------------------------------------------------------------
 
-def _tree_partitions(grid: GridSpec, k: int, guard: OracleGuard):
+def _tree_partitions(grid: GridSpec, k: int):
     """All partitions of the root into <= k dyadic leaves (full split trees)."""
     d = grid.dim
     counter = [0]
@@ -162,7 +160,7 @@ def _tree_partitions(grid: GridSpec, k: int, guard: OracleGuard):
         if budget < 1:
             return
         counter[0] += 1
-        if counter[0] > guard.max_partitions:
+        if counter[0] > _MAX_PARTITIONS:
             raise OracleGuardError("partition enumeration exceeds guard")
         yield (rect,)
         if rect.level > 0 and budget >= (1 << d):
@@ -197,15 +195,15 @@ def _flat_l2_err(g: EmpiricalDist, grid: GridSpec, rect: DyadicRect,
     return a_val, max(0.0, err)
 
 
-def opt_hier_l2(g: EmpiricalDist, grid: GridSpec, k: int,
-                guard: OracleGuard = DEFAULT_GUARD):
+def opt_hier_l2(g: EmpiricalDist, grid: GridSpec, k: int):
     """Exact best squared error over hierarchical partitions with <= k leaves.
 
     Returns ``(value, argmin hypothesis)``; every leaf takes the flattening,
     which is the optimal constant.
     """
-    if grid.dyadic_rect_count() > guard.max_dyadic_rects:
-        raise OracleGuardError("grid too large for opt_hier_l2")
+    _check_rects(grid)
+    if not g.domain.is_discrete:  # _flat_l2_err counts a rect's lattice points by its volume
+        raise UnsupportedDomainError("the squared-error oracle needs a discrete cube")
     cells = (
         grid.cell_index(g.points)
         if g.support_size
@@ -221,9 +219,9 @@ def opt_hier_l2(g: EmpiricalDist, grid: GridSpec, k: int,
     best_val = np.inf
     best_leaves = None
     seen = 0
-    for part in _tree_partitions(grid, k, guard):
+    for part in _tree_partitions(grid, k):
         seen += 1
-        if seen > guard.max_partitions:
+        if seen > _MAX_PARTITIONS:
             raise OracleGuardError("partition enumeration exceeds guard")
         val = sum(leaf_stats(r)[1] for r in part)
         if best_leaves is None or val < best_val:
@@ -244,6 +242,8 @@ def opt_hier_l2_dp_1d(g: EmpiricalDist, grid: GridSpec, k: int) -> float:
     """Independent 1-d check of opt_hier_l2: interval dynamic program."""
     if grid.dim != 1:
         raise ValueError("the DP cross-check is one-dimensional")
+    if not g.domain.is_discrete:  # _flat_l2_err counts a rect's lattice points by its volume
+        raise UnsupportedDomainError("the squared-error oracle needs a discrete cube")
     cells = (
         grid.cell_index(g.points)
         if g.support_size
@@ -272,10 +272,10 @@ def opt_hier_l2_dp_1d(g: EmpiricalDist, grid: GridSpec, k: int) -> float:
 _COLUMN_GUARD = 1 << 26  # rects x unions floats opt_partial_hier_dk may cache, about 0.5 GB
 
 
-def _disjoint_unions(rects: list, k: int, guard: OracleGuard) -> list:
+def _disjoint_unions(rects: list, k: int) -> list:
     """All tuples of <= k mutually disjoint rect indices (ascending).
 
-    Raises as soon as the unions pass ``guard.max_partitions``, or rects x
+    Raises as soon as the unions pass ``_MAX_PARTITIONS``, or rects x
     unions, the floats of ``opt_partial_hier_dk``'s cached union-weight
     columns, passes ``_COLUMN_GUARD``.
     """
@@ -288,7 +288,7 @@ def _disjoint_unions(rects: list, k: int, guard: OracleGuard) -> list:
                 if all(rects[i].disjoint_from(rects[j]) for i in combo):
                     nxt.append(combo + (j,))
                     total = len(unions) + len(nxt)
-                    if total > guard.max_partitions:
+                    if total > _MAX_PARTITIONS:
                         raise OracleGuardError("union enumeration exceeds guard")
                     if n * total > _COLUMN_GUARD:
                         raise OracleGuardError(f"{n} rectangles x {total} unions exceeds guard {_COLUMN_GUARD}")
@@ -298,7 +298,6 @@ def _disjoint_unions(rects: list, k: int, guard: OracleGuard) -> list:
 
 
 def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int,
-                        guard: OracleGuard = DEFAULT_GUARD,
                         _order: str = "forward") -> float:
     """Exact min over partial hierarchical k-histograms of the D_k distance.
 
@@ -312,7 +311,7 @@ def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int,
 
     if k < 1:
         raise ValueError("k must be >= 1")
-    rects = all_dyadic_rects(grid, guard)
+    rects = all_dyadic_rects(grid)
     sums = _level_sums(_cell_counts(fhat, grid, grid.root()), grid.levels)
     n = fhat.n if fhat.support_size else 1
 
@@ -320,7 +319,7 @@ def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int,
     rect_mass = rect_count / n
     rect_vol = np.array([grid.volume_of(r) for r in rects])
 
-    unions = _disjoint_unions(rects, k, guard)
+    unions = _disjoint_unions(rects, k)
     pad = len(rects)
     comp = np.full((len(unions), k), pad, dtype=np.int64)
     for i, u in enumerate(unions):
@@ -441,8 +440,6 @@ def brute_d1(fhat: EmpiricalDist, grid: GridSpec, rect: DyadicRect, a: float):
 
 
 __all__ = [
-    "OracleGuard",
-    "DEFAULT_GUARD",
     "all_dyadic_rects",
     "brute_d1",
     "cell_masses",

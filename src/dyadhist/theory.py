@@ -1,15 +1,15 @@
 """Sample-size planning formulas and structural histogram conversions.
 
 The budgets turn the learners' statistical guarantees into concrete sample
-counts (existential constants default to C=1, so these are planning aids,
-not certificates).  Grid logs are base 2; the confidence term uses ln(1/delta).
+counts (the existential constants are taken as 1, so these are planning
+aids, not certificates).  Grid logs are base 2; the confidence term uses
+ln(1/delta).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,13 +31,6 @@ class BudgetFormula(Enum):
     L2 = "l2"
 
 
-@dataclass(frozen=True)
-class SampleBudget:
-    n: int
-    formula: BudgetFormula
-    inputs: tuple  # (k, d, m, eps, delta, xi, C) echo
-
-
 def sample_budget(
     formula: BudgetFormula,
     k: int,
@@ -46,13 +39,12 @@ def sample_budget(
     delta: float,
     xi: float = 1.0,
     m: int | None = None,
-    C: float = 1.0,
-) -> SampleBudget:
+) -> int:
     """Sample count for the requested guarantee.
 
-    * FIXED_GRID_L1: ceil(C * ((1+xi) 2^d k log2(m)^(d+1) + ln(1/delta)) / eps^2)
-    * ADAPTIVE_L1:   ceil(C * ((1+xi) d 2^d k log2(k/eps)^(d+2) + ln(1/delta)) / eps^2)
-    * L2:            ceil(C * ln(1/delta) / eps)
+    * FIXED_GRID_L1: ceil(((1+xi) 2^d k log2(m)^(d+1) + ln(1/delta)) / eps^2)
+    * ADAPTIVE_L1:   ceil(((1+xi) d 2^d k log2(k/eps)^(d+2) + ln(1/delta)) / eps^2)
+    * L2:            ceil(ln(1/delta) / eps)
     """
     if not (0 < eps < 1):
         raise ValueError(f"eps must be in (0,1), got {eps}")
@@ -60,25 +52,25 @@ def sample_budget(
         raise ValueError(f"delta must be in (0,1), got {delta}")
     if k < 1 or d < 1:
         raise ValueError("k and d must be >= 1")
-    if not (0 < xi < math.inf and 0 < C < math.inf):
-        raise ValueError("xi and C must be positive and finite")
+    if not (0 < xi < math.inf):
+        raise ValueError("xi must be positive and finite")
     log_conf = math.log(1.0 / delta)
     try:
         if formula is BudgetFormula.FIXED_GRID_L1:
             if m is None or m < 2:
                 raise ValueError("fixed-grid budget needs discrete side m >= 2")
             main = (1.0 + xi) * (1 << d) * k * math.log2(m) ** (d + 1)
-            n = math.ceil(C * (main + log_conf) / eps**2)
+            n = math.ceil((main + log_conf) / eps**2)
         elif formula is BudgetFormula.ADAPTIVE_L1:
             main = (1.0 + xi) * d * (1 << d) * k * math.log2(k / eps) ** (d + 2)
-            n = math.ceil(C * (main + log_conf) / eps**2)
+            n = math.ceil((main + log_conf) / eps**2)
         elif formula is BudgetFormula.L2:
-            n = math.ceil(C * log_conf / eps)
+            n = math.ceil(log_conf / eps)
         else:
             raise ValueError(f"unknown formula {formula}")
     except (OverflowError, ZeroDivisionError):  # eps**2 underflows to 0, or the count is not finite
         raise ValueError(f"the sample count for eps={eps}, delta={delta} overflows a float") from None
-    return SampleBudget(n=max(1, n), formula=formula, inputs=(k, d, m, eps, delta, xi, C))
+    return max(1, n)
 
 
 def dyadic_intervals(lo: int, hi: int) -> list:
@@ -124,7 +116,8 @@ def to_hierarchical(h: HistHypothesis, grid: GridSpec) -> HistHypothesis:
         for combo in itertools.product(*blocks):
             lo, hi = zip(*combo)
             pieces.append(Piece(Rect(lo, hi), p.value))
-    return HistHypothesis(domain=h.domain, pieces=tuple(pieces), kind=h.kind, grid=grid)
+    kind = HistKind.PARTIAL if h.kind is HistKind.PARTIAL else HistKind.ARBITRARY
+    return HistHypothesis(domain=h.domain, pieces=tuple(pieces), kind=kind, grid=grid)
 
 
 def strictly_greater_region(h: HistHypothesis, g: HistHypothesis) -> list:
@@ -160,7 +153,6 @@ def strictly_greater_region(h: HistHypothesis, g: HistHypothesis) -> list:
 
 __all__ = [
     "BudgetFormula",
-    "SampleBudget",
     "sample_budget",
     "dyadic_intervals",
     "to_hierarchical",

@@ -252,16 +252,16 @@ def test_criterion_10_vc_decay_rate():
 
 
 def test_criterion_11_sample_budget_goldens():
-    ok = sample_budget(BudgetFormula.L2, k=1, d=1, eps=0.01, delta=math.exp(-1)).n == 100
+    ok = sample_budget(BudgetFormula.L2, k=1, d=1, eps=0.01, delta=math.exp(-1)) == 100
     ok &= (
         sample_budget(
             BudgetFormula.FIXED_GRID_L1,
             k=2, d=1, eps=0.1, delta=math.exp(-1), xi=1.0, m=256,
-        ).n
+        )
         == 51_300
     )
     ns = [
-        sample_budget(BudgetFormula.ADAPTIVE_L1, k=2, d=2, eps=e, delta=0.1).n
+        sample_budget(BudgetFormula.ADAPTIVE_L1, k=2, d=2, eps=e, delta=0.1)
         for e in (0.05, 0.1, 0.2, 0.4)
     ]
     ok &= all(a >= b for a, b in zip(ns, ns[1:]))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadhist.cli import LearnReport, RunConfig, gen_truth, main, run_learn, sample_from
-from dyadhist import core, fileio
+from dyadhist import cli, core, fileio
 from dyadhist.core import Domain, EmpiricalDist, HistKind, l1_dist, mass, volume
 from dyadhist.errors import ConfigurationError, DomainViolationError
 from dyadhist.fileio import fmt_num, read_hypothesis, read_samples, write_hypothesis, write_samples
@@ -439,6 +439,9 @@ class TestRunLearn:
         assert report.n == 400
         keys = [k for k, _ in report.errors]
         assert "l1_vs_truth" in keys
+        # the adaptive grid has 512 cells a side, 349,525 dyadic rectangles:
+        # too many for the exact D_k oracle, so its line is left out
+        assert report.grid_m == 512 and "dk_vs_empirical" not in keys
         text = (tmp_path / "h.report").read_text()
         assert "pieces:" in text and "time" not in text
 
@@ -553,6 +556,31 @@ class TestCommandLine:
               "--out", str(samples)])
         rc = main(["oracle", "--in", str(samples), "--k", "2", "--m", "4096"])
         assert rc == 3
+
+    def test_l2_oracle_on_unit_cube_exit_2(self, tmp_path, capsys):
+        truth = tmp_path / "t.hist"
+        samples = tmp_path / "s.txt"
+        main(["gen", "--k", "2", "--dim", "1", "--seed", "1", "--out", str(truth)])
+        main(["sample", "--in", str(truth), "--n", "50", "--seed", "2", "--out", str(samples)])
+        capsys.readouterr()
+        assert main(["oracle", "--in", str(samples), "--k", "2", "--m", "4", "--metric", "l2"]) == 2
+        captured = capsys.readouterr()
+        assert "opt_hier_l2" not in captured.out
+        assert "needs a discrete cube" in captured.err
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a --dump-grid of 70000 on a 2-d hypothesis asks numpy for 36.5 GiB;
+        # the test raises the MemoryError without allocating
+        def no_memory(h, res, path):
+            raise MemoryError("Unable to allocate 36.5 GiB")
+
+        truth = tmp_path / "t.hist"
+        main(["gen", "--k", "2", "--dim", "2", "--seed", "1", "--out", str(truth)])
+        monkeypatch.setattr(cli, "_dump_grid", no_memory)
+        capsys.readouterr()
+        rc = main(["eval", "--in", str(truth), "--dump-grid", "70000", "--out", str(tmp_path / "g.csv")])
+        assert rc == 2
+        assert "error: Unable to allocate 36.5 GiB" in capsys.readouterr().err
 
     def test_oracle_subcommand_values(self, tmp_path, capsys):
         truth = tmp_path / "t.hist"

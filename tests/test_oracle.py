@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 from dyadhist.cli import main
 from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec, l1_dist
-from dyadhist.errors import OracleGuardError
+from dyadhist.errors import OracleGuardError, UnsupportedDomainError
 from dyadhist.fileio import write_samples
+from dyadhist import oracle
 from dyadhist.oracle import (
-    DEFAULT_GUARD,
-    OracleGuard,
     _disjoint_unions,
     all_dyadic_rects,
     brute_d1,
@@ -86,6 +85,20 @@ class TestDkDistance:
         with pytest.raises(OracleGuardError):
             dk_distance(np.zeros((256, 256)), grid_big, 1)
 
+    def test_guard_trips_before_the_cell_arrays(self):
+        # the limit trips before the dense (M,)*d cell arrays, 25 MB here, are built
+        d = Domain.discrete(1024, 2)
+        emp = EmpiricalDist(d, np.array([[1, 1]]), np.array([1]))
+        grid = GridSpec.uniform(d, 1024)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleGuardError, match="1398101 dyadic rectangles"):
+                dk_distance_between(emp, emp, grid, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
 
 class TestOptHierL2:
     def test_zero_when_k_covers_cells(self):
@@ -126,12 +139,24 @@ class TestOptHierL2:
         val, _ = opt_hier_l2(emp, grid, hyp.piece_count)
         assert val <= l2_sq_dist(emp, hyp) + 1e-15
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         d = Domain.discrete(8, 2)
         emp = EmpiricalDist(d, np.array([[1, 1]]), np.array([1]))
         grid = GridSpec.uniform(d, 8)
+        monkeypatch.setattr(oracle, "_MAX_PARTITIONS", 50)
         with pytest.raises(OracleGuardError):
-            opt_hier_l2(emp, grid, 64, OracleGuard(max_partitions=50))
+            opt_hier_l2(emp, grid, 64)
+
+    def test_unit_cube_rejected(self):
+        # a unit-cube rect's volume is no count of lattice points, so the
+        # squared error would go negative and read as 0
+        d = Domain.unit(1)
+        emp = EmpiricalDist.from_samples(d, np.array([[0.1], [0.2], [0.7]]))
+        grid = GridSpec.uniform(d, 4)
+        with pytest.raises(UnsupportedDomainError):
+            opt_hier_l2(emp, grid, 2)
+        with pytest.raises(UnsupportedDomainError):
+            opt_hier_l2_dp_1d(emp, grid, 2)
 
 
 class TestOptPartialHierDk:
@@ -169,12 +194,13 @@ class TestOptPartialHierDk:
         # no single-rect support does better (the fit_d1 optimum is also 1/4)
         assert val == pytest.approx(0.25, abs=1e-9)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         d = Domain.discrete(8, 2)
         emp = EmpiricalDist(d, np.array([[1, 1]]), np.array([1]))
         grid = GridSpec.uniform(d, 8)
+        monkeypatch.setattr(oracle, "_MAX_PARTITIONS", 100)
         with pytest.raises(OracleGuardError):
-            opt_partial_hier_dk(emp, grid, 3, OracleGuard(max_partitions=100))
+            opt_partial_hier_dk(emp, grid, 3)
 
     def test_memory_grows_as_rects_times_unions(self):
         # one cached union-weight column per rectangle; a weight matrix kept
@@ -182,7 +208,7 @@ class TestOptPartialHierDk:
         d = Domain.discrete(8, 2)
         grid = GridSpec.uniform(d, 8)
         rects = all_dyadic_rects(grid)
-        unions = _disjoint_unions(rects, 2, DEFAULT_GUARD)
+        unions = _disjoint_unions(rects, 2)
         assert (len(rects), len(unions)) == (85, 3428)
         emp = random_empirical(make_rng(5), d, 30)
         opt_partial_hier_dk(emp, grid, 1)  # imports scipy before the measurement
@@ -196,7 +222,7 @@ class TestOptPartialHierDk:
         assert peak < 4 * len(rects) * len(unions) * 8, peak  # 9.3 MB; the oracle takes about 4.2 MB
 
     def test_column_guard_bounds_rects_times_unions(self, tmp_path, capsys):
-        # {1..32}^2 with k=2 passes both OracleGuard limits (1365 rects, 925,924
+        # {1..32}^2 with k=2 passes the rect and union limits (1365 rects, 925,924
         # unions), but one column per rect over all unions is about 10 GB
         d = Domain.discrete(32, 2)
         emp = random_empirical(make_rng(32), d, 20)

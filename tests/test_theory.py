@@ -20,27 +20,26 @@ from conftest import cell_values, make_rng, random_hier_hist, random_partial_his
 
 class TestSampleBudget:
     def test_l2_golden(self):
-        b = sample_budget(BudgetFormula.L2, k=1, d=1, eps=0.01, delta=math.exp(-1))
-        assert b.n == 100
+        assert sample_budget(BudgetFormula.L2, k=1, d=1, eps=0.01, delta=math.exp(-1)) == 100
 
     def test_fixed_grid_golden(self):
-        b = sample_budget(
+        n = sample_budget(
             BudgetFormula.FIXED_GRID_L1,
             k=2, d=1, eps=0.1, delta=math.exp(-1), xi=1.0, m=256,
         )
-        assert b.n == 51_300
+        assert type(n) is int and n == 51_300
 
     def test_adaptive_monotone_in_eps(self):
         eps_grid = [0.02, 0.05, 0.1, 0.2, 0.4]
         ns = [
-            sample_budget(BudgetFormula.ADAPTIVE_L1, k=3, d=2, eps=e, delta=0.05).n
+            sample_budget(BudgetFormula.ADAPTIVE_L1, k=3, d=2, eps=e, delta=0.05)
             for e in eps_grid
         ]
         assert all(a >= b for a, b in zip(ns, ns[1:]))
 
     def test_monotone_in_k_and_d(self):
         def n(k, d):
-            return sample_budget(BudgetFormula.ADAPTIVE_L1, k=k, d=d, eps=0.1, delta=0.1).n
+            return sample_budget(BudgetFormula.ADAPTIVE_L1, k=k, d=d, eps=0.1, delta=0.1)
 
         assert n(1, 1) <= n(2, 1) <= n(4, 1)
         assert n(2, 1) <= n(2, 2) <= n(2, 3)
@@ -48,7 +47,7 @@ class TestSampleBudget:
     def test_monotone_in_delta(self):
         for formula in (BudgetFormula.FIXED_GRID_L1, BudgetFormula.ADAPTIVE_L1, BudgetFormula.L2):
             ns = [
-                sample_budget(formula, k=2, d=2, eps=0.1, delta=dl, m=16).n
+                sample_budget(formula, k=2, d=2, eps=0.1, delta=dl, m=16)
                 for dl in (0.01, 0.05, 0.2, 0.5)
             ]
             assert all(a >= b for a, b in zip(ns, ns[1:]))
@@ -62,11 +61,11 @@ class TestSampleBudget:
             sample_budget(BudgetFormula.FIXED_GRID_L1, k=1, d=1, eps=0.5, delta=0.5)
 
     @pytest.mark.parametrize("formula", list(BudgetFormula))
-    @pytest.mark.parametrize("bad", [dict(xi=math.inf), dict(C=math.inf), dict(eps=1e-200), dict(eps=1e-320)])
+    @pytest.mark.parametrize("bad", [dict(xi=math.inf), dict(eps=1e-200), dict(eps=1e-320)])
     def test_unrepresentable_budget_raises_value_error(self, formula, bad):
         args = dict(k=2, d=2, eps=0.1, delta=0.1, m=16) | bad
         if formula is BudgetFormula.L2 and bad == dict(eps=1e-200):
-            assert sample_budget(formula, **args).n > 10**200  # ln(10) / 1e-200 is a finite float
+            assert sample_budget(formula, **args) > 10**200  # ln(10) / 1e-200 is a finite float
             return
         with pytest.raises(ValueError) as err:
             sample_budget(formula, **args)
@@ -130,6 +129,22 @@ class TestToHierarchical:
             out = to_hierarchical(h, grid)
             assert l1_dist(h, out) == pytest.approx(0.0, abs=1e-12)
             assert out.piece_count <= k * (2 * grid.levels) ** dim
+
+    def test_hierarchical_input_refines_to_arbitrary(self):
+        for trial in range(200):
+            rng = make_rng(trial + 900)
+            grid = GridSpec.uniform(Domain.unit(1 + trial % 2), 8)
+            h = random_hier_hist(rng, grid, 7)
+            out = to_hierarchical(h, grid)
+            assert out.kind is HistKind.ARBITRARY
+            assert l1_dist(h, out) == 0.0
+
+    def test_partial_input_stays_partial(self, rng):
+        grid = GridSpec.uniform(Domain.unit(2), 8)
+        h = random_partial_hist(rng, grid, 3)
+        out = to_hierarchical(h, grid)
+        assert out.kind is HistKind.PARTIAL
+        assert l1_dist(h, out) == 0.0
 
     def test_off_grid_vertex_rejected(self):
         d = Domain.unit(1)
