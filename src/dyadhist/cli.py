@@ -18,21 +18,17 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .core import (
     Domain,
-    EmpiricalDist,
     GridSpec,
     HistHypothesis,
     gen_truth,
     l1_dist,
     l2_sq_dist,
-    log2_int,
     sample_from,
 )
-from .errors import OracleGuardError
-from .fileio import read_hypothesis, read_samples, write_hypothesis, write_samples
+from .errors import OracleGuardError, UnsupportedDomainError
+from .fileio import read_hypothesis, read_samples, write_grid, write_hypothesis, write_samples
 from .oracle import dk_distance_between, opt_hier_l2, opt_partial_hier_dk
 from .split import (
     SplitParams,
@@ -123,19 +119,26 @@ class LearnReport:
         return "".join(f"time.{k}: {v:.6f}\n" for k, v in self.timings.items())
 
 
-def _make_grid(cfg: RunConfig, emp: EmpiricalDist) -> GridSpec:
-    if cfg.fixed_grid:
-        if emp.domain.is_discrete:
-            m = cfg.m if cfg.m is not None else emp.domain.m
-            if m != emp.domain.m:
-                raise ValueError(f"--m {m} disagrees with the sample domain [{emp.domain.m}]")
-        else:
-            if cfg.m is None:
-                raise ValueError("a fixed grid on the unit cube needs --m (cells per axis)")
-            m = cfg.m
-        log2_int(m)  # must be a power of 2
-        return GridSpec.uniform(emp.domain, m)
-    return build_adaptive_grid(emp)
+def _fixed_grid(domain: Domain, m: int | None) -> GridSpec:
+    """The uniform grid of ``--m`` cells per axis, for ``learn --grid fixed`` and ``oracle``.
+
+    On a discrete domain ``m`` defaults to the side and must equal it; the
+    unit cube needs it.
+    """
+    if domain.is_discrete:
+        if m is not None and m != domain.m:
+            raise ValueError(f"--m {m} disagrees with the sample domain [{domain.m}]")
+        m = domain.m
+    elif m is None:
+        raise ValueError("a fixed grid on the unit cube needs --m (cells per axis)")
+    return GridSpec.uniform(domain, m)
+
+
+def _truth_error(metric: str, truth: HistHypothesis, h: HistHypothesis) -> tuple:
+    """(name, value) of the distance from ``truth`` to ``h``: l1, or squared l2 for the l2 metric."""
+    if metric == "l2":
+        return "l2sq_vs_truth", l2_sq_dist(truth, h)
+    return "l1_vs_truth", l1_dist(truth, h)
 
 
 def run_learn(cfg: RunConfig):
@@ -145,13 +148,11 @@ def run_learn(cfg: RunConfig):
     t0 = time.perf_counter()
     emp = read_samples(cfg.input_path)
     if cfg.metric == "l2" and not emp.domain.is_discrete:
-        from .errors import UnsupportedDomainError
-
         raise UnsupportedDomainError("the l2 learner requires a discrete domain")
     timings["ingest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    grid = _make_grid(cfg, emp)
+    grid = _fixed_grid(emp.domain, cfg.m) if cfg.fixed_grid else build_adaptive_grid(emp)
     params = SplitParams(k=cfg.k, xi=cfg.xi)
     if cfg.metric == "l1":
         hyp, _trace = greedy_split(emp, grid, params)
@@ -166,11 +167,7 @@ def run_learn(cfg: RunConfig):
     except OracleGuardError:
         pass  # the exact D_k oracle runs on desk-scale grids only
     if cfg.truth_path:
-        truth = read_hypothesis(cfg.truth_path)
-        if cfg.metric == "l1":
-            errors.append(("l1_vs_truth", l1_dist(truth, hyp)))
-        else:
-            errors.append(("l2sq_vs_truth", l2_sq_dist(truth, hyp)))
+        errors.append(_truth_error(cfg.metric, read_hypothesis(cfg.truth_path), hyp))
     timings["evaluate"] = time.perf_counter() - t0
 
     out_hyp = hyp
@@ -257,42 +254,17 @@ def _cmd_eval(args) -> int:
     print(f"pieces: {hyp.piece_count}")
     print(f"total_mass: {hyp.total_mass():.12g}")
     if args.truth:
-        truth = read_hypothesis(args.truth)
-        if args.metric == "l2":
-            print(f"l2sq_vs_truth: {l2_sq_dist(truth, hyp):.12g}")
-        else:
-            print(f"l1_vs_truth: {l1_dist(truth, hyp):.12g}")
+        name, value = _truth_error(args.metric, read_hypothesis(args.truth), hyp)
+        print(f"{name}: {value:.12g}")
     if args.dump_grid is not None:
-        _dump_grid(hyp, args.dump_grid, args.out)
+        write_grid(args.out, hyp, args.dump_grid)
         print(f"wrote {args.out}")
     return 0
 
 
-def _dump_grid(h: HistHypothesis, res: int, path) -> None:
-    """Evaluate h at the centers of a res^d regular grid, for plotting."""
-    domain = h.domain
-    lo, hi = domain.lower, domain.upper
-    centers = lo + (np.arange(res) + 0.5) * (hi - lo) / res
-    if domain.is_discrete:
-        centers = np.clip(np.floor(centers).astype(np.int64), 1, domain.m)
-    mesh = np.meshgrid(*[centers] * domain.dim, indexing="ij")
-    pts = np.stack([m_.ravel() for m_ in mesh], axis=1)
-    lines = [f"# dim={domain.dim} resolution={res}"]
-    for row, val in zip(pts, h.value_at(pts)):
-        coord = ",".join(
-            str(int(v)) if domain.is_discrete else f"{v:.12g}" for v in row
-        )
-        lines.append(f"{coord},{val:.12g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _cmd_oracle(args) -> int:
     emp = read_samples(getattr(args, "in"))
-    m = args.m if args.m is not None else (emp.domain.m or None)
-    if m is None:
-        raise ValueError("oracle needs --m (grid cells per axis)")
-    log2_int(m)
-    grid = GridSpec.uniform(emp.domain, m)
+    grid = _fixed_grid(emp.domain, args.m)
     if args.metric == "l2":
         val, _ = opt_hier_l2(emp, grid, args.k)
         print(f"opt_hier_l2: {val:.12g}")

@@ -118,10 +118,15 @@ class Rect:
         return ok.all(axis=1)
 
 
-def _check_inside(rect: Rect, domain: Domain) -> None:
-    """Raise DomainViolationError unless ``rect`` has the domain's dimension and lies in it."""
+def _check_dim(rect: Rect, domain: Domain) -> None:
+    """Raise DomainViolationError unless ``rect`` has the domain's dimension."""
     if rect.dim != domain.dim:
         raise DomainViolationError(f"rect dim {rect.dim} != domain dim {domain.dim}")
+
+
+def _check_inside(rect: Rect, domain: Domain) -> None:
+    """Raise DomainViolationError unless ``rect`` has the domain's dimension and lies in it."""
+    _check_dim(rect, domain)
     if any(l < domain.lower or h > domain.upper for l, h in zip(rect.lo, rect.hi)):
         raise DomainViolationError(f"rect {rect} outside domain bounds")
 
@@ -180,6 +185,11 @@ class DyadicRect:
         return not self.contains(other) and not other.contains(self)
 
 
+def _check_cells(cells: int) -> None:
+    if cells < 1 or cells & (cells - 1):
+        raise StructureError(f"cell count per axis must be a power of 2, got {cells}")
+
+
 @dataclass(frozen=True, eq=False)
 class GridSpec:
     """An ``M^d`` cell grid given by per-axis boundary arrays of length M+1.
@@ -200,9 +210,7 @@ class GridSpec:
         sizes = {len(a) for a in axes}
         if len(sizes) != 1:
             raise StructureError("all axes must have the same boundary count")
-        m_cells = sizes.pop() - 1
-        if m_cells < 1 or m_cells & (m_cells - 1):
-            raise StructureError(f"cell count per axis must be a power of 2, got {m_cells}")
+        _check_cells(sizes.pop() - 1)
         for a in axes:
             if np.any(np.diff(a) < 0):
                 raise StructureError("axis boundaries must be non-decreasing")
@@ -212,6 +220,7 @@ class GridSpec:
     @staticmethod
     def uniform(domain: Domain, cells: int) -> "GridSpec":
         """Evenly spaced grid with ``cells`` cells per axis (power of 2)."""
+        _check_cells(cells)
         if domain.is_discrete:
             if cells != domain.m:
                 raise StructureError("uniform discrete grid must have m cells per axis")
@@ -359,6 +368,7 @@ class EmpiricalDist:
         return len(self.points)
 
     def mass_in(self, rect: Rect) -> float:
+        _check_dim(rect, self.domain)
         if self.support_size == 0:
             return 0.0
         mask = rect.contains_points(self.points, self.domain)
@@ -491,6 +501,7 @@ class HistHypothesis:
         return float(vals[0]) if single else vals
 
     def mass_in(self, rect: Rect) -> float:
+        _check_dim(rect, self.domain)
         total = 0.0
         for p in self.pieces:
             total += p.value * volume(p.rect.intersect(rect), self.domain)
@@ -605,14 +616,6 @@ def l2_sq_dist(g1, g2) -> float:
     v1 = _rasterize(g1, axes)
     v2 = _rasterize(g2, axes)
     return float(np.sum((v1 - v2) ** 2 * _cell_volumes(axes)))
-
-
-def log2_int(m: int) -> int:
-    """log2 of a power of two, validated."""
-    l = int(m).bit_length() - 1
-    if m <= 0 or (1 << l) != m:
-        raise StructureError(f"{m} is not a power of 2")
-    return l
 
 
 def next_pow2(x: int) -> int:
@@ -730,7 +733,6 @@ __all__ = [
     "l1_dist",
     "l2_sq_dist",
     "piece_coverage",
-    "log2_int",
     "next_pow2",
     "gen_truth",
     "sample_from",

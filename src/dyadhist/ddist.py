@@ -524,7 +524,7 @@ def compute_d1(tree: SparseDyadicTree, a: float):
     ``tree``.  Along a chain |mass - a*vol| is largest at an end, so a
     chain's discrepancy is the larger of its bottom's and its top's.
     """
-    if a < 0:
+    if not a >= 0:  # nan fails too
         raise ValueError(f"constant a must be nonnegative, got {a}")
     b2 = a * tree.max_empty_vol if tree.max_empty_vol >= 0 else -1.0  # the empty term
     if tree.node_count == 0:

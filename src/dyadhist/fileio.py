@@ -1,4 +1,4 @@
-"""Text file formats: sample lists and piece-per-line hypothesis files.
+"""Text file formats: sample lists, piece-per-line hypothesis files and grid dumps.
 
 Both formats are UTF-8 and share one line grammar.  CRLF and CR are read as
 LF, and only LF ends a line.  Line 1 is the header:
@@ -11,7 +11,11 @@ skipped.  Samples have one point per line (d comma-separated fields, made
 only of ``0-9 . , + - e E`` and spaces); hypotheses have one piece per line
 (d interval pairs lo,hi then the value, each field read by ``float``).
 Floats are written with 12 significant digits, which is stable under
-re-ingestion: writing a re-read file reproduces it byte for byte.
+re-ingestion: writing a re-read file reproduces it byte for byte.  Every
+writer formats its rows by one ``%`` on a repeated row template
+(``_rows``).  A grid dump, for plotting only, has the header
+``# dim=<d> resolution=<res>`` and one grid point and its value per line;
+no reader takes it.
 
 ``read_samples`` blanks skipped lines in place, keeping their LF, so every
 row keeps its line number; only the lines from the body's first ``#`` or
@@ -29,6 +33,7 @@ import io
 import math
 import re
 import warnings
+from itertools import chain
 from pathlib import Path
 from typing import NoReturn
 
@@ -47,10 +52,15 @@ _SKIPPED = re.compile(rb"\n(?=[ #]) *(?:#[^\n]*)?(?=\n|\Z)")
 _WRITE_ROWS = 1 << 15
 
 
-def fmt_num(x, discrete: bool) -> str:
-    if discrete:
-        return str(int(x))
-    return f"{float(x):.12g}"
+def _coord_format(domain: Domain) -> str:
+    """The ``%`` format of a coordinate or a piece bound: an integer on the discrete cube, else 12 digits."""
+    return "%d" if domain.is_discrete else "%.12g"
+
+
+def _rows(fields: list, table: np.ndarray) -> str:
+    """The 2-d ``table`` as lines, by one ``%`` on a row template that joins ``fields`` by commas."""
+    row = ",".join(fields) + "\n"
+    return (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def _domain_header(domain: Domain) -> str:
@@ -94,17 +104,15 @@ def _header_fields(line: str) -> tuple:
 def write_samples(path, emp: EmpiricalDist) -> None:
     """One line per sample, in blocks of ``_WRITE_ROWS`` distinct rows.
 
-    Each block is formatted by one ``%`` on a repeated row template and its
-    lines are repeated only when some count exceeds 1.  ``"%.12g" % x`` and
-    ``fmt_num`` run the same C formatter, so the bytes are ``fmt_num``'s.
+    Each block is formatted by ``_rows`` and its lines are repeated only
+    when some count exceeds 1.
     """
-    row = ",".join(["%d" if emp.domain.is_discrete else "%.12g"] * emp.domain.dim) + "\n"
+    fields = [_coord_format(emp.domain)] * emp.domain.dim
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"# {_domain_header(emp.domain)}\n")
         for start in range(0, emp.support_size, _WRITE_ROWS):
-            pts = emp.points[start : start + _WRITE_ROWS]
             counts = emp.counts[start : start + _WRITE_ROWS]
-            text = (row * len(pts)) % tuple(pts.ravel().tolist())
+            text = _rows(fields, emp.points[start : start + _WRITE_ROWS])
             if counts.max() > 1:
                 lines = text.splitlines(keepends=True)
                 text = "".join([line * c for line, c in zip(lines, counts.tolist())])
@@ -201,16 +209,23 @@ def _raise_bad_line(path, raw: bytes, domain: Domain) -> NoReturn:
 def write_hypothesis(path, h: HistHypothesis) -> None:
     """One piece per line: lo,hi per axis, then the value (12 sig. digits)."""
     kind = "partial" if h.kind is HistKind.PARTIAL else "arbitrary"
-    disc = h.domain.is_discrete
-    lines = [f"# {_domain_header(h.domain)} kind={kind}"]
-    for p in h.pieces:
-        cols = []
-        for a in range(h.domain.dim):
-            cols.append(fmt_num(p.rect.lo[a], disc))
-            cols.append(fmt_num(p.rect.hi[a], disc))
-        cols.append(f"{p.value:.12g}")
-        lines.append(",".join(cols))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    fields = [_coord_format(h.domain)] * (2 * h.domain.dim) + ["%.12g"]
+    # an object table keeps each bound as given, so a large discrete bound is written exactly
+    table = np.array([[*chain.from_iterable(zip(p.rect.lo, p.rect.hi)), p.value] for p in h.pieces], dtype=object)
+    Path(path).write_text(f"# {_domain_header(h.domain)} kind={kind}\n" + _rows(fields, table), encoding="utf-8")
+
+
+def write_grid(path, h: HistHypothesis, res: int) -> None:
+    """``h`` at the centers of a ``res``^d regular grid, one point and its value per line, for plotting."""
+    domain = h.domain
+    centers = domain.lower + (np.arange(res) + 0.5) * (domain.upper - domain.lower) / res
+    if domain.is_discrete:
+        centers = np.clip(np.floor(centers).astype(np.int64), 1, domain.m)
+    mesh = np.meshgrid(*[centers] * domain.dim, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    fields = [_coord_format(domain)] * domain.dim + ["%.12g"]
+    table = np.column_stack((pts.astype(object), h.value_at(pts).astype(object)))
+    Path(path).write_text(f"# dim={domain.dim} resolution={res}\n" + _rows(fields, table), encoding="utf-8")
 
 
 def read_hypothesis(path) -> HistHypothesis:
@@ -256,9 +271,9 @@ def read_hypothesis(path) -> HistHypothesis:
 
 
 __all__ = [
-    "fmt_num",
     "write_samples",
     "read_samples",
     "write_hypothesis",
     "read_hypothesis",
+    "write_grid",
 ]

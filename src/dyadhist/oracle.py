@@ -420,6 +420,8 @@ def brute_d1(fhat: EmpiricalDist, grid: GridSpec, rect: DyadicRect, a: float):
     missing children, and zero-width halves let an empty rectangle of the
     largest volume nest inside a larger empty one.
     """
+    if not a >= 0:  # nan fails too
+        raise ValueError(f"constant a must be nonnegative, got {a}")
     check_dyadic(grid, rect)
     d, depth = grid.dim, rect.level
     total = sum((1 << (depth - lev)) ** d for lev in range(depth + 1))

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from dyadhist.cli import LearnReport, RunConfig, gen_truth, main, run_learn, sample_from
 from dyadhist import cli, core, fileio
-from dyadhist.core import Domain, EmpiricalDist, HistKind, l1_dist, mass, volume
+from dyadhist.core import Domain, EmpiricalDist, HistKind, l1_dist, l2_sq_dist, mass, volume
 from dyadhist.errors import ConfigurationError, DomainViolationError
-from dyadhist.fileio import fmt_num, read_hypothesis, read_samples, write_hypothesis, write_samples
+from dyadhist.fileio import read_hypothesis, read_samples, write_hypothesis, write_samples
 
 from conftest import make_rng, one_shot_sample_from
 
@@ -193,9 +193,9 @@ class TestIngest:
 
 
 def per_field_twin(emp) -> str:
-    """The sample file written one ``fmt_num`` call per field, as before block formatting."""
+    """The sample file written one field at a time, as before block formatting."""
     disc = emp.domain.is_discrete
-    rows = ((",".join(fmt_num(v, disc) for v in row) + "\n") * c
+    rows = ((",".join(str(int(v)) if disc else f"{float(v):.12g}" for v in row) + "\n") * c
             for row, c in zip(emp.points.tolist(), emp.counts.tolist()))
     domain = f"discrete {emp.domain.m}" if disc else "unit"
     return f"# dim={emp.domain.dim} domain={domain}\n" + "".join(rows)
@@ -536,17 +536,43 @@ class TestCommandLine:
         ],
     )
     def test_report_echoes_the_grid_used(self, tmp_path, capsys, args, grid):
-        # the l2 learner always runs on the fixed grid
+        # the l2 learner always runs on the fixed grid; learn and eval both
+        # measure the truth error in the run's metric
         truth, samples = tmp_path / "t.hist", tmp_path / "s.txt"
         assert main(["gen", "--k", "3", "--dim", "1", "--domain", "discrete", "--m", "16",
                      "--seed", "1", "--out", str(truth)]) == 0
         assert main(["sample", "--in", str(truth), "--n", "200", "--seed", "2", "--out", str(samples)]) == 0
         capsys.readouterr()
-        assert main(["learn", "--in", str(samples), "--k", "2"] + args) == 0
+        assert main(["learn", "--in", str(samples), "--k", "2", "--truth", str(truth)] + args) == 0
         report = capsys.readouterr().out
         assert f"config.grid: {grid}\n" in report
         if grid == "fixed":
             assert "grid.M: 16\ngrid.levels: 4\ngrid.padded_cells: 0\n" in report
+        metric = args[1]
+        error = "l2sq_vs_truth" if metric == "l2" else "l1_vs_truth"
+        want = (l2_sq_dist if metric == "l2" else l1_dist)(read_hypothesis(truth), read_hypothesis(f"{samples}.hyp"))
+        assert f"error.{error}: {want:.12g}\n" in report
+        assert main(["eval", "--in", f"{samples}.hyp", "--truth", str(truth), "--metric", metric]) == 0
+        assert f"{error}: {want:.12g}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["learn", "oracle"])
+    @pytest.mark.parametrize(
+        "domain,m,message",
+        [
+            ("discrete 16", ["--m", "8"], "--m 8 disagrees with the sample domain [16]"),
+            ("unit", [], "a fixed grid on the unit cube needs --m (cells per axis)"),
+            ("unit", ["--m", "6"], "cell count per axis must be a power of 2, got 6"),
+            ("unit", ["--m", "0"], "cell count per axis must be a power of 2, got 0"),
+            ("unit", ["--m", "-4"], "cell count per axis must be a power of 2, got -4"),
+        ],
+    )
+    def test_fixed_grid_rejects_bad_m(self, tmp_path, capsys, command, domain, m, message):
+        # learn's fixed grid and the oracle's grid follow one --m rule
+        samples = tmp_path / "s.txt"
+        samples.write_text(f"# dim=1 domain={domain}\n1\n1\n")
+        args = ["--grid", "fixed"] if command == "learn" else []
+        assert main([command, "--in", str(samples), "--k", "1"] + args + m) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_guard_overflow_exit_3(self, tmp_path):
         truth = tmp_path / "t.hist"
@@ -571,12 +597,12 @@ class TestCommandLine:
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
         # a --dump-grid of 70000 on a 2-d hypothesis asks numpy for 36.5 GiB;
         # the test raises the MemoryError without allocating
-        def no_memory(h, res, path):
+        def no_memory(path, h, res):
             raise MemoryError("Unable to allocate 36.5 GiB")
 
         truth = tmp_path / "t.hist"
         main(["gen", "--k", "2", "--dim", "2", "--seed", "1", "--out", str(truth)])
-        monkeypatch.setattr(cli, "_dump_grid", no_memory)
+        monkeypatch.setattr(cli, "write_grid", no_memory)
         capsys.readouterr()
         rc = main(["eval", "--in", str(truth), "--dump-grid", "70000", "--out", str(tmp_path / "g.csv")])
         assert rc == 2
@@ -620,6 +646,7 @@ class TestCommandLine:
         [
             "dim=x domain=unit", "dim=0 domain=unit", "dim=1 domain=discrete x", "dim=1 domain=discrete 0",
             "dim=1 domain=unit kind=partail", "dim=1 dim=2 domain=unit", "dim=1 domain=discrete 4 domain=unit",
+            "dim=1 domain=discrete",
             # only spaces separate header fields
             "dim=1\x0bdomain=unit", "dim=1\x0cdomain=unit", "dim=1\x85domain=unit", "dim=1\xa0domain=unit",
             "dim=1\u2028domain=unit", "dim=1\tdomain=unit", "dim=1 domain=discrete\t4",
@@ -677,6 +704,11 @@ class TestCommandLine:
             ("# dim=1 domain=unit kind=arbitrary\n0,0.5,1\n0.6,1,1\n", ":1:"),  # gap
             ("# dim=1 domain=discrete 4 kind=arbitrary\n1,2.5,1\n2.5,5,1\n", ":2:"),
             ("# dim=2 domain=unit kind=partial\n0,0.5,0,1,1\n0.2,0.7,0.2,0.4,3\n", ":3:"),
+            ("# dim=1 domain=unit kind=arbitrary\n0,1.5,1\n", ":2:"),  # outside the domain
+            ("# dim=1 domain=unit kind=arbitrary\n0,1,-1\n", ":2:"),  # negative value
+            ("# dim=1 domain=unit kind=arbitrary\n0.5,0.2,1\n", ":2:"),  # lo > hi
+            ("# dim=1 domain=unit kind=arbitrary\n", ": no pieces"),
+            ("", ": empty file"),
         ],
     )
     def test_eval_rejects_bad_hypothesis_file(self, tmp_path, capsys, text, where):

@@ -340,6 +340,8 @@ class TestMass:
         for g in (emp, uniform_hist(d)):
             with pytest.raises(DomainViolationError, match="rect dim"):
                 mass(g, rect)
+            with pytest.raises(DomainViolationError, match="rect dim"):
+                g.mass_in(rect)
 
 
 class TestL1:

@@ -463,10 +463,15 @@ class TestComputeD1:
         assert err == pytest.approx(0.5 * 4, abs=0)
         assert wit == grid.root()
 
-    def test_negative_constant_rejected(self):
+    @pytest.mark.parametrize("a", [-0.1, math.nan])
+    @pytest.mark.parametrize("d1", [
+        lambda emp, grid, a: compute_d1(build_tree(emp, grid, grid.root()), a),
+        lambda emp, grid, a: brute_d1(emp, grid, grid.root(), a),
+    ], ids=["compute_d1", "brute_d1"])
+    def test_negative_constant_rejected(self, d1, a):
         emp, grid = counts_2101()
-        with pytest.raises(ValueError):
-            compute_d1(build_tree(emp, grid, grid.root()), -0.1)
+        with pytest.raises(ValueError, match="constant a must be nonnegative"):
+            d1(emp, grid, a)
 
     def test_matches_brute_force_on_random_family(self, rng):
         for trial in range(300):

@@ -35,9 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from dyadhist.cli import _dump_grid, gen_truth, sample_from
+from dyadhist.cli import gen_truth, sample_from
 from dyadhist.core import Domain, EmpiricalDist, GridSpec, l2_sq_dist
-from dyadhist.fileio import read_samples, write_hypothesis, write_samples
+from dyadhist.fileio import read_samples, write_grid, write_hypothesis, write_samples
 from dyadhist.split import SplitParams, adaptive_greedy_split, greedy_split, greedy_split_l2
 
 from conftest import make_rng, random_partial_hist
@@ -147,7 +147,7 @@ GOLDEN = {
 def dump_digest(h, res) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "grid.csv"
-        _dump_grid(h, res, path)
+        write_grid(path, h, res)
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
