@@ -122,8 +122,9 @@ class LearnReport:
 def _fixed_grid(domain: Domain, m: int | None) -> GridSpec:
     """The uniform grid of ``--m`` cells per axis, for ``learn --grid fixed`` and ``oracle``.
 
-    On a discrete domain ``m`` defaults to the side and must equal it; the
-    unit cube needs it.
+    On a discrete domain ``m`` defaults to the side and must equal it, and
+    ``GridSpec.uniform`` pads a side that is not a power of 2; the unit cube
+    needs it.
     """
     if domain.is_discrete:
         if m is not None and m != domain.m:

@@ -150,8 +150,8 @@ class DyadicRect:
 
     At level ``l`` the rectangle spans cells ``[index_a * 2^l, (index_a+1) * 2^l)``
     on every axis.  Level ``L = log2(M)`` is the root; level 0 is a single cell.
-    The dataclass ordering (level, then index) is the canonical tie-break
-    order used everywhere a deterministic witness is needed.
+    The dataclass ordering (level, then index) fixes the order of a learned
+    hypothesis's pieces and of a trace's leaves, so both are deterministic.
     """
 
     level: int
@@ -219,13 +219,18 @@ class GridSpec:
 
     @staticmethod
     def uniform(domain: Domain, cells: int) -> "GridSpec":
-        """Evenly spaced grid with ``cells`` cells per axis (power of 2)."""
-        _check_cells(cells)
+        """Evenly spaced grid with ``cells`` cells per axis.
+
+        On the unit cube ``cells`` must be a power of 2.  On {1..m}^d it must
+        be m, one cell per value, and zero-width cells at the top pad each
+        axis to the next power of 2.
+        """
         if domain.is_discrete:
             if cells != domain.m:
                 raise StructureError("uniform discrete grid must have m cells per axis")
-            ax = np.arange(1, domain.m + 2, dtype=np.float64)
+            ax = np.minimum(np.arange(1, next_pow2(cells) + 2), cells + 1).astype(np.float64)
         else:
+            _check_cells(cells)
             ax = np.linspace(0.0, 1.0, cells + 1)
         return GridSpec(domain, tuple(ax.copy() for _ in range(domain.dim)))
 

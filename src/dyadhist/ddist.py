@@ -34,21 +34,7 @@ decreasing and one increasing convex piecewise-linear function, and its
 minimum is the crossing of two of their lines, which cutting planes reach
 in a few passes over the tree (at most 5 on the benchmark's leaves).  Of a
 chain's lines the decreasing envelope needs only the bottom's and the
-increasing one only the top's.  The best pass gives the error too, so the
-fit reads no witness.
-
-Ties.  ``compute_d1``'s witness is the least (level, lexicographic index)
-rectangle among the ones it reads: the tree's nodes, chains included, at
-the largest discrepancy, and the missing children of tree nodes at the
-largest empty volume (``rect`` itself when the tree is empty).  Morton order
-is not lexicographic order within a level, and a tie can sit inside a chain
-(zero-width halves repeat a volume up it), so ties are resolved explicitly,
-when ``compute_d1`` or ``empty_witness`` asks for a witness: the tied chains
-are walked upward together from the lowest level, and the first level that
-holds a tied rectangle gives the least one there.  ``oracle.brute_d1``
-scans every dyadic rectangle, so its error is the same but its witness may
-be another: zero-width halves let an empty rectangle of the largest volume
-nest inside a larger empty one, below the missing child that holds it.
+increasing one only the top's.  The best pass gives the error too.
 
 All node masses are integer counts divided by n exactly once, so results are
 bit-identical to a dense enumeration that aggregates the same integers.
@@ -327,11 +313,6 @@ class MortonIndex:
             most = np.where(alone, second, most)
         return most, reduce(np.multiply, ours)
 
-    def _present(self, lev: int, index) -> np.ndarray:
-        """Which children of the level-``lev`` rectangle ``index`` hold points (repeats kept)."""
-        lo, hi = self.run(DyadicRect(lev, tuple(int(i) for i in index)))
-        return self._digit(self.cells[lo:hi], lev - 1)
-
     def _walk(self, nodes: np.ndarray, high: int, best: np.ndarray) -> tuple:
         """Largest missing-child volume on the chains of ``nodes``, top-down.
 
@@ -405,18 +386,15 @@ class SparseDyadicTree:
     children before their parent, siblings in Morton order.  The last node
     is ``rect`` or the bottom of the chain ``rect`` sits in; its chain is
     clipped at ``rect``, so ``top_vol[-1]`` is the volume of ``rect``.  Node
-    i stands for its chain: levels ``node_level[i]`` to ``top_level[i]``,
-    mass ``node_mass[i]``, volumes from ``node_vol[i]`` up to
-    ``top_vol[i]``, and ``node_empty[i]``, the largest volume of a missing
-    child on the chain (-1 if none).  Only the nodes ``chain_at`` have
-    one-child nodes above them; ``chain_top`` holds their top volumes.
-    ``max_empty_vol`` is the largest volume of an empty rectangle below
-    ``rect`` (-1 if there is none), the maximum of ``node_empty``.  Node
-    order is not (level, lexicographic index) order, so witnesses are found
-    among ties by walking the tied chains upward, decoding the nodes'
-    rectangles on demand.  ``node_visits`` counts the entries read to find
-    the view, plus the index's own count when this view built the index's
-    nodes.
+    i stands for its chain: from level ``node_level[i]`` up to the index's
+    ``top_level`` (clipped at ``rect``), mass ``node_mass[i]``, volumes from
+    ``node_vol[i]`` up to ``top_vol[i]``, and ``node_empty[i]``, the largest
+    volume of a missing child on the chain (-1 if none).  Only the nodes
+    ``chain_at`` have one-child nodes above them; ``chain_top`` holds their
+    top volumes.  ``max_empty_vol`` is the largest volume of an empty
+    rectangle below ``rect`` (-1 if there is none), the maximum of
+    ``node_empty``.  ``node_visits`` counts the entries read to find the
+    view, plus the index's own count when this view built the index's nodes.
     """
 
     rect: DyadicRect
@@ -442,57 +420,6 @@ class SparseDyadicTree:
         top[self.chain_at] = self.chain_top
         return top
 
-    @property
-    def top_level(self) -> np.ndarray:
-        top = self.index.top_level[self.start : self.start + self.node_count].copy()
-        top[-1:] = self.rect.level
-        return top
-
-    def _least(self, nodes: np.ndarray, found) -> DyadicRect | None:
-        """The least (level, index) rectangle ``found`` names on the chains of ``nodes``.
-
-        The chains are walked upward together from the lowest bottom; at
-        each level ``found(lev, nodes, cells)`` gets the nodes whose chains
-        pass through it and the level-0 cells they end at, and returns
-        ``(level, indices)`` of the rectangles it finds there.
-        """
-        cells = self.index.cells.take(self.index.point_of(self.start + nodes), axis=0)
-        low, high = self.node_level[nodes], self.top_level[nodes]
-        for lev in range(int(low.min()), int(high.max()) + 1):
-            on = (low <= lev) & (lev <= high)
-            at, idx = found(lev, nodes[on], cells[on])
-            if len(idx):
-                return DyadicRect(at, min(map(tuple, idx.tolist())))
-        return None
-
-    @property
-    def empty_witness(self) -> DyadicRect | None:
-        """The empty rectangle of volume ``max_empty_vol`` with least (level, index).
-
-        It is ``rect`` itself when the tree has no nodes, and None when no
-        rectangle below ``rect`` is empty.  Otherwise it is a missing child
-        of some node on a chain whose largest one has that volume: of the
-        lowest such nodes, the one whose child's index is least.
-        """
-        if self.node_count == 0:
-            return self.rect
-        if self.max_empty_vol < 0:
-            return None
-        index, v = self.index, self.max_empty_vol
-
-        def found(lev, nodes, cells):
-            if lev == 0:
-                return 0, cells[:0]
-            parent = cells >> lev
-            cvol = index._child_volumes(lev, parent)
-            cvol[np.arange(len(nodes)), index._digit(cells, lev - 1)] = -1.0
-            for row in np.flatnonzero(self.node_level[nodes] == lev):  # a stored node: all its children
-                cvol[row, index._present(lev, parent[row])] = -1.0
-            row, child = np.nonzero(cvol == v)
-            return lev - 1, 2 * parent[row] + index._bits[child]
-
-        return self._least(np.flatnonzero(self.node_empty == v), found)
-
 
 def build_tree(
     fhat: EmpiricalDist,
@@ -515,43 +442,29 @@ def build_tree(
     return index.view(rect)
 
 
-def compute_d1(tree: SparseDyadicTree, a: float):
+def compute_d1(tree: SparseDyadicTree, a: float) -> float:
     """Max discrepancy |mass - a*vol| over dyadic sub-rectangles of ``tree.rect``.
 
-    Returns ``(err, witness)`` where the witness attains the maximum: of
-    the tree's nodes and their missing children that do, the least by
-    (level, index), as the module docstring's "Ties" says.  Reads only
-    ``tree``.  Along a chain |mass - a*vol| is largest at an end, so a
-    chain's discrepancy is the larger of its bottom's and its top's.
+    The larger of the empty term ``a * max_empty_vol`` and the largest
+    discrepancy over the tree's chains.  Along a chain |mass - a*vol| is
+    largest at an end, so a chain's discrepancy is the larger of its
+    bottom's and its top's.  Reads only ``tree``.
     """
     if not a >= 0:  # nan fails too
         raise ValueError(f"constant a must be nonnegative, got {a}")
     b2 = a * tree.max_empty_vol if tree.max_empty_vol >= 0 else -1.0  # the empty term
     if tree.node_count == 0:
-        return b2, tree.empty_witness
-    m, grid = tree.node_mass, tree.index.grid
+        return float(b2)
+    m = tree.node_mass
     disc = np.maximum(np.abs(m - tree.node_vol * a), np.abs(m - tree.top_vol * a))
-    b1 = float(disc.max())
-    if b2 > b1:
-        return b2, tree.empty_witness
-
-    def found(lev, nodes, cells):  # the rectangles at ``lev`` of these chains whose discrepancy is b1
-        idx = cells >> lev
-        vol = tree.node_vol[nodes]  # a chain's bottom volume is stored, the ones above it are not
-        up = np.flatnonzero(tree.node_level[nodes] < lev)
-        if len(up):
-            vol[up] = grid.dyadic_volume(lev, idx[up])
-        return lev, idx[np.abs(m[nodes] - vol * a) == b1]
-
-    wit = tree._least(np.flatnonzero(disc == b1), found)
-    return b1, min(wit, tree.empty_witness) if b2 == b1 else wit
+    return float(max(disc.max(), b2))
 
 
 @dataclass(frozen=True)
 class DFitResult:
     """Best constant fit on a rectangle: the constant and its discrepancy.
 
-    ``err`` equals ``compute_d1`` at ``a`` bit for bit.  ``probes`` counts
+    ``err`` equals ``compute_d1(tree, a)`` bit for bit.  ``probes`` counts
     the passes over the rectangle's tree nodes: the Kelley probes, or the
     one pass that takes the largest mass when every node has volume 0.
     """
@@ -591,8 +504,8 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
     crossing outside the bracket, a probed end of the bracket is already
     optimal, to a few ulps in the rounding case, since the crossing's height
     bounds min F from below; the fit then stops.  It returns its best probe,
-    whose error max(D(c), I(c)) is ``compute_d1`` at c; no witness is
-    chosen.  The fit reads only ``tree``.
+    whose error max(D(c), I(c)) is ``compute_d1`` at c.  The fit reads only
+    ``tree``.
     """
     m, v, ev = tree.node_mass, tree.node_vol, tree.max_empty_vol  # ev < 0: no empty term
     if tree.node_count == 0:

@@ -409,16 +409,13 @@ def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int,
 _BRUTE_GUARD = 10**6  # dyadic rectangles brute_d1 may enumerate
 
 
-def brute_d1(fhat: EmpiricalDist, grid: GridSpec, rect: DyadicRect, a: float):
+def brute_d1(fhat: EmpiricalDist, grid: GridSpec, rect: DyadicRect, a: float) -> float:
     """Exhaustive twin of ``ddist.compute_d1``: scan every dyadic sub-rectangle of ``rect``.
 
-    Returns ``(err, witness)``, the witness being the least (level, index)
-    rectangle at the maximum.  The integer counts are aggregated per level
-    and divided by n once, so ``err`` matches ``compute_d1`` bit for bit on
-    any instance within the guard, ``_BRUTE_GUARD`` rectangles.  The witness
-    may differ: ``compute_d1`` takes the least among tree nodes and their
-    missing children, and zero-width halves let an empty rectangle of the
-    largest volume nest inside a larger empty one.
+    Returns the largest discrepancy |mass - a*vol|.  The integer counts are
+    aggregated per level and divided by n once, so it matches
+    ``compute_d1`` bit for bit on any instance within the guard,
+    ``_BRUTE_GUARD`` rectangles.
     """
     if not a >= 0:  # nan fails too
         raise ValueError(f"constant a must be nonnegative, got {a}")
@@ -428,16 +425,12 @@ def brute_d1(fhat: EmpiricalDist, grid: GridSpec, rect: DyadicRect, a: float):
     if total > _BRUTE_GUARD:
         raise OracleGuardError(f"{total} dyadic rectangles exceeds guard {_BRUTE_GUARD}")
     n = fhat.n if fhat.support_size else 1
-    best = (-1.0, None)
+    best = -1.0
     for lev, level_counts in _level_sums(_cell_counts(fhat, grid, rect), depth).items():
         offset = [(i << (depth - lev)) + np.arange(1 << (depth - lev), dtype=np.int64) for i in rect.index]
         widths = [b[(i + 1) << lev] - b[i << lev] for b, i in zip(grid.axes, offset)]
         vols = reduce(np.multiply.outer, widths)
-        disc = np.abs(level_counts / n - a * vols)
-        i = int(np.argmax(disc))  # C-order ravel = lexicographic index order
-        if disc.flat[i] > best[0]:
-            index = tuple(int(o[j]) for o, j in zip(offset, np.unravel_index(i, disc.shape)))
-            best = (float(disc.flat[i]), DyadicRect(lev, index))
+        best = max(best, float(np.abs(level_counts / n - a * vols).max()))
     return best
 
 

@@ -149,10 +149,9 @@ def reference_tree(emp, grid, root):
     """Plain-Python twin of the uncompressed tree below ``root``.
 
     Returns ``(nodes, empty)``: ``{(level, index): mass}`` of the rectangles
-    holding mass, one per level of every chain, and ``{(level, index):
-    (vol, witness)}`` giving, for each of them, the largest empty rectangle
-    below it: the largest volume, then least (level, index), over the
-    missing children of its subtree (None when there is none).
+    holding mass, one per level of every chain, and ``{(level, index): vol}``
+    giving, for each of them, the largest volume of a missing child in its
+    subtree (-1 when there is none).
     """
     counts = {}
     for cell, k in zip(grid.cell_index(emp.points), emp.counts):
@@ -165,16 +164,11 @@ def reference_tree(emp, grid, root):
     nodes = {key: c / emp.n for key, c in counts.items()}
     empty = {}
     for lev, idx in sorted(nodes):  # children before parents
-        best = None
-        if lev > 0:
-            for ch in DyadicRect(lev, idx).children():
-                key = (ch.level, ch.index)
-                cand = empty[key] if key in nodes else (twin_volume(grid, ch), ch)
-                if cand is not None and (
-                    best is None or (-cand[0], cand[1]) < (-best[0], best[1])
-                ):
-                    best = cand
-        empty[(lev, idx)] = best
+        kids = DyadicRect(lev, idx).children() if lev > 0 else []
+        empty[(lev, idx)] = max(
+            (empty[(ch.level, ch.index)] if (ch.level, ch.index) in nodes else twin_volume(grid, ch) for ch in kids),
+            default=-1.0,
+        )
     return nodes, empty
 
 
@@ -192,11 +186,10 @@ def reference_lines(grid, rect, twin):
         for (lev, idx), m in nodes.items()
         if lev <= rect.level and tuple(i >> (rect.level - lev) for i in idx) == rect.index
     ]
-    best = empty.get((rect.level, rect.index), (twin_volume(grid, rect), rect))
     return (
         np.array([m for _, m in below]),
         np.array([twin_volume(grid, r) for r, _ in below]),
-        -1.0 if best is None else best[0],
+        empty.get((rect.level, rect.index), twin_volume(grid, rect)),
     )
 
 

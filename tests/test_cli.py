@@ -20,6 +20,8 @@ from dyadhist import cli, core, fileio
 from dyadhist.core import Domain, EmpiricalDist, HistKind, l1_dist, l2_sq_dist, mass, volume
 from dyadhist.errors import ConfigurationError, DomainViolationError
 from dyadhist.fileio import read_hypothesis, read_samples, write_hypothesis, write_samples
+from dyadhist.oracle import opt_hier_l2, opt_partial_hier_dk
+from dyadhist.split import SplitParams, greedy_split, greedy_split_l2
 
 from conftest import make_rng, one_shot_sample_from
 
@@ -573,6 +575,32 @@ class TestCommandLine:
         args = ["--grid", "fixed"] if command == "learn" else []
         assert main([command, "--in", str(samples), "--k", "1"] + args + m) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # k = 1 at d = 2: on a 16^2 grid the D_k oracle enumerates far more unions at k = 2
+    @pytest.mark.parametrize("m, dim, k", [(6, 1, 2), (12, 2, 1)])
+    def test_fixed_grid_pads_a_discrete_side_to_a_power_of_2(self, tmp_path, capsys, m, dim, k):
+        # gen and sample write {1..m}^dim; the fixed-grid commands pad each
+        # axis with zero-width cells at the top and answer as the library
+        # does on that padded grid, given explicitly
+        truth, samples = tmp_path / "t.hist", tmp_path / "s.txt"
+        assert main(["gen", "--k", "3", "--dim", str(dim), "--domain", "discrete", "--m", str(m),
+                     "--seed", "1", "--out", str(truth)]) == 0
+        assert main(["sample", "--in", str(truth), "--n", "300", "--seed", "2", "--out", str(samples)]) == 0
+        emp = read_samples(samples)
+        side = 1 << (m - 1).bit_length()
+        axis = np.r_[np.arange(1.0, m + 2), np.full(side - m, m + 1.0)]
+        grid = core.GridSpec(emp.domain, (axis,) * dim)
+        capsys.readouterr()
+        for args, learner in ((["--grid", "fixed"], greedy_split), (["--metric", "l2"], greedy_split_l2)):
+            out, want = tmp_path / "h.hist", tmp_path / "want.hist"
+            assert main(["learn", "--in", str(samples), "--k", str(k), "--out", str(out)] + args) == 0
+            assert f"grid.M: {side}\n" in capsys.readouterr().out
+            write_hypothesis(want, learner(emp, grid, SplitParams(k=k, xi=1.0))[0])
+            assert out.read_bytes() == want.read_bytes(), args
+        assert main(["oracle", "--in", str(samples), "--k", str(k)]) == 0
+        assert capsys.readouterr().out == f"opt_partial_hier_dk: {opt_partial_hier_dk(emp, grid, k):.12g}\n"
+        assert main(["oracle", "--in", str(samples), "--k", str(k), "--metric", "l2"]) == 0
+        assert capsys.readouterr().out == f"opt_hier_l2: {opt_hier_l2(emp, grid, k)[0]:.12g}\n"
 
     def test_guard_overflow_exit_3(self, tmp_path):
         truth = tmp_path / "t.hist"

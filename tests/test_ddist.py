@@ -66,7 +66,7 @@ class TestBuildTree:
         rect = DyadicRect(0, (2,))  # cell {3} holds no samples
         tree = build_tree(emp, grid, rect)
         assert tree.node_count == 0
-        assert tree.empty_witness == rect
+        assert tree.max_empty_vol == grid.volume_of(rect)
 
     def test_single_point_path_of_nodes(self):
         # one stored node: the cell holding the point, whose chain of
@@ -75,10 +75,10 @@ class TestBuildTree:
         emp = EmpiricalDist(d, np.array([[5]]), np.array([1]))
         tree = build_tree(emp, GridSpec.uniform(d, 8), DyadicRect(3, (0,)))
         assert tree.node_count == 1
-        assert tree.node_level.tolist() == [0] and tree.top_level.tolist() == [3]
+        assert tree.node_level.tolist() == [0] and top_level(tree).tolist() == [3]
         assert sorted(tree_nodes(tree)) == [(0, (4,)), (1, (2,)), (2, (1,)), (3, (0,))]  # one per level
         assert tree.node_vol.tolist() == [1.0] and tree.top_vol.tolist() == [8.0]
-        assert tree.max_empty_vol == 4.0 and tree.empty_witness == DyadicRect(2, (0,))
+        assert tree.max_empty_vol == 4.0
 
     def test_two_points_in_different_root_children(self):
         d = Domain.discrete(2, 1)
@@ -152,35 +152,11 @@ class TestBuildTree:
             build_tree(emp, grid, DyadicRect(1, (7,)))
 
 
-def root_empty_ties(emp, grid):
-    """The largest empty rectangles below the root, from the twin.
-
-    Returns ``(levels, morton_first, least)``: the levels they sit on, the
-    missing child of the first tied node of least level in Morton order
-    (axis 0 first), and the least one by (level, index).
-    """
-    nodes, _ = reference_tree(emp, grid, grid.root())
-    missing = [
-        (grid.volume_of(ch), DyadicRect(lev, idx), ch)
-        for lev, idx in nodes
-        if lev > 0
-        for ch in DyadicRect(lev, idx).children()
-        if (ch.level, ch.index) not in nodes
-    ]
-    top = max(vol for vol, _, _ in missing)
-    tied = [(parent, ch) for vol, parent, ch in missing if vol == top]
-    least = min(ch for _, ch in tied)
-
-    def morton(r):
-        key = 0
-        for b in range(grid.levels - r.level, -1, -1):
-            for i in r.index:
-                key = (key << 1) | ((i >> b) & 1)
-        return key
-
-    first = min((p for p, _ in tied if p.level == least.level + 1), key=morton)
-    morton_first = min(ch for p, ch in tied if p == first)
-    return {ch.level for _, ch in tied}, morton_first, least
+def top_level(tree):
+    """The top level of each node's chain: the index's, with the last chain clipped at the tree's rectangle."""
+    top = tree.index.top_level[tree.start : tree.start + tree.node_count].copy()
+    top[-1:] = tree.rect.level
+    return top
 
 
 def chains(tree):
@@ -191,7 +167,7 @@ def chains(tree):
     tree's rectangle.
     """
     index, out = tree.index, []
-    for i, (lev, top, m) in enumerate(zip(tree.node_level, tree.top_level, tree.node_mass)):
+    for i, (lev, top, m) in enumerate(zip(tree.node_level, top_level(tree), tree.node_mass)):
         cell = index.cells[index.point_of(tree.start + i)]  # the level-0 cell at which node i ends
         rects = [DyadicRect(l, tuple(int(c) >> l for c in cell)) for l in range(int(lev), int(top) + 1)]
         out.append((rects, float(m)))
@@ -224,17 +200,10 @@ def big_key_instances():
 
 def twin_d1(grid, nodes, empty, rect, a):
     """compute_d1 from the twin: the largest discrepancy over its nodes below
-    ``rect`` and its empty term, and the least (level, index) witness."""
+    ``rect``, against its empty term."""
     below = [DyadicRect(*key) for key in nodes if rect.contains(DyadicRect(*key))]
-    disc = {q: abs(nodes[(q.level, q.index)] - a * twin_volume(grid, q)) for q in below}
-    err = max(disc.values())
-    best = empty[(rect.level, rect.index)]
-    witness = min(q for q in below if disc[q] == err)
-    if best is not None and a * best[0] > err:
-        return a * best[0], best[1]
-    if best is not None and a * best[0] == err:
-        return err, min(best[1], witness)
-    return err, witness
+    err = max((abs(nodes[(q.level, q.index)] - a * twin_volume(grid, q)) for q in below), default=-1.0)
+    return max(err, a * empty.get((rect.level, rect.index), twin_volume(grid, rect)))
 
 
 class TestMortonIndex:
@@ -252,7 +221,7 @@ class TestMortonIndex:
             view = build_tree(emp, grid, r, index=index)
             alone = build_tree(emp, grid, r)
             want = {key: m for key, m in nodes.items() if r.contains(DyadicRect(*key))}
-            best = empty.get((r.level, r.index), (grid.volume_of(r), r))
+            best = empty.get((r.level, r.index), grid.volume_of(r))
             for tree in (view, alone):
                 expanded = chains(tree)
                 assert tree_nodes(tree) == want, r
@@ -262,12 +231,13 @@ class TestMortonIndex:
                 assert tree.top_vol.tolist() == [twin_volume(grid, rects[-1]) for rects, _ in expanded], r
                 want_empty = [chain_empty(grid, nodes, rects) for rects, _ in expanded]
                 assert tree.node_empty.tolist() == want_empty, r
-                assert (tree.max_empty_vol, tree.empty_witness) == (best or (-1.0, None)), r
+                assert tree.max_empty_vol == best, r
                 if tree.node_count:
                     assert expanded[-1][0][-1] == r  # post-order: the chain that r sits in is last
             if view.node_count:
-                clipped += view.top_level[-1] < index.top_level[view.start + view.node_count - 1]
-            for name in ("node_level", "top_level", "node_mass", "node_vol", "top_vol", "node_empty"):
+                clipped += top_level(view)[-1] < index.top_level[view.start + view.node_count - 1]
+            assert np.array_equal(top_level(view), top_level(alone)), r
+            for name in ("node_level", "node_mass", "node_vol", "top_vol", "node_empty"):
                 assert np.array_equal(getattr(view, name), getattr(alone, name)), (r, name)
         return clipped
 
@@ -306,19 +276,13 @@ class TestMortonIndex:
             index = MortonIndex(emp, grid)
             for r in all_dyadic_rects(grid)[:: max(1, trial % 4)]:
                 tree = build_tree(emp, grid, r, index=index)
-                err, wit = compute_d1(tree, a)
-                berr, bwit = brute_d1(emp, grid, r, a)
-                assert err == pytest.approx(berr, abs=1e-12), (trial, r)
-                wd = abs(emp.mass_in(grid.rect_of(wit)) - a * grid.volume_of(wit))
-                bd = abs(emp.mass_in(grid.rect_of(bwit)) - a * grid.volume_of(bwit))
-                assert wd == pytest.approx(bd, abs=1e-12), (trial, r)
+                assert compute_d1(tree, a) == pytest.approx(brute_d1(emp, grid, r, a), abs=1e-12), (trial, r)
 
-    def test_empty_witness_ties_on_uniform_and_warped_grids(self):
-        # uniform discrete grids with a point in every cell but a few: every
-        # node above level 1 is present, so the largest empty rectangles are
-        # level-0 cells, missing children of several level-1 nodes.  At d=2
-        # the first of those in Morton order, (0,0), misses (1,1), and the
-        # least empty cell, (0,2), is a child of (0,1); likewise at d=3.
+    def test_discrepancy_on_grids_with_holes_and_a_warped_grid(self):
+        # uniform discrete grids with a point in every cell but a few, where
+        # the largest empty rectangles are level-0 cells missing from several
+        # level-1 nodes, and a warped grid where the level-0 cell (2,2) and
+        # the level-1 rectangle (1,0) are both empty with the largest volume
         cases = []
         for m, holes in ((8, [(1, 1), (0, 2), (3, 3), (5, 6), (7, 0)]),
                          (4, [(1, 1, 1), (0, 0, 2), (3, 2, 0), (2, 3, 3)])):
@@ -328,33 +292,23 @@ class TestMortonIndex:
             pts = np.array(sorted(cells)) + 1
             emp = EmpiricalDist.from_samples(domain, np.vstack([pts, pts[::7]]))
             cases.append((emp, GridSpec.uniform(domain, m)))
-        # a warped grid where the level-0 cell (2,2) and the level-1
-        # rectangle (1,0) are both empty with the largest volume, 8
         domain = Domain.discrete(5, 2)
         grid = GridSpec(domain, (np.array([1, 1, 2, 6, 6.0]), np.array([1, 2, 3, 5, 6.0])))
         pts = np.array([[1, 2], [4, 5], [4, 5], [1, 5], [1, 3]])
         cases.append((EmpiricalDist.from_samples(domain, pts), grid))
-        ties = []
         for emp, grid in cases:
-            ties.append(root_empty_ties(emp, grid))
             self.check_views(emp, grid)
+            nodes, empty = reference_tree(emp, grid, grid.root())
             for r in all_dyadic_rects(grid):
                 tree = build_tree(emp, grid, r)
                 for a in (0.5 / emp.n, 1.0 / emp.n, 0.05):
-                    assert compute_d1(tree, a) == brute_d1(emp, grid, r, a), (r, a)
-        # the first two: the first tied node in Morton order does not own
-        # the least child; the third: the tie spans two levels, and the
-        # least index is not on the least level
-        (lev2, morton2, least2), (lev3, morton3, least3), (levw, _, leastw) = ties
-        assert lev2 == {0} and morton2 != least2 and lev3 == {0} and morton3 != least3
-        assert levw == {0, 1} and leastw == DyadicRect(0, (2, 2))
+                    err = compute_d1(tree, a)
+                    assert err == brute_d1(emp, grid, r, a) == twin_d1(grid, nodes, empty, r, a), (r, a)
 
-    def test_witness_ties_inside_chains(self):
+    def test_discrepancy_inside_zero_width_chains(self):
         # warped grids with far more cells than lattice values have many
         # zero-width halves, so volumes repeat up a chain: its discrepancy
-        # and its missing children then tie across its levels.  Both
-        # witnesses must still be the least (level, index), as brute_d1
-        # and the twin choose it.
+        # and its missing children then tie across its levels
         disc_ties = disc_above_bottom = empty_ties = 0
         for seed in range(60):
             rng = make_rng(63_000 + seed)
@@ -368,39 +322,21 @@ class TestMortonIndex:
                 tree = build_tree(emp, grid, r, index=index)
                 expanded = chains(tree)
                 for a in (0.0, 0.1, 0.5, 2.0):
-                    err, wit = compute_d1(tree, a)
-                    assert err == brute_d1(emp, grid, r, a)[0], (seed, r, a)
-                    if tree.node_count:  # an empty tree's witness is its rectangle
-                        assert (err, wit) == twin_d1(grid, nodes, empty, r, a), (seed, r, a)
+                    err = compute_d1(tree, a)
+                    assert err == brute_d1(emp, grid, r, a) == twin_d1(grid, nodes, empty, r, a), (seed, r, a)
                     for rects, m in expanded:
                         tied = [q for q in rects if abs(m - a * twin_volume(grid, q)) == err]
-                        if wit in rects and len(tied) > 1:
-                            disc_ties += 1
-                            disc_above_bottom += wit != rects[0]
-                best = empty.get((r.level, r.index))
-                if tree.node_count and best is not None:
-                    assert tree.empty_witness == best[1], (seed, r)
-                    for rects, _ in expanded:
-                        levels = {
-                            q.level for q in rects if q.level
-                            for ch in q.children()
-                            if (ch.level, ch.index) not in nodes and twin_volume(grid, ch) == best[0]
-                        }
-                        empty_ties += len(levels) > 1 and best[1].level + 1 in levels
+                        disc_ties += len(tied) > 1
+                        disc_above_bottom += any(q != rects[0] for q in tied)
+                for rects, _ in expanded:
+                    levels = {
+                        q.level for q in rects if q.level
+                        for ch in q.children()
+                        if (ch.level, ch.index) not in nodes and twin_volume(grid, ch) == tree.max_empty_vol
+                    }
+                    empty_ties += len(levels) > 1
         counts = (disc_ties, disc_above_bottom, empty_ties)
         assert disc_ties > 500 and disc_above_bottom > 10 and empty_ties > 50, counts
-
-    def test_discrepancy_ties_pick_least_level_then_index(self):
-        # three cells holding one point each: near a = 1/16 their level-0
-        # nodes tie for the maximum.  Morton order puts cell (1,0) first;
-        # the lexicographically least is (0,3).
-        d = Domain.discrete(4, 2)
-        emp = EmpiricalDist(d, np.array([[1, 4], [2, 1], [4, 4]]), np.array([1, 1, 1]))
-        grid = GridSpec.uniform(d, 4)
-        for a in (1 / 16, 0.06):
-            err, wit = compute_d1(build_tree(emp, grid, grid.root()), a)
-            assert wit == DyadicRect(0, (0, 3))
-            assert (err, wit) == brute_d1(emp, grid, grid.root(), a)
 
 
 def benchmark_sized_index(dim, n):
@@ -420,7 +356,7 @@ class TestIndexSize:
         tree = index.view(grid.root())
         s = len(index.rows)
         assert tree.node_count == len(index.level) <= 2 * s + 1  # the cells and the branching nodes
-        levels = int((tree.top_level - tree.node_level + 1).sum())  # one per level of every chain
+        levels = int((top_level(tree) - tree.node_level + 1).sum())  # one per level of every chain
         if dim > 1:
             assert levels > 4 * tree.node_count  # most of the tree sits on one-child chains
         else:
@@ -447,21 +383,16 @@ class TestComputeD1:
         d = Domain.discrete(4, 1)
         emp = EmpiricalDist.from_samples(d, np.array([[1], [2], [3], [4]]))
         grid = GridSpec.uniform(d, 4)
-        err, _ = compute_d1(build_tree(emp, grid, grid.root()), 0.25)
-        assert err == 0.0
+        assert compute_d1(build_tree(emp, grid, grid.root()), 0.25) == 0.0
 
     def test_hand_derived_instance(self):
         emp, grid = counts_2101()
-        err, wit = compute_d1(build_tree(emp, grid, grid.root()), 0.25)
-        assert err == pytest.approx(0.25, abs=0)
-        assert wit == DyadicRect(0, (0,))  # lexicographically least witness
+        assert compute_d1(build_tree(emp, grid, grid.root()), 0.25) == 0.25
 
     def test_empty_region_b2_branch(self):
         emp, grid = counts_2101()
         empty = EmpiricalDist(Domain.discrete(4, 1), np.zeros((0, 1)), np.zeros(0))
-        err, wit = compute_d1(build_tree(empty, grid, grid.root()), 0.5)
-        assert err == pytest.approx(0.5 * 4, abs=0)
-        assert wit == grid.root()
+        assert compute_d1(build_tree(empty, grid, grid.root()), 0.5) == 0.5 * 4
 
     @pytest.mark.parametrize("a", [-0.1, math.nan])
     @pytest.mark.parametrize("d1", [
@@ -474,23 +405,30 @@ class TestComputeD1:
             d1(emp, grid, a)
 
     def test_matches_brute_force_on_random_family(self, rng):
+        # both return a plain float: on an empty tree, on a tree of one chain
+        # (a point mass at {3}, from its cell up to the root) and on every
+        # random instance
+        d = Domain.discrete(4, 1)
+        grid = GridSpec.uniform(d, 4)
+        empty = EmpiricalDist(d, np.zeros((0, 1)), np.zeros(0))
+        point = EmpiricalDist(d, np.array([[3]]), np.array([1]))
+        for emp, a, want in ((empty, 0.5, 2.0), (point, 0.0, 1.0)):
+            err, berr = compute_d1(build_tree(emp, grid, grid.root()), a), brute_d1(emp, grid, grid.root(), a)
+            assert type(err) is type(berr) is float and err == berr == want
         for trial in range(300):
             emp, grid, rect, a = random_instance(rng, trial)
-            err, wit = compute_d1(build_tree(emp, grid, rect), a)
-            berr, bwit = brute_d1(emp, grid, rect, a)
+            err, berr = compute_d1(build_tree(emp, grid, rect), a), brute_d1(emp, grid, rect, a)
+            assert type(err) is type(berr) is float
             assert err == pytest.approx(berr, abs=1e-12), trial
-            wd = abs(emp.mass_in(grid.rect_of(wit)) - a * grid.volume_of(wit))
-            bd = abs(emp.mass_in(grid.rect_of(bwit)) - a * grid.volume_of(bwit))
-            assert wd == pytest.approx(bd, abs=1e-12), trial
 
     def test_monotone_under_domain_growth(self, rng):
         for trial in range(40):
             emp, grid, rect, a = random_instance(rng, trial)
             if rect.level == 0:
                 continue
-            err_parent, _ = compute_d1(build_tree(emp, grid, rect), a)
+            err_parent = compute_d1(build_tree(emp, grid, rect), a)
             for child in rect.children():
-                err_child, _ = compute_d1(build_tree(emp, grid, child), a)
+                err_child = compute_d1(build_tree(emp, grid, child), a)
                 assert err_child <= err_parent + 1e-15
 
 
@@ -538,7 +476,7 @@ class TestFitD1:
         assert (m[p] + m[q]) * (1 / (v[p] + v[q])) == m[p] / (v[p] + v[q]) + m[q] / (v[p] + v[q]) == 0.15
         # the two lines are the active ones: D reads the chains' bottoms, I their tops
         assert (m - fit.a * v).argmax() == p and (m - fit.a * tree.top_vol).argmin() == q
-        assert fit.err == compute_d1(tree, fit.a)[0]
+        assert fit.err == compute_d1(tree, fit.a)
 
     def test_exact_without_a_tolerance(self):
         emp, grid = counts_2101()
@@ -571,7 +509,7 @@ class TestFitD1:
             f = fit_objective(m, v, ev, a)
             assert fit.err <= f.min() + 1e-15
             for i in np.r_[np.linspace(0, len(a) - 1, 64).astype(int), f.argmin()]:
-                assert compute_d1(tree, float(a[i]))[0] == f[i], (trial, a[i])
+                assert compute_d1(tree, float(a[i])) == f[i], (trial, a[i])
 
     def test_rounding_fallback_keeps_the_best_probe(self):
         # one stored node whose chain top's volume is its bottom's plus its
@@ -591,7 +529,7 @@ class TestFitD1:
             for tree in (build_tree(emp, grid, rect, index=index), build_tree(emp, grid, rect)):
                 fit = fit_d1(tree)
                 assert (tree.node_count, fit.probes) == (1, 2), rect
-                assert fit.err == exact_fit_minimum(*lines) == compute_d1(tree, fit.a)[0], rect
+                assert fit.err == exact_fit_minimum(*lines) == compute_d1(tree, fit.a), rect
 
     def test_exact_on_larger_random_trees(self):
         # up to 3-D, 160 points and 64 cells per axis, with warped and
@@ -614,7 +552,7 @@ class TestFitD1:
             fit = fit_d1(tree)
             lines = reference_lines(grid, rect, reference_tree(emp, grid, rect))
             worst = max(worst, fit.err - exact_fit_minimum(*lines))
-            assert fit.err == compute_d1(tree, fit.a)[0]
+            assert fit.err == compute_d1(tree, fit.a)
         assert worst <= 1e-12
 
     def test_exact_on_every_golden_leaf(self):
@@ -635,7 +573,7 @@ class TestFitD1:
             for rect in sorted(trace.scores):
                 tree = build_tree(emp, grid, rect, index=index)
                 fit = fit_d1(tree)
-                assert fit.err == compute_d1(tree, fit.a)[0], (name, rect)
+                assert fit.err == compute_d1(tree, fit.a), (name, rect)
                 checked += 1
                 zero_width += grid.volume_of(rect) == 0
                 lines = reference_lines(grid, rect, twin)
@@ -676,7 +614,7 @@ class TestFitD1:
             for r in sorted(rects):
                 tree = build_tree(emp, grid, r, index=index)
                 fit = fit_d1(tree)
-                assert fit.err == compute_d1(tree, fit.a)[0], (trial, r)
+                assert fit.err == compute_d1(tree, fit.a), (trial, r)
                 if tree.node_count == 0:
                     kinds["empty"] += 1
                 elif grid.volume_of(r) == 0:
@@ -693,7 +631,7 @@ class TestFitD1:
         a = scale / vol if vol > 0 else scale
         tree = build_tree(emp, grid, rect)
         fit = fit_d1(tree)
-        assert fit.err <= compute_d1(tree, a)[0] + 1e-12
+        assert fit.err <= compute_d1(tree, a) + 1e-12
 
 
 class TestBruteD1:
@@ -708,13 +646,4 @@ class TestBruteD1:
         d = Domain.discrete(4, 1)
         empty = EmpiricalDist(d, np.zeros((0, 1)), np.zeros(0))
         grid = GridSpec.uniform(d, 4)
-        err, _ = brute_d1(empty, grid, grid.root(), 0.0)
-        assert err == 0.0
-
-    def test_point_mass_witness_is_owning_leaf(self):
-        d = Domain.discrete(4, 1)
-        emp = EmpiricalDist(d, np.array([[3]]), np.array([1]))
-        grid = GridSpec.uniform(d, 4)
-        err, wit = brute_d1(emp, grid, grid.root(), 0.0)
-        assert err == 1.0
-        assert wit == DyadicRect(0, (2,))
+        assert brute_d1(empty, grid, grid.root(), 0.0) == 0.0

@@ -306,7 +306,7 @@ def test_leaf_values_are_exact_fits():
         twin = reference_tree(emp, grid, grid.root())
         for rect, (a, e) in trace.scores.items():
             assert e <= exact_fit_minimum(*reference_lines(grid, rect, twin)) + 1e-12
-            assert e == compute_d1(build_tree(emp, grid, rect), a)[0]
+            assert e == compute_d1(build_tree(emp, grid, rect), a)
 
 
 @pytest.mark.parametrize("learner", ["l1", "l2"])
