@@ -317,6 +317,7 @@ class EmpiricalDist:
 
     ``points`` holds the distinct coordinates (shape (p, d)), ``counts`` the
     multiplicities; ``n = counts.sum()`` and each point carries mass count/n.
+    It holds at least one point, so ``n`` is positive.
     """
 
     domain: Domain
@@ -332,15 +333,17 @@ class EmpiricalDist:
         else:
             pts = pts.astype(np.float64)
         cnt = np.asarray(self.counts, dtype=np.int64)
+        if not cnt.size:
+            raise ValueError("empty sample set")
         if pts.shape[0] != cnt.shape[0]:
             raise ValueError("points and counts must have equal length")
-        if pts.shape[0] and pts.shape[1] != self.domain.dim:
+        if pts.shape[1] != self.domain.dim:
             raise DomainViolationError(
                 f"points have dim {pts.shape[1]}, domain has dim {self.domain.dim}"
             )
         if np.any(cnt <= 0):
             raise ValueError("counts must be positive")
-        if pts.shape[0] and not self.domain.contains_points(pts).all():
+        if not self.domain.contains_points(pts).all():
             raise DomainViolationError("sample point outside domain")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "counts", cnt)
@@ -374,8 +377,6 @@ class EmpiricalDist:
 
     def mass_in(self, rect: Rect) -> float:
         _check_dim(rect, self.domain)
-        if self.support_size == 0:
-            return 0.0
         mask = rect.contains_points(self.points, self.domain)
         return float(self.counts[mask].sum()) / self.n
 

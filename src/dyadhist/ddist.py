@@ -131,7 +131,7 @@ class MortonIndex:
     def __init__(self, fhat: EmpiricalDist, grid: GridSpec):
         d = grid.dim
         self.fhat, self.grid = fhat, grid
-        cells = grid.cell_index(fhat.points) if fhat.support_size else np.zeros((0, d), np.int64)
+        cells = grid.cell_index(fhat.points)
         words = _morton_words([cells[:, a] for a in range(d)], grid.levels)
         order = np.lexsort(words[::-1])
         self.rows = order  # support rows, in Morton order of their cells
@@ -143,7 +143,7 @@ class MortonIndex:
     def _build_nodes(self) -> None:
         grid, d, top = self.grid, self.grid.dim, self.grid.levels
         s = len(self.rows)
-        n = self.fhat.n if self.fhat.support_size else 1
+        n = self.fhat.n
         # point i and i+1 share their nodes from level shared[i] up (the bit
         # length of the xor of their cells; frexp is exact below 2^53), so a
         # node of level l ends at a point whose shared level exceeds l, and
@@ -165,7 +165,7 @@ class MortonIndex:
         block = max(_BLOCK, s >> 3)  # nodes worked on at once, which bounds the temporaries
         stored = []  # per level, its nodes' end points (None: the cells; then positions) and fields
         ends = np.flatnonzero(shared > 0)  # where the nodes of the level end
-        for lev in range(top + 1 if s else 0):
+        for lev in range(top + 1):
             if lev:
                 sh = shared[ends]
                 up, split = sh > lev, sh == lev

@@ -1,7 +1,7 @@
-"""Exact brute-force baselines at desk scale.
+"""Exact baselines at desk scale: brute-force enumerations and two tree knapsacks.
 
 Everything here is deterministic, pure, and guarded: one set of module
-limits is checked before any work, and enumerations abort with
+limits is checked before any work, and enumerations and knapsacks abort with
 OracleGuardError instead of grinding.  These routines exist to certify the
 learners' guarantees on small instances, so they favor straight-line clarity
 and independence from the production code paths they check.
@@ -9,7 +9,9 @@ and independence from the production code paths they check.
 The search space exploits the laminar structure of dyadic rectangles: two of
 them are disjoint iff neither contains the other, and any disjoint family is
 an antichain of the split tree, so maxima over "unions of at most k disjoint
-rectangles" reduce to a small tree knapsack.
+rectangles" (``dk_distance``) and minima over hierarchical partitions with at
+most k leaves (``opt_hier_l2``) reduce to small knapsacks over the split tree.
+The tests check each knapsack against a plain enumeration of its definition.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .ddist import check_dyadic
 from .errors import OracleGuardError, UnsupportedDomainError
 
 _MAX_RECTS = 10_000  # dyadic rectangles of a grid the oracles take
-_MAX_PARTITIONS = 1_000_000  # partitions or unions an enumeration may visit
+_MAX_PARTITIONS = 1_000_000  # knapsack merge steps or unions an oracle may visit
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +60,10 @@ def all_dyadic_rects(grid: GridSpec) -> list:
 def _cell_counts(fhat: EmpiricalDist, grid: GridSpec, rect: DyadicRect) -> np.ndarray:
     """Sample count of every level-0 cell of ``rect``, shape (2^level,)*d."""
     counts = np.zeros((1 << rect.level,) * grid.dim, dtype=np.int64)
-    if fhat.support_size:
-        cells = grid.cell_index(fhat.points)
-        inside = ((cells >> rect.level) == np.asarray(rect.index)).all(axis=1)
-        rel = cells[inside] - (np.asarray(rect.index, dtype=np.int64) << rect.level)
-        np.add.at(counts, tuple(rel.T), fhat.counts[inside])
+    cells = grid.cell_index(fhat.points)
+    inside = ((cells >> rect.level) == np.asarray(rect.index)).all(axis=1)
+    rel = cells[inside] - (np.asarray(rect.index, dtype=np.int64) << rect.level)
+    np.add.at(counts, tuple(rel.T), fhat.counts[inside])
     return counts
 
 
@@ -70,7 +71,7 @@ def cell_masses(g, grid: GridSpec) -> np.ndarray:
     """Mass of ``g`` on every level-0 cell, shape (M,)*d."""
     _check_rects(grid)
     if isinstance(g, EmpiricalDist):
-        return _cell_counts(g, grid, grid.root()) / (g.n if g.support_size else 1)
+        return _cell_counts(g, grid, grid.root()) / g.n
     out = np.zeros((grid.M,) * grid.dim)
     for p in g.pieces:
         factors = []
@@ -151,42 +152,13 @@ def dk_distance_between(g1, g2, grid: GridSpec, k: int) -> float:
 # Optimal hierarchical fits
 # ---------------------------------------------------------------------------
 
-def _tree_partitions(grid: GridSpec, k: int):
-    """All partitions of the root into <= k dyadic leaves (full split trees)."""
-    d = grid.dim
-    counter = [0]
-
-    def parts(rect: DyadicRect, budget: int):
-        if budget < 1:
-            return
-        counter[0] += 1
-        if counter[0] > _MAX_PARTITIONS:
-            raise OracleGuardError("partition enumeration exceeds guard")
-        yield (rect,)
-        if rect.level > 0 and budget >= (1 << d):
-            children = rect.children()
-
-            def combine(i: int, remaining: int):
-                if i == len(children):
-                    yield ()
-                    return
-                reserve = len(children) - 1 - i
-                for head in parts(children[i], remaining - reserve):
-                    for tail in combine(i + 1, remaining - len(head)):
-                        yield head + tail
-
-            yield from combine(0, budget)
-
-    yield from parts(grid.root(), k)
-
-
 def _flat_l2_err(g: EmpiricalDist, grid: GridSpec, rect: DyadicRect,
                  cells: np.ndarray) -> tuple:
     """(flattening value, exact squared error) of ``g`` on a dyadic rect."""
     mask = np.ones(len(cells), dtype=bool)
     for a in range(grid.dim):
         mask &= (cells[:, a] >> rect.level) == rect.index[a]
-    masses = g.counts[mask] / (g.n if g.support_size else 1)
+    masses = g.counts[mask] / g.n
     vol = grid.volume_of(rect)
     if vol <= 0:
         return 0.0, 0.0
@@ -198,78 +170,62 @@ def _flat_l2_err(g: EmpiricalDist, grid: GridSpec, rect: DyadicRect,
 def opt_hier_l2(g: EmpiricalDist, grid: GridSpec, k: int):
     """Exact best squared error over hierarchical partitions with <= k leaves.
 
+    A knapsack over the split tree, as in ``dk_distance``: with at most j
+    leaves a rectangle either takes its own flattening or, when j >= 2^d,
+    splits j among its 2^d children, each taking at least one leaf.  Each
+    entry carries its argmin leaves, the fewer of two at equal error.
     Returns ``(value, argmin hypothesis)``; every leaf takes the flattening,
     which is the optimal constant.
     """
     _check_rects(grid)
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if not g.domain.is_discrete:  # _flat_l2_err counts a rect's lattice points by its volume
         raise UnsupportedDomainError("the squared-error oracle needs a discrete cube")
-    cells = (
-        grid.cell_index(g.points)
-        if g.support_size
-        else np.zeros((0, grid.dim), dtype=np.int64)
-    )
-    cache: dict = {}
+    cells = grid.cell_index(g.points)
+    fan = 1 << grid.dim
+    steps = 0
 
-    def leaf_stats(rect):
-        if rect not in cache:
-            cache[rect] = _flat_l2_err(g, grid, rect, cells)
-        return cache[rect]
+    def merge(acc: list, ch: list) -> list:
+        """Min-plus merge: entry t takes t + 1 more leaves than ``acc``'s entry 0."""
+        nonlocal steps
+        steps += len(acc) * len(ch)
+        if steps > _MAX_PARTITIONS:
+            raise OracleGuardError("knapsack merge steps exceed guard")
+        out = []
+        for t in range(min(len(acc) + len(ch) - 1, k - fan + 1)):  # a leaf left for each later child
+            e, n, i = min((acc[i][0] + ch[t - i][0], acc[i][1] + ch[t - i][1], i)
+                          for i in range(max(0, t + 1 - len(ch)), min(t + 1, len(acc))))
+            out.append((e, n, acc[i][2] + ch[t - i][2]))
+        return out
 
-    best_val = np.inf
-    best_leaves = None
-    seen = 0
-    for part in _tree_partitions(grid, k):
-        seen += 1
-        if seen > _MAX_PARTITIONS:
-            raise OracleGuardError("partition enumeration exceeds guard")
-        val = sum(leaf_stats(r)[1] for r in part)
-        if best_leaves is None or val < best_val:
-            best_val = val
-            best_leaves = part
-    leaves = sorted(best_leaves)
+    def best(rect: DyadicRect) -> list:
+        """Entry j: (error, leaf count, leaves) of the best split tree of ``rect`` with <= j + 1 leaves."""
+        own = (_flat_l2_err(g, grid, rect, cells)[1], 1, (rect,))
+        if rect.level == 0 or k < fan:
+            return [own]
+        kids = [best(c) for c in rect.children()]
+        return list(itertools.accumulate([own] * (fan - 1) + reduce(merge, kids[1:], kids[0]), min))
+
+    val, _, leaves = best(grid.root())[-1]
+    leaves = sorted(leaves)
     hyp = HistHypothesis(
         domain=grid.domain,
-        pieces=tuple(Piece(grid.rect_of(r), leaf_stats(r)[0]) for r in leaves),
+        pieces=tuple(Piece(grid.rect_of(r), _flat_l2_err(g, grid, r, cells)[0]) for r in leaves),
         kind=HistKind.HIERARCHICAL,
         grid=grid,
         dyadic=tuple(leaves),
     )
-    return float(best_val), hyp
-
-
-def opt_hier_l2_dp_1d(g: EmpiricalDist, grid: GridSpec, k: int) -> float:
-    """Independent 1-d check of opt_hier_l2: interval dynamic program."""
-    if grid.dim != 1:
-        raise ValueError("the DP cross-check is one-dimensional")
-    if not g.domain.is_discrete:  # _flat_l2_err counts a rect's lattice points by its volume
-        raise UnsupportedDomainError("the squared-error oracle needs a discrete cube")
-    cells = (
-        grid.cell_index(g.points)
-        if g.support_size
-        else np.zeros((0, 1), dtype=np.int64)
-    )
-    memo: dict = {}
-
-    def rec(level: int, idx: int, budget: int) -> float:
-        key = (level, idx, budget)
-        if key in memo:
-            return memo[key]
-        best = _flat_l2_err(g, grid, DyadicRect(level, (idx,)), cells)[1]
-        if level > 0 and budget >= 2:
-            for j1 in range(1, budget):
-                best = min(best, rec(level - 1, 2 * idx, j1) + rec(level - 1, 2 * idx + 1, budget - j1))
-        memo[key] = best
-        return best
-
-    return rec(grid.levels, 0, k)
+    return float(val), hyp
 
 
 # ---------------------------------------------------------------------------
 # Optimal partial hierarchical fit in D_k distance
 # ---------------------------------------------------------------------------
 
-_COLUMN_GUARD = 1 << 26  # rects x unions floats opt_partial_hier_dk may cache, about 0.5 GB
+# opt_partial_hier_dk's cached rects x unions floats (about 0.5 GB), and the
+# supports x unions column reads of its pruning pass
+_COLUMN_GUARD = 1 << 26
 
 
 def _disjoint_unions(rects: list, k: int) -> list:
@@ -313,13 +269,16 @@ def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int,
         raise ValueError("k must be >= 1")
     rects = all_dyadic_rects(grid)
     sums = _level_sums(_cell_counts(fhat, grid, grid.root()), grid.levels)
-    n = fhat.n if fhat.support_size else 1
-
     rect_count = np.array([int(sums[r.level][r.index]) for r in rects], dtype=np.int64)
-    rect_mass = rect_count / n
+    rect_mass = rect_count / fhat.n
     rect_vol = np.array([grid.volume_of(r) for r in rects])
 
     unions = _disjoint_unions(rects, k)
+    # the pruning pass reads every support's columns over every union
+    if (len(unions) - 1) * len(unions) > _COLUMN_GUARD:
+        raise OracleGuardError(
+            f"{len(unions) - 1} supports x {len(unions)} unions exceeds guard {_COLUMN_GUARD}"
+        )
     pad = len(rects)
     comp = np.full((len(unions), k), pad, dtype=np.int64)
     for i, u in enumerate(unions):
@@ -373,10 +332,8 @@ def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int,
     for ub, lb, support in candidates:
         if lb >= best - 1e-12:
             continue
+        # a support that covers no union has lb = max |f_union| >= best: skipped above
         W, covered = weights(support)
-        if not covered.any():
-            best = min(best, lb)
-            continue
         j = len(support)
         rows_w = W[covered]
         rows_f = f_union[covered]
@@ -424,13 +381,12 @@ def brute_d1(fhat: EmpiricalDist, grid: GridSpec, rect: DyadicRect, a: float) ->
     total = sum((1 << (depth - lev)) ** d for lev in range(depth + 1))
     if total > _BRUTE_GUARD:
         raise OracleGuardError(f"{total} dyadic rectangles exceeds guard {_BRUTE_GUARD}")
-    n = fhat.n if fhat.support_size else 1
     best = -1.0
     for lev, level_counts in _level_sums(_cell_counts(fhat, grid, rect), depth).items():
         offset = [(i << (depth - lev)) + np.arange(1 << (depth - lev), dtype=np.int64) for i in rect.index]
         widths = [b[(i + 1) << lev] - b[i << lev] for b, i in zip(grid.axes, offset)]
         vols = reduce(np.multiply.outer, widths)
-        best = max(best, float(np.abs(level_counts / n - a * vols).max()))
+        best = max(best, float(np.abs(level_counts / fhat.n - a * vols).max()))
     return best
 
 
@@ -441,6 +397,5 @@ __all__ = [
     "dk_distance",
     "dk_distance_between",
     "opt_hier_l2",
-    "opt_hier_l2_dp_1d",
     "opt_partial_hier_dk",
 ]

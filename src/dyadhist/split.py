@@ -170,7 +170,7 @@ def greedy_split_l2(g: EmpiricalDist, grid: GridSpec, params: SplitParams):
         raise UnsupportedDomainError("the squared-error learner needs a discrete cube")
     if g.domain != grid.domain:
         raise ValueError("empirical distribution and grid disagree on the domain")
-    n = g.n if g.support_size else 1
+    n = g.n
     index = MortonIndex(g, grid)
 
     def score(rect):
@@ -199,8 +199,6 @@ def build_adaptive_grid(samples: EmpiricalDist) -> GridSpec:
     mass.  A coordinate equal to the upper bound (1.0 on the unit cube) is
     no boundary, so it lands in the last cell, which has positive width.
     """
-    if samples.support_size == 0:
-        raise ValueError("cannot build an adaptive grid from an empty sample set")
     domain = samples.domain
     uniques = []
     for a in range(domain.dim):

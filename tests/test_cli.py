@@ -453,6 +453,15 @@ class TestRunLearn:
         report, _ = run_learn(cfg)
         assert dict(report.errors)["dk_vs_empirical"] >= 0.0
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("metric", "l3", "metric must be l1 or l2, got l3"),
+        ("grid_mode", "dense", "grid must be adaptive or fixed, got dense"),
+    ], ids=["metric", "grid_mode"])
+    def test_config_rejects_unknown_choices(self, tmp_path, field, value, message):
+        # the parser's choices keep these from the command line
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self._config(tmp_path, **{field: value}).validate()
+
     def test_l2_learner_requires_discrete(self, tmp_path):
         self._sampled(tmp_path, Domain.unit(2))
         cfg = self._config(tmp_path, metric="l2")
@@ -520,13 +529,25 @@ class TestCommandLine:
                      "--out", str(out)]) == 0
         assert main(["eval", "--in", str(out), "--truth", str(truth)]) == 0
 
-    def test_validation_error_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sample", "--in", "{truth}", "--n", "0", "--seed", "1", "--out", "{tmp}/s.txt"],
+             "sample count must be >= 1"),
+            (["gen", "--k", "2", "--dim", "1", "--domain", "discrete", "--out", "{tmp}/d.hist"],
+             "--domain discrete requires --m"),
+            (["eval", "--in", "{truth}", "--dump-grid", "8"], "--dump-grid needs --out"),
+        ],
+        ids=["sample-n-0", "gen-discrete-without-m", "eval-dump-grid-without-out"],
+    )
+    def test_validation_error_exit_2(self, tmp_path, capsys, argv, message):
         truth = tmp_path / "t.hist"
         main(["gen", "--k", "2", "--dim", "1", "--seed", "1", "--out", str(truth)])
-        rc = main(["sample", "--in", str(truth), "--n", "0", "--seed", "1",
-                   "--out", str(tmp_path / "s.txt")])
+        capsys.readouterr()
+        rc = main([a.format(truth=truth, tmp=tmp_path) for a in argv])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.hist"]
 
     @pytest.mark.parametrize(
         "args,grid",
@@ -636,18 +657,22 @@ class TestCommandLine:
         assert rc == 2
         assert "error: Unable to allocate 36.5 GiB" in capsys.readouterr().err
 
-    def test_oracle_subcommand_values(self, tmp_path, capsys):
+    @pytest.mark.parametrize("k", ["2", "0", "-1"])
+    @pytest.mark.parametrize("metric, name", [("l1", "opt_partial_hier_dk"), ("l2", "opt_hier_l2")])
+    def test_oracle_subcommand_values(self, tmp_path, capsys, metric, name, k):
         truth = tmp_path / "t.hist"
         samples = tmp_path / "s.txt"
         main(["gen", "--k", "2", "--dim", "1", "--domain", "discrete", "--m", "8",
               "--seed", "1", "--out", str(truth)])
         main(["sample", "--in", str(truth), "--n", "40", "--seed", "2",
               "--out", str(samples)])
-        assert main(["oracle", "--in", str(samples), "--k", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "opt_partial_hier_dk:" in out
-        assert main(["oracle", "--in", str(samples), "--k", "2", "--metric", "l2"]) == 0
-        assert "opt_hier_l2:" in capsys.readouterr().out
+        capsys.readouterr()
+        rc = main(["oracle", "--in", str(samples), "--k", k, "--metric", metric])
+        out, err = capsys.readouterr()
+        if k == "2":
+            assert (rc, err) == (0, "") and out.startswith(f"{name}: ")
+        else:  # both oracles refuse an empty budget
+            assert (rc, out, err) == (2, "", "error: k must be >= 1\n")
 
     def test_eval_dump_grid(self, tmp_path):
         truth = tmp_path / "t.hist"

@@ -1,6 +1,7 @@
 """Histogram algebra: volumes, masses, flattening, exact distances."""
 
 import itertools
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -546,7 +547,18 @@ class TestGridSpec:
         idx = grid.cell_index(np.array([[1.0]]))
         assert idx[0, 0] == 3
 
-    def test_rejects_non_power_of_two(self):
-        d = Domain.unit(1)
-        with pytest.raises(Exception):
-            GridSpec(d, (np.array([0.0, 0.5, 0.75, 1.0]),))
+    @pytest.mark.parametrize(
+        "dim, axes, message",
+        [
+            (1, [[0.0, 0.5, 0.75, 1.0]], "cell count per axis must be a power of 2, got 3"),
+            (2, [[0.0, 0.5, 1.0]], "one boundary array per dimension required"),
+            (2, [[0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0]], "all axes must have the same boundary count"),
+            (1, [[0.0, 0.75, 0.5, 1.0, 1.0]], "axis boundaries must be non-decreasing"),
+            (1, [[0.25, 0.5, 1.0]], "axis boundaries must start/end at the domain bounds"),
+            (1, [[0.0, 0.5, 0.75]], "axis boundaries must start/end at the domain bounds"),
+        ],
+        ids=["not-a-power-of-2", "axis-count", "boundary-counts", "decreasing", "low-end", "high-end"],
+    )
+    def test_rejects_bad_axes(self, dim, axes, message):
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            GridSpec(Domain.unit(dim), tuple(np.array(a) for a in axes))

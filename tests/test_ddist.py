@@ -391,8 +391,8 @@ class TestComputeD1:
 
     def test_empty_region_b2_branch(self):
         emp, grid = counts_2101()
-        empty = EmpiricalDist(Domain.discrete(4, 1), np.zeros((0, 1)), np.zeros(0))
-        assert compute_d1(build_tree(empty, grid, grid.root()), 0.5) == 0.5 * 4
+        rect = DyadicRect(0, (2,))  # cell {3} holds no samples
+        assert compute_d1(build_tree(emp, grid, rect), 0.5) == 0.5 * 1
 
     @pytest.mark.parametrize("a", [-0.1, math.nan])
     @pytest.mark.parametrize("d1", [
@@ -405,15 +405,15 @@ class TestComputeD1:
             d1(emp, grid, a)
 
     def test_matches_brute_force_on_random_family(self, rng):
-        # both return a plain float: on an empty tree, on a tree of one chain
-        # (a point mass at {3}, from its cell up to the root) and on every
-        # random instance
+        # both return a plain float: on an empty tree (the half {1,2} of a
+        # point mass at {4}), on a tree of one chain (a point mass at {3},
+        # from its cell up to the root) and on every random instance
         d = Domain.discrete(4, 1)
         grid = GridSpec.uniform(d, 4)
-        empty = EmpiricalDist(d, np.zeros((0, 1)), np.zeros(0))
-        point = EmpiricalDist(d, np.array([[3]]), np.array([1]))
-        for emp, a, want in ((empty, 0.5, 2.0), (point, 0.0, 1.0)):
-            err, berr = compute_d1(build_tree(emp, grid, grid.root()), a), brute_d1(emp, grid, grid.root(), a)
+        at4 = EmpiricalDist(d, np.array([[4]]), np.array([1]))
+        at3 = EmpiricalDist(d, np.array([[3]]), np.array([1]))
+        for emp, rect, a, want in ((at4, DyadicRect(1, (0,)), 0.5, 1.0), (at3, grid.root(), 0.0, 1.0)):
+            err, berr = compute_d1(build_tree(emp, grid, rect), a), brute_d1(emp, grid, rect, a)
             assert type(err) is type(berr) is float and err == berr == want
         for trial in range(300):
             emp, grid, rect, a = random_instance(rng, trial)
@@ -448,10 +448,8 @@ class TestFitD1:
         assert fit.err == pytest.approx(0.25, abs=0)
 
     def test_empty_region(self):
-        d = Domain.discrete(4, 1)
-        empty = EmpiricalDist(d, np.zeros((0, 1)), np.zeros(0))
-        grid = GridSpec.uniform(d, 4)
-        fit = fit_d1(build_tree(empty, grid, grid.root()))
+        emp, grid = counts_2101()
+        fit = fit_d1(build_tree(emp, grid, DyadicRect(0, (2,))))  # cell {3} holds no samples
         assert fit.a == 0.0
         assert fit.err == 0.0
 
@@ -643,7 +641,5 @@ class TestBruteD1:
             brute_d1(emp, grid, grid.root(), 0.1)
 
     def test_empty_with_zero_constant(self):
-        d = Domain.discrete(4, 1)
-        empty = EmpiricalDist(d, np.zeros((0, 1)), np.zeros(0))
-        grid = GridSpec.uniform(d, 4)
-        assert brute_d1(empty, grid, grid.root(), 0.0) == 0.0
+        emp, grid = counts_2101()
+        assert brute_d1(emp, grid, DyadicRect(0, (2,)), 0.0) == 0.0  # cell {3} holds no samples

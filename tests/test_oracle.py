@@ -22,7 +22,6 @@ from dyadhist.oracle import (
     dk_distance,
     dk_distance_between,
     opt_hier_l2,
-    opt_hier_l2_dp_1d,
     opt_partial_hier_dk,
 )
 
@@ -117,7 +116,7 @@ class TestOptHierL2:
         assert hyp.piece_count == 1
         assert hyp.pieces[0].value == 0.5
 
-    def test_agrees_with_1d_dynamic_program(self):
+    def test_agrees_with_partition_twin(self):
         for trial in range(25):
             rng = make_rng(trial + 31)
             d = Domain.discrete(8, 1)
@@ -125,7 +124,18 @@ class TestOptHierL2:
             grid = GridSpec.uniform(d, 8)
             k = int(rng.integers(1, 5))
             val, _ = opt_hier_l2(emp, grid, k)
-            assert val == pytest.approx(opt_hier_l2_dp_1d(emp, grid, k), abs=1e-13)
+            assert val == pytest.approx(partition_twin(emp, grid, k), abs=1e-13)
+
+    @pytest.mark.parametrize("m, dim, k", [(1024, 1, 30), (32, 2, 25)])
+    def test_large_k_within_a_second(self, m, dim, k):
+        # both grids have far more than 10^6 split trees with at most k leaves
+        d = Domain.discrete(m, dim)
+        emp = random_empirical(make_rng(m), d, 200)
+        grid = GridSpec.uniform(d, m)
+        t0 = time.perf_counter()
+        val, hyp = opt_hier_l2(emp, grid, k)
+        assert time.perf_counter() - t0 < 1.0
+        assert hyp.piece_count <= k and val > 0
 
     def test_lower_bounds_any_heuristic(self, rng):
         from dyadhist.split import SplitParams, greedy_split_l2
@@ -154,8 +164,6 @@ class TestOptHierL2:
         grid = GridSpec.uniform(d, 4)
         with pytest.raises(UnsupportedDomainError):
             opt_hier_l2(emp, grid, 2)
-        with pytest.raises(UnsupportedDomainError):
-            opt_hier_l2_dp_1d(emp, grid, 2)
 
 
 class TestOptPartialHierDk:
@@ -235,6 +243,18 @@ class TestOptPartialHierDk:
         assert main(["oracle", "--in", str(path), "--k", "2", "--m", "32"]) == 3
         assert "exceeds guard" in capsys.readouterr().err
 
+    def test_pruning_guard_bounds_supports_times_unions(self, tmp_path, capsys):
+        # {1..12}^2 pads to 16^2: 341 rects and 57,060 unions pass the column
+        # guard, but the pruning pass would read each support's columns over
+        # every union, about 3.3e9 reads
+        d = Domain.discrete(12, 2)
+        path = tmp_path / "s.txt"
+        write_samples(path, random_empirical(make_rng(12), d, 20))
+        t0 = time.perf_counter()
+        assert main(["oracle", "--in", str(path), "--k", "2"]) == 3
+        assert time.perf_counter() - t0 < 5.0
+        assert capsys.readouterr().err == f"error: 57059 supports x 57060 unions exceeds guard {1 << 26}\n"
+
 
 # ---------------------------------------------------------------------------
 # Fuzzed twins: each oracle against a plainer enumeration of its definition
@@ -287,14 +307,58 @@ def test_dk_distance_matches_union_enumeration(seed, k):
     assert dk_distance(u, grid, k) == pytest.approx(best, abs=1e-12)
 
 
+def _split_trees(rect, budget, fan):
+    """Leaf tuples of every full split tree of ``rect`` with at most ``budget`` leaves."""
+    if budget >= 1:
+        yield (rect,)
+    if rect.level and budget >= fan:
+        children = rect.children()
+
+        def rest(i, left):  # children[i:] share ``left`` leaves, at least one each
+            if i == fan:
+                yield ()
+                return
+            for head in _split_trees(children[i], left - (fan - 1 - i), fan):
+                for tail in rest(i + 1, left - len(head)):
+                    yield head + tail
+
+        yield from rest(0, budget)
+
+
+def _leaf_l2(emp, grid, rect):
+    """Squared error of the flattening on ``rect``, summed over its lattice points."""
+    spans = [
+        range(int(ax[i << rect.level]), int(ax[(i + 1) << rect.level]))
+        for ax, i in zip(grid.axes, rect.index)
+    ]
+    lattice = list(itertools.product(*spans))
+    if not lattice:
+        return 0.0
+    g = {tuple(int(c) for c in p): int(c) / emp.n for p, c in zip(emp.points, emp.counts)}
+    vals = [g.get(x, 0.0) for x in lattice]
+    a = sum(vals) / len(lattice)
+    return sum((v - a) ** 2 for v in vals)
+
+
+def partition_twin(emp, grid, k):
+    """Least squared error over every full split tree with at most k leaves."""
+    trees = _split_trees(grid.root(), k, 1 << grid.dim)
+    return min(sum(_leaf_l2(emp, grid, r) for r in leaves) for leaves in trees)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
-def test_opt_hier_l2_matches_1d_dynamic_program(seed, k):
+@given(seed=st.integers(0, 2**32 - 1))
+def test_opt_hier_l2_matches_partition_enumeration(dim, seed):
+    # warped grids put several lattice points in one cell, which the twin
+    # sums one by one
     rng = make_rng(seed)
-    M = int(rng.choice([2, 4, 8, 16]))
-    domain = Domain.discrete(M, 1)
+    M = int(rng.choice([2, 4, 8, 16] if dim == 1 else [2, 4]))
+    k = int(rng.integers(1, 7 if dim == 1 else 17))
+    domain = Domain.discrete(M, dim)
     emp = random_empirical(rng, domain, int(rng.integers(1, 30)))
-    grid = random_grid(rng, domain, M, warp=bool(rng.random() < 0.3))
+    grid = random_grid(rng, domain, M, warp=bool(rng.random() < 0.5))
     val, hyp = opt_hier_l2(emp, grid, k)
     assert hyp.piece_count <= k
-    assert val == pytest.approx(opt_hier_l2_dp_1d(emp, grid, k), abs=1e-13)
+    assert val == pytest.approx(partition_twin(emp, grid, k), abs=1e-13)
+    assert val == pytest.approx(sum(_leaf_l2(emp, grid, r) for r in hyp.dyadic), abs=1e-13)

@@ -207,10 +207,9 @@ class TestAdaptiveGrid:
             assert (widths[cells[:, a]] > 0).all()
 
     def test_empty_samples_rejected(self):
-        d = Domain.unit(1)
-        empty = EmpiricalDist(d, np.zeros((0, 1)), np.zeros(0))
-        with pytest.raises(ValueError):
-            build_adaptive_grid(empty)
+        # no empty sample set reaches build_adaptive_grid: the constructor refuses it
+        with pytest.raises(ValueError, match="empty sample set"):
+            EmpiricalDist(Domain.unit(1), np.zeros((0, 1)), np.zeros(0))
 
 
 class TestAdaptiveGreedySplit:
