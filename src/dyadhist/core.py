@@ -350,14 +350,29 @@ class EmpiricalDist:
 
     @staticmethod
     def from_samples(domain: Domain, samples: np.ndarray) -> "EmpiricalDist":
-        """Aggregate raw samples (one row per draw) into a weighted multiset."""
+        """Aggregate raw samples (one row per draw) into a weighted multiset.
+
+        Off the lattice the rows are sorted by one ``argsort`` of a key that
+        orders them lexicographically: the first column itself at d = 1, else
+        the dense ranks of the columns so far times the next column's count
+        of distinct values, plus its ranks.  Ranking again after each column
+        keeps the key below n^2.
+        """
         samples = np.atleast_2d(np.asarray(samples))
         if samples.size == 0:
             raise ValueError("empty sample set")
         lattice = _count_lattice(domain, samples)
         if lattice is not None:
             return EmpiricalDist(domain, *lattice)
-        rows = samples.take(np.lexsort(samples.T[::-1]), axis=0)
+        key = samples[:, 0]
+        for col in samples.T[1:]:
+            key = _dense_ranks(key)[0]
+            rank, distinct = _dense_ranks(col)
+            key *= distinct
+            key += rank
+            del rank
+        rows = samples.take(np.argsort(key), axis=0)
+        del key
         if rows.dtype.kind == "f":
             rows += 0  # -0.0 -> 0.0: the row kept for equal rows is then unique
         first = np.ones(len(rows), dtype=bool)
@@ -379,6 +394,22 @@ class EmpiricalDist:
         _check_dim(rect, self.domain)
         mask = rect.contains_points(self.points, self.domain)
         return float(self.counts[mask].sum()) / self.n
+
+
+def _dense_ranks(x: np.ndarray) -> tuple:
+    """Rank of each entry among the distinct values of ``x`` (int64), and their count.
+
+    Equal values share a rank, so 0.0 and -0.0 do; every NaN gets its own.
+    """
+    order = np.argsort(x)
+    step = x[order]
+    rank = np.empty(len(x), dtype=np.int64)
+    rank[0] = 0
+    np.cumsum(step[1:] != step[:-1], out=rank[1:])
+    del step
+    out = np.empty_like(rank)
+    out[order] = rank
+    return out, int(rank[-1]) + 1
 
 
 def _count_lattice(domain: Domain, samples: np.ndarray):
@@ -546,12 +577,13 @@ def _overlay_axes(domain: Domain, *piece_sets) -> list:
 
 
 def _piece_slices(pieces, axes: list):
-    """Per piece, the block of overlay cells it covers, as a tuple of slices."""
-    for p in pieces:
-        yield tuple(
-            slice(int(np.searchsorted(ax, p.rect.lo[a])), int(np.searchsorted(ax, p.rect.hi[a])))
-            for a, ax in enumerate(axes)
-        )
+    """Per piece, the block of overlay cells it covers, as a tuple of slices.
+
+    One ``searchsorted`` per axis finds every piece's ``lo`` and ``hi``.
+    """
+    bounds = np.array([(p.rect.lo, p.rect.hi) for p in pieces], dtype=np.float64).reshape(-1, 2, len(axes))
+    ends = [np.searchsorted(ax, bounds[:, :, a]).tolist() for a, ax in enumerate(axes)]
+    return [tuple(slice(*e[i]) for e in ends) for i in range(len(bounds))]
 
 
 def _rasterize(h: HistHypothesis, axes: list) -> np.ndarray:

@@ -9,7 +9,7 @@ query rectangle R) that contain support points.  The discrepancy
   holds no mass; every such rectangle is R itself (empty tree) or a missing
   child of some tree node.
 
-Layout.  ``MortonIndex`` sorts the support points once, by the Morton
+Layout.  ``MortonIndex`` lexsorts the support points once by the Morton
 (Z-order) key of their level-0 cell, so the points of every dyadic
 rectangle of the grid form one contiguous run.  The tree is stored
 path-compressed: only the level-0 cells and the branching nodes (two or
@@ -25,8 +25,8 @@ parent and siblings in Morton order, so the subtree of any node is one
 contiguous slice that ends at the node, and V for a view is the maximum
 over its slice.  A ``SparseDyadicTree`` is a view of one such slice, found
 by a binary search; when its rectangle sits inside a chain, the view clips
-that one chain at it.  Keys are split into words of at most 63 bits, so no
-key overflows whatever the product of the dimension and the grid depth.
+that one chain at it.  Keys interleave 8 bits of every axis at a time by a
+table lookup, in words of at most 63 bits, so none overflows at any depth.
 
 Fit.  ``fit_d1`` finds the constant a >= 0 with the least discrepancy
 exactly, not to a tolerance: the objective is the upper envelope of one
@@ -45,7 +45,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -63,21 +63,33 @@ def check_dyadic(grid: GridSpec, rect: DyadicRect) -> None:
         raise StructureError(f"index {rect.index} outside grid at level {rect.level}")
 
 
+@cache
+def _spread(d: int, bits: int) -> tuple:
+    """Each v < 2^bits with its bit i moved to bit d*i, as an int64 array and as a tuple of ints."""
+    table = tuple(sum(((v >> i) & 1) << (d * i) for i in range(bits)) for v in range(1 << bits))
+    return np.array(table, dtype=np.int64), table
+
+
 def _morton_words(cols: list, levels: int) -> list:
     """Morton keys of cells whose per-axis indices are below 2^levels.
 
     ``cols`` holds one int, or one int64 array, per axis.  Digit b (bit b of
     every axis, axis 0 first) runs from b = levels-1 in the first word down
     to b = 0 in the last, at most 63 bits per word, so comparing the words
-    in turn compares the keys.
+    in turn compares the keys.  A word is built from 8 bits of every axis at
+    a time, spread d apart by a table; at d = 1 it is the axis's own bits.
     """
-    per_word = 63 // len(cols)
+    d, per_word = len(cols), 63 // len(cols)
+    step = min(8, per_word)
+    table = _spread(d, step)[0 if isinstance(cols[0], np.ndarray) else 1]
     words = []
     for top in range(levels, 0, -per_word):
-        w = cols[0] * 0
-        for b in range(top - 1, max(0, top - per_word) - 1, -1):
-            for x in cols:
-                w = (w << 1) | ((x >> b) & 1)
+        low = max(0, top - per_word)
+        digits = [(x >> low) & ((1 << (top - low)) - 1) for x in cols]  # the word's bits of each axis
+        w = digits[0] if d == 1 else 0  # at d = 1 the table is the identity, so the word is the axis's bits
+        for s in range(0, top - low if d > 1 else 0, step):
+            for a, x in enumerate(digits):
+                w = w | (table[(x >> s) & ((1 << step) - 1)] << (d * s + d - 1 - a))
         words.append(w)
     return words or [cols[0] * 0]
 
@@ -129,21 +141,18 @@ class MortonIndex:
     """
 
     def __init__(self, fhat: EmpiricalDist, grid: GridSpec):
-        d = grid.dim
         self.fhat, self.grid = fhat, grid
         cells = grid.cell_index(fhat.points)
-        words = _morton_words([cells[:, a] for a in range(d)], grid.levels)
-        order = np.lexsort(words[::-1])
-        self.rows = order  # support rows, in Morton order of their cells
+        words = _morton_words(list(cells.T), grid.levels)
+        self.rows = order = np.lexsort(words[::-1])  # support rows, in Morton order of their cells
         self.cells = cells.take(order, axis=0)
         self.words = [w[order] for w in words]
-        self._bits = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1  # child -> bits
+        self._bits = (np.arange(1 << grid.dim)[:, None] >> np.arange(grid.dim)[::-1]) & 1  # child -> bits
         self.first = None  # the node arrays are built by the first view
 
     def _build_nodes(self) -> None:
         grid, d, top = self.grid, self.grid.dim, self.grid.levels
-        s = len(self.rows)
-        n = self.fhat.n
+        s, n = len(self.rows), self.fhat.n
         # point i and i+1 share their nodes from level shared[i] up (the bit
         # length of the xor of their cells; frexp is exact below 2^53), so a
         # node of level l ends at a point whose shared level exceeds l, and
@@ -174,9 +183,8 @@ class MortonIndex:
                 ends = ends[up]
                 if not len(node):
                     continue
-                if d == 1:  # a branching node of a binary tree has both children
-                    whose = None
-                else:
+                whose = None  # at d = 1 a branching node of a binary tree has both children
+                if d > 1:
                     new = np.ones(len(node), dtype=bool)
                     new[1:] = node[1:] != node[:-1]
                     node, whose = node[new], np.cumsum(new) - 1
@@ -261,20 +269,12 @@ class MortonIndex:
         hit = row[whose] >= 0
         cvol = self._child_volumes(lev, self.cells.take(end[need], axis=0) >> lev)
         firsts = self.cells.take(np.concatenate([start[need], split[hit]]), axis=0)
-        cvol[np.r_[np.arange(len(need)), row[whose[hit]]], self._digit(firsts, lev - 1)] = -1.0
+        digit = _morton_words(list((firsts >> (lev - 1)).T), 1)[0]  # which child holds each first point
+        cvol[np.r_[np.arange(len(need)), row[whose[hit]]], digit] = -1.0
         self.node_visits += cvol.size
         own = np.full(len(end), -1.0)
         own[need] = cvol.max(axis=1)
         return own
-
-    def _digit(self, cells: np.ndarray, b: int) -> np.ndarray:
-        """Which child at level ``b`` holds each of these cells, among its parent's children."""
-        bits = (cells >> b) & 1
-        digit = bits[:, 0].copy()
-        for a in range(1, self.grid.dim):
-            digit <<= 1
-            digit |= bits[:, a]
-        return digit
 
     def _child_volumes(self, lev: int, parent: np.ndarray) -> np.ndarray:
         """Volumes (one row each, children in lexicographic order) of the children of

@@ -145,6 +145,24 @@ def twin_volume(grid: GridSpec, r: DyadicRect) -> float:
     return v
 
 
+def morton_twin(cols: list, levels: int) -> list:
+    """Morton key words built one bit of every axis per level, in plain shifts.
+
+    ``cols`` holds one int, or one int64 array, per axis.  Digit b (bit b of
+    every axis, axis 0 first) runs from b = levels-1 in the first word down
+    to b = 0 in the last, 63 // d digits to a full word.
+    """
+    per_word = 63 // len(cols)
+    words = []
+    for top in range(levels, 0, -per_word):
+        w = cols[0] * 0
+        for b in range(top - 1, max(0, top - per_word) - 1, -1):
+            for x in cols:
+                w = (w << 1) | ((x >> b) & 1)
+        words.append(w)
+    return words or [cols[0] * 0]
+
+
 def reference_tree(emp, grid, root):
     """Plain-Python twin of the uncompressed tree below ``root``.
 

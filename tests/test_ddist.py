@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dyadhist import gen_truth, sample_from
 from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec
-from dyadhist.ddist import MortonIndex, build_tree, compute_d1, fit_d1
+from dyadhist.ddist import MortonIndex, _morton_words, _ones_below, build_tree, compute_d1, fit_d1
 from dyadhist.errors import OracleGuardError, StructureError
 
 from dyadhist.oracle import all_dyadic_rects, brute_d1
@@ -22,6 +22,7 @@ from conftest import (
     exact_fit_minimum,
     fit_objective,
     make_rng,
+    morton_twin,
     random_empirical,
     random_grid,
     random_points,
@@ -260,6 +261,29 @@ class TestMortonIndex:
             assert grid.dim * grid.levels > 62
             clipped += self.check_views(emp, grid, pick)
         assert clipped > 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_morton_words_match_the_bit_loop_twin(self, dim):
+        # several words once dim * levels > 63; up to 62 levels, so every cell fits in int64
+        rng, per_word = make_rng(40 + dim), 63 // dim
+        depths = (0, 1, 7, 8, 9, 16, per_word, per_word + 1, 2 * per_word + 3, 62)
+        for levels in sorted({min(62, n) for n in depths}):
+            cells = rng.integers(0, 1 << levels, size=(300, dim))
+            cells[0], cells[1] = 0, (1 << levels) - 1  # the first and the last cell
+            cols = [cells[:, a] for a in range(dim)]
+            words, want = _morton_words(cols, levels), morton_twin(cols, levels)
+            assert len(words) == len(want) == max(1, -(-levels // per_word))
+            assert all(np.array_equal(w, t) for w, t in zip(words, want)), levels
+            for lev in range(levels + 1):  # the key of the last cell of each cell's level-lev rectangle
+                last = [c | ((1 << lev) - 1) for c in cols]
+                assert all(np.array_equal(w, t) for w, t in zip(_ones_below(words, lev, levels, dim),
+                                                                 morton_twin(last, levels))), (levels, lev)
+            for row in cells[:40].tolist():  # the Python ints that ``run`` passes
+                words = _morton_words(row, levels)
+                assert words == morton_twin(row, levels) and all(type(w) is int for w in words), (levels, row)
+                lev = int(rng.integers(levels + 1))
+                last = [c | ((1 << lev) - 1) for c in row]
+                assert _ones_below(words, lev, levels, dim) == morton_twin(last, levels), (levels, lev)
 
     def test_index_is_bound_to_its_samples_and_grid(self):
         emp, grid = counts_2101()
