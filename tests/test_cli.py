@@ -1,5 +1,6 @@
 """File formats, ground-truth generation, sampling, and the learn pipeline."""
 
+import hashlib
 import importlib
 import io
 import re
@@ -432,6 +433,63 @@ class TestRunLearn:
         emp = sample_from(truth, n, seed=seed + 1)
         write_samples(tmp_path / "s.txt", emp)
         return truth
+
+    # sha256 of the report, stdout and hypothesis file of ``learn``, each
+    # followed by a NUL byte, for sampled inputs (domain, truth pieces, n)
+    # and extra options.  The fixed-grid case reports both renorm_scale and
+    # error.dk_vs_empirical; the l2 case's grid pads 12 cells to 16
+    PINNED = {
+        "adaptive-l1-truth": (
+            Domain.unit(2), 3, 1_500, ["--k", "3", "--truth", "truth.hist"],
+            "0187f76d786bb6bba45fd73d9ba6958113b69dcdb9f3b77a5356245d2ca1ea71",
+        ),
+        "fixed-normalize": (
+            Domain.discrete(8, 2), 2, 80, ["--k", "2", "--xi", "0.5", "--grid", "fixed", "--normalize"],
+            "40b60161c4be7a43593c381e99a117bf62d4dcb100d78e9c899e81a226ec8ee2",
+        ),
+        "l2-truth": (
+            Domain.discrete(12, 1), 3, 500, ["--k", "3", "--metric", "l2", "--truth", "truth.hist"],
+            "455a40295186a390d5d20c9311a275c58bc9c7c3d56b66fadc6e28b3212fe5e2",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_outputs_pinned_byte_for_byte(self, tmp_path, capsys, monkeypatch, case):
+        domain, pieces, n, options, digest = self.PINNED[case]
+        self._sampled(tmp_path, domain, k=pieces, n=n, seed=7)
+        monkeypatch.chdir(tmp_path)  # the report echoes the input path
+        argv = ["learn", "--in", "s.txt", "--out", "h.hist", "--report", "h.report"] + options
+        assert main(argv) == 0
+        report = (tmp_path / "h.report").read_bytes()
+        stdout = capsys.readouterr().out.encode("utf-8")
+        hist = (tmp_path / "h.hist").read_bytes()
+        sha = hashlib.sha256()
+        for part in (report, stdout, hist):
+            sha.update(part + b"\x00")
+        assert sha.hexdigest() == digest
+
+    def test_timing_sidecar_keys(self, tmp_path):
+        self._sampled(tmp_path, Domain.unit(2))
+        assert main(["learn", "--in", str(tmp_path / "s.txt"), "--k", "2",
+                     "--report", str(tmp_path / "h.report")]) == 0
+        lines = (tmp_path / "h.report.timing").read_text().splitlines()
+        assert [line.split(": ")[0] for line in lines] == ["time.ingest", "time.learn", "time.evaluate"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["--m", "4"], "--m sets the cells of a fixed grid; the adaptive l1 grid takes none"),
+        (["--k", "0"], "k must be >= 1, got 0"),
+        (["--xi", "0"], "xi must be positive and finite, got 0.0"),
+    ], ids=["m", "k", "xi"])
+    def test_options_checked_before_reading(self, tmp_path, capsys, args, message):
+        assert main(["learn", "--in", str(tmp_path / "missing.txt"), "--k", "1"] + args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args", [["--metric", "l3"], ["--grid", "dense"]], ids=["metric", "grid"])
+    def test_unknown_choice_exits_2(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--in", str(tmp_path / "s.txt"), "--k", "1"] + args)
+        assert exc.value.code == 2
+        assert f"invalid choice: '{args[1]}'" in capsys.readouterr().err
 
     def test_report_fields_and_piece_bound(self, tmp_path):
         self._sampled(tmp_path, Domain.unit(2))
