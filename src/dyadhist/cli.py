@@ -1,10 +1,10 @@
-"""Learning runs, reports and the command line.
+"""The command line: gen, sample, learn, eval and oracle.
 
-The ``gen`` and ``sample`` commands call ``core.gen_truth`` and
-``core.sample_from``.  Everything a run produces is text (see fileio) and
-deterministic given the config and seed; wall-clock timings go to a
-separate ``.timing`` sidecar so report files are byte-identical across
-repeat runs.
+``gen`` and ``sample`` call ``core.gen_truth`` and ``core.sample_from``.
+``learn`` checks its options before it reads, then learns, evaluates and
+writes in one function.  Everything it writes is text (see fileio) and
+deterministic given the options and seed, but for the wall-clock timings
+in the ``.timing`` sidecar, so reports are byte-identical across runs.
 
 Exit codes: 0 success, 2 validation error or an input too large for memory,
 3 oracle/guard overflow.
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import (
@@ -40,85 +39,6 @@ from .split import (
 )
 
 
-# ---------------------------------------------------------------------------
-# Learning runs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunConfig:
-    input_path: str
-    metric: str = "l1"
-    grid_mode: str = "adaptive"
-    k: int = 1
-    xi: float = 1.0
-    m: int | None = None
-    normalize: bool = False
-    out_path: str | None = None
-    report_path: str | None = None
-    truth_path: str | None = None
-
-    @property
-    def fixed_grid(self) -> bool:
-        """Whether the run learns on a fixed grid; the l2 learner always does."""
-        return self.metric == "l2" or self.grid_mode == "fixed"
-
-    def validate(self) -> None:
-        if self.metric not in {"l1", "l2"}:
-            raise ValueError(f"metric must be l1 or l2, got {self.metric}")
-        if self.grid_mode not in {"adaptive", "fixed"}:
-            raise ValueError(f"grid must be adaptive or fixed, got {self.grid_mode}")
-        SplitParams(k=self.k, xi=self.xi)
-        if self.m is not None and not self.fixed_grid:
-            raise ValueError("--m sets the cells of a fixed grid; the adaptive l1 grid takes none")
-
-    def echo(self) -> list:
-        items = [
-            ("input", self.input_path),
-            ("metric", self.metric),
-            ("grid", "fixed" if self.fixed_grid else "adaptive"),
-            ("k", str(self.k)),
-            ("xi", f"{self.xi:.12g}"),
-            ("m", "none" if self.m is None else str(self.m)),
-            ("normalize", str(self.normalize).lower()),
-        ]
-        return items
-
-
-@dataclass
-class LearnReport:
-    config: list
-    n: int
-    grid_m: int
-    grid_levels: int
-    padded_cells: int
-    pieces: int
-    bound: int
-    total_mass: float
-    renorm_scale: float | None
-    errors: list
-    timings: dict = field(default_factory=dict)
-
-    def to_text(self) -> str:
-        """Deterministic report; timings are excluded on purpose."""
-        lines = [f"config.{k}: {v}" for k, v in self.config]
-        lines += [
-            f"n: {self.n}",
-            f"grid.M: {self.grid_m}",
-            f"grid.levels: {self.grid_levels}",
-            f"grid.padded_cells: {self.padded_cells}",
-            f"pieces: {self.pieces}",
-            f"piece_bound: {self.bound}",
-            f"total_mass: {self.total_mass:.12g}",
-        ]
-        if self.renorm_scale is not None:
-            lines.append(f"renorm_scale: {self.renorm_scale:.12g}")
-        lines += [f"error.{k}: {v:.12g}" for k, v in self.errors]
-        return "\n".join(lines) + "\n"
-
-    def timing_text(self) -> str:
-        return "".join(f"time.{k}: {v:.6f}\n" for k, v in self.timings.items())
-
-
 def _fixed_grid(domain: Domain, m: int | None) -> GridSpec:
     """The uniform grid of ``--m`` cells per axis, for ``learn --grid fixed`` and ``oracle``.
 
@@ -140,62 +60,6 @@ def _truth_error(metric: str, truth: HistHypothesis, h: HistHypothesis) -> tuple
     if metric == "l2":
         return "l2sq_vs_truth", l2_sq_dist(truth, h)
     return "l1_vs_truth", l1_dist(truth, h)
-
-
-def run_learn(cfg: RunConfig):
-    """Execute a learning run; returns (report, hypothesis written to disk)."""
-    cfg.validate()
-    timings = {}
-    t0 = time.perf_counter()
-    emp = read_samples(cfg.input_path)
-    if cfg.metric == "l2" and not emp.domain.is_discrete:
-        raise UnsupportedDomainError("the l2 learner requires a discrete domain")
-    timings["ingest"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    grid = _fixed_grid(emp.domain, cfg.m) if cfg.fixed_grid else build_adaptive_grid(emp)
-    params = SplitParams(k=cfg.k, xi=cfg.xi)
-    if cfg.metric == "l1":
-        hyp, _trace = greedy_split(emp, grid, params)
-    else:
-        hyp, _trace = greedy_split_l2(emp, grid, params)
-    timings["learn"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    errors = []
-    try:
-        errors.append(("dk_vs_empirical", dk_distance_between(emp, hyp, grid, cfg.k)))
-    except OracleGuardError:
-        pass  # the exact D_k oracle runs on desk-scale grids only
-    if cfg.truth_path:
-        errors.append(_truth_error(cfg.metric, read_hypothesis(cfg.truth_path), hyp))
-    timings["evaluate"] = time.perf_counter() - t0
-
-    out_hyp = hyp
-    scale = None
-    if cfg.normalize:
-        total = hyp.total_mass()
-        out_hyp = renormalize(hyp)
-        scale = 1.0 / total
-    report = LearnReport(
-        config=cfg.echo(),
-        n=emp.n,
-        grid_m=grid.M,
-        grid_levels=grid.levels,
-        padded_cells=grid.padded_cell_count(),
-        pieces=hyp.piece_count,
-        bound=piece_bound(cfg.k, cfg.xi, grid.dim, grid.levels),
-        total_mass=hyp.total_mass(),
-        renorm_scale=scale,
-        errors=errors,
-        timings=timings,
-    )
-    if cfg.out_path:
-        write_hypothesis(cfg.out_path, out_hyp)
-    if cfg.report_path:
-        Path(cfg.report_path).write_text(report.to_text(), encoding="utf-8")
-        Path(cfg.report_path + ".timing").write_text(report.timing_text(), encoding="utf-8")
-    return report, out_hyp
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +91,68 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    out = args.out or (getattr(args, "in") + ".hyp")
-    cfg = RunConfig(
-        input_path=getattr(args, "in"),
-        metric=args.metric,
-        grid_mode=args.grid,
-        k=args.k,
-        xi=args.xi,
-        m=args.m,
-        normalize=args.normalize,
-        out_path=out,
-        report_path=args.report or (out + ".report"),
-        truth_path=args.truth,
+    """Validate the options, then read, learn, evaluate, write and print the report.
+
+    The report is deterministic; wall-clock timings go to ``<report>.timing``.
+    """
+    fixed = args.metric == "l2" or args.grid == "fixed"  # the l2 learner always is
+    params = SplitParams(k=args.k, xi=args.xi)
+    if args.m is not None and not fixed:
+        raise ValueError("--m sets the cells of a fixed grid; the adaptive l1 grid takes none")
+    in_path = getattr(args, "in")
+    out = args.out or (in_path + ".hyp")
+    report_path = args.report or (out + ".report")
+
+    timings = {}
+    t0 = time.perf_counter()
+    emp = read_samples(in_path)
+    if args.metric == "l2" and not emp.domain.is_discrete:
+        raise UnsupportedDomainError("the l2 learner requires a discrete domain")
+    timings["ingest"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    grid = _fixed_grid(emp.domain, args.m) if fixed else build_adaptive_grid(emp)
+    hyp, _trace = (greedy_split_l2 if args.metric == "l2" else greedy_split)(emp, grid, params)
+    timings["learn"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    errors = []
+    try:
+        errors.append(("dk_vs_empirical", dk_distance_between(emp, hyp, grid, args.k)))
+    except OracleGuardError:
+        pass  # the exact D_k oracle runs on desk-scale grids only
+    if args.truth:
+        errors.append(_truth_error(args.metric, read_hypothesis(args.truth), hyp))
+    timings["evaluate"] = time.perf_counter() - t0
+
+    total = hyp.total_mass()
+    lines = [
+        f"config.input: {in_path}",
+        f"config.metric: {args.metric}",
+        f"config.grid: {'fixed' if fixed else 'adaptive'}",
+        f"config.k: {args.k}",
+        f"config.xi: {args.xi:.12g}",
+        f"config.m: {'none' if args.m is None else args.m}",
+        f"config.normalize: {str(args.normalize).lower()}",
+        f"n: {emp.n}",
+        f"grid.M: {grid.M}",
+        f"grid.levels: {grid.levels}",
+        f"grid.padded_cells: {grid.padded_cell_count()}",
+        f"pieces: {hyp.piece_count}",
+        f"piece_bound: {piece_bound(args.k, args.xi, grid.dim, grid.levels)}",
+        f"total_mass: {total:.12g}",
+    ]
+    if args.normalize:  # the report keeps the mass before scaling
+        hyp = renormalize(hyp)
+        lines.append(f"renorm_scale: {1.0 / total:.12g}")
+    lines += [f"error.{name}: {value:.12g}" for name, value in errors]
+    report = "\n".join(lines) + "\n"
+    write_hypothesis(out, hyp)
+    Path(report_path).write_text(report, encoding="utf-8")
+    Path(report_path + ".timing").write_text(
+        "".join(f"time.{key}: {value:.6f}\n" for key, value in timings.items()), encoding="utf-8"
     )
-    report, _ = run_learn(cfg)
-    sys.stdout.write(report.to_text())
+    sys.stdout.write(report)
     return 0
 
 

@@ -266,7 +266,7 @@ def test_criterion_11_sample_budget_goldens():
 
 
 def test_criterion_12_determinism(tmp_path):
-    from dyadhist.cli import RunConfig, run_learn
+    from dyadhist.cli import main
     from dyadhist.fileio import write_hypothesis, write_samples
 
     truth = dh.gen_truth(3, Domain.unit(2), seed=7)
@@ -276,14 +276,13 @@ def test_criterion_12_determinism(tmp_path):
 
     outputs = []
     for run in range(2):
-        cfg = RunConfig(
-            input_path=str(tmp_path / "s.txt"),
-            k=3, xi=1.0,
-            out_path=str(tmp_path / f"h{run}.hist"),
-            report_path=str(tmp_path / f"h{run}.report"),
-            truth_path=str(tmp_path / "t.hist"),
-        )
-        run_learn(cfg)
+        argv = [
+            "learn", "--in", str(tmp_path / "s.txt"), "--k", "3", "--xi", "1.0",
+            "--out", str(tmp_path / f"h{run}.hist"),
+            "--report", str(tmp_path / f"h{run}.report"),
+            "--truth", str(tmp_path / "t.hist"),
+        ]
+        assert main(argv) == 0
         outputs.append(
             (
                 (tmp_path / f"h{run}.hist").read_bytes(),
