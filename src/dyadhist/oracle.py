@@ -253,8 +253,7 @@ def _disjoint_unions(rects: list, k: int) -> list:
     return unions
 
 
-def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int,
-                        _order: str = "forward") -> float:
+def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int) -> float:
     """Exact min over partial hierarchical k-histograms of the D_k distance.
 
     Support sets range over every family of <= k pairwise-disjoint dyadic
@@ -326,9 +325,8 @@ def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int,
         if ub < best:
             best = ub
 
-    # processing order only affects pruning, never the exact minimum;
-    # _order="reversed" exists so tests can cross-check enumeration orders
-    candidates.sort(key=lambda c: c[0], reverse=(_order == "reversed"))
+    # processing order only affects pruning, never the exact minimum
+    candidates.sort(key=lambda c: c[0])
     for ub, lb, support in candidates:
         if lb >= best - 1e-12:
             continue

@@ -203,15 +203,15 @@ def build_adaptive_grid(samples: EmpiricalDist) -> GridSpec:
     uniques = []
     for a in range(domain.dim):
         u = np.unique(samples.points[:, a])
-        uniques.append(u[u < domain.upper])
+        # a prefix, as u is sorted; the mask compares an upper bound past
+        # int64 exactly, where searchsorted would round it to a float
+        uniques.append(u[: np.count_nonzero(u < domain.upper)])
     m_cells = max(next_pow2(len(u) + 1) for u in uniques)
     axes = []
     for u in uniques:
-        pad = u[-1] if len(u) else domain.lower
-        interior = np.concatenate([u, np.full(m_cells - 1 - len(u), pad)])
-        axes.append(
-            np.concatenate([[domain.lower], interior, [domain.upper]]).astype(np.float64)
-        )
+        axis = np.full(m_cells + 1, u[-1] if len(u) else domain.lower, dtype=np.float64)
+        axis[0], axis[1 : len(u) + 1], axis[-1] = domain.lower, u, domain.upper
+        axes.append(axis)
     return GridSpec(domain, tuple(axes))
 
 

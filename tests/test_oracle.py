@@ -1,5 +1,6 @@
 """Brute-force baselines: D_k distances and exact optimal fits."""
 
+import functools
 import itertools
 import time
 import tracemalloc
@@ -180,7 +181,7 @@ class TestOptPartialHierDk:
         grid = GridSpec.uniform(d, 4)
         assert opt_partial_hier_dk(emp, grid, 1) == pytest.approx(0.0, abs=1e-12)
 
-    def test_enumeration_order_consistency(self):
+    def test_matches_every_support_lp(self):
         for trial in range(10):
             rng = make_rng(trial + 500)
             dim = int(rng.integers(1, 3))
@@ -188,9 +189,7 @@ class TestOptPartialHierDk:
             emp = random_empirical(rng, d, 8)
             grid = GridSpec.uniform(d, 4)
             k = int(rng.integers(1, 3))
-            fwd = opt_partial_hier_dk(emp, grid, k, _order="forward")
-            rev = opt_partial_hier_dk(emp, grid, k, _order="reversed")
-            assert fwd == pytest.approx(rev, abs=1e-9)
+            assert opt_partial_hier_dk(emp, grid, k) == pytest.approx(support_lp_twin(emp, grid, k), abs=1e-9)
 
     def test_hand_checkable_2101(self):
         d = Domain.discrete(4, 1)
@@ -305,6 +304,53 @@ def test_dk_distance_matches_union_enumeration(seed, k):
             if all(rects[i].disjoint_from(rects[j]) for i, j in itertools.combinations(combo, 2)):
                 best = max(best, abs(sum(sums[i] for i in combo)))
     assert dk_distance(u, grid, k) == pytest.approx(best, abs=1e-12)
+
+
+def support_lp_twin(emp, grid, k):
+    """``opt_partial_hier_dk`` with every support's linear program solved: no bounds, no pruning.
+
+    A support is a family of at most k pairwise-disjoint dyadic rectangles
+    and so is a union; a support's program is min t subject to
+    |fhat(U) - sum_s a_s vol(U ∩ s)| <= t for every union U, with a >= 0.
+    Rectangles are cell indicators, so overlaps are cell sums.
+    """
+    from scipy.optimize import linprog
+
+    rects = all_dyadic_rects(grid)
+    cells = np.zeros((len(rects),) + (grid.M,) * grid.dim)
+    for i, r in enumerate(rects):
+        cells[i][_cell_slice(r)] = 1.0
+    cells = cells.reshape(len(rects), -1)
+    counts = np.zeros((grid.M,) * grid.dim)
+    for cell, c in zip(grid.cell_index(emp.points), emp.counts):
+        counts[tuple(cell)] += c
+    cell_vol = functools.reduce(np.multiply.outer, [np.diff(ax) for ax in grid.axes]).ravel()
+    shared = cells @ cells.T > 0
+    unions = [
+        combo
+        for size in range(k + 1)
+        for combo in itertools.combinations(range(len(rects)), size)
+        if not any(shared[i, j] for i, j in itertools.combinations(combo, 2))
+    ]
+    member = np.zeros((len(unions), len(rects)))
+    for u, combo in enumerate(unions):
+        member[u, list(combo)] = 1.0
+    f = member @ cells @ counts.ravel() / emp.n
+    weights = member @ (cells * cell_vol) @ cells.T  # vol(U ∩ s) for every union U and rect s
+    best = float(np.abs(f).max())  # the empty support: h == 0
+    for support in unions[1:]:
+        w = weights[:, list(support)]
+        ones = np.ones((len(unions), 1))
+        res = linprog(
+            np.r_[np.zeros(len(support)), 1.0],
+            A_ub=np.vstack([np.hstack([-w, -ones]), np.hstack([w, -ones])]),
+            b_ub=np.r_[-f, f],
+            bounds=[(0, None)] * len(support) + [(None, None)],
+            method="highs",
+        )
+        assert res.status == 0, res.message
+        best = min(best, float(res.fun))
+    return best
 
 
 def _split_trees(rect, budget, fan):

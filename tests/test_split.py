@@ -13,6 +13,7 @@ from dyadhist.core import (
     HistKind,
     l2_sq_dist,
     mass,
+    next_pow2,
 )
 from dyadhist import split
 from dyadhist.ddist import MortonIndex, build_tree, compute_d1, fit_d1
@@ -206,10 +207,51 @@ class TestAdaptiveGrid:
             widths = np.diff(grid.axes[a])
             assert (widths[cells[:, a]] > 0).all()
 
+    def test_axes_match_concatenating_twin(self):
+        # coordinates at the unit cube's upper bound 1.0 are no boundary, and
+        # a column may lie entirely there; m = 2^63 - 1 puts the upper bound
+        # past int64
+        rng = make_rng(2_500)
+        for trial in range(60):
+            dim = int(rng.integers(1, 4))
+            m = int(rng.choice([1, 5, 12, 1000, 2**63 - 1])) if trial % 2 else None
+            domain = Domain.unit(dim) if m is None else Domain.discrete(m, dim)
+            n = int(rng.integers(1, 80))
+            if m is None:
+                pts = rng.integers(0, 9, size=(n, dim)) / 8.0  # repeats, and 1.0 about once in nine
+            else:
+                pts = np.minimum(rng.integers(1, min(m, 2_000) + 1, size=(n, dim)), m)
+                pts[rng.random(n) < 0.3, 0] = m
+            if trial % 5 == 0:
+                pts[:, int(rng.integers(dim))] = domain.upper if m is None else m
+            emp = EmpiricalDist.from_samples(domain, pts)
+            grid = build_adaptive_grid(emp)
+            twin = adaptive_axes_twin(emp)
+            assert len(grid.axes) == len(twin)
+            for axis, expect in zip(grid.axes, twin):
+                assert axis.dtype == expect.dtype == np.float64
+                assert np.array_equal(axis, expect)
+
     def test_empty_samples_rejected(self):
         # no empty sample set reaches build_adaptive_grid: the constructor refuses it
         with pytest.raises(ValueError, match="empty sample set"):
             EmpiricalDist(Domain.unit(1), np.zeros((0, 1)), np.zeros(0))
+
+
+def adaptive_axes_twin(samples):
+    """``build_adaptive_grid``'s axes by a mask, two concatenations and a cast."""
+    domain = samples.domain
+    uniques = []
+    for a in range(domain.dim):
+        u = np.unique(samples.points[:, a])
+        uniques.append(u[u < domain.upper])
+    m_cells = max(next_pow2(len(u) + 1) for u in uniques)
+    axes = []
+    for u in uniques:
+        pad = u[-1] if len(u) else domain.lower
+        interior = np.concatenate([u, np.full(m_cells - 1 - len(u), pad)])
+        axes.append(np.concatenate([[domain.lower], interior, [domain.upper]]).astype(np.float64))
+    return axes
 
 
 class TestAdaptiveGreedySplit:
