@@ -95,7 +95,7 @@ def _cmd_learn(args) -> int:
 
     The report is deterministic; wall-clock timings go to ``<report>.timing``.
     """
-    fixed = args.metric == "l2" or args.grid == "fixed"  # the l2 learner always is
+    fixed = args.metric == "l2" or args.grid == "fixed"  # the l2 learner has no adaptive grid
     params = SplitParams(k=args.k, xi=args.xi)
     if args.m is not None and not fixed:
         raise ValueError("--m sets the cells of a fixed grid; the adaptive l1 grid takes none")
