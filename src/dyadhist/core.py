@@ -39,7 +39,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Domain:
-    """Either the discrete cube ``{1..m}^d`` (m set) or the unit cube ``[0,1]^d``."""
+    """Either the discrete cube ``{1..m}^d`` (m set) or the unit cube ``[0,1]^d``.
+
+    The side m is below 2^53, so every coordinate and bound up to m + 1 is
+    exact as a float64 grid boundary.
+    """
 
     dim: int
     m: int | None = None
@@ -49,6 +53,8 @@ class Domain:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.m is not None and self.m < 1:
             raise ValueError(f"discrete side m must be >= 1, got {self.m}")
+        if self.m is not None and self.m >= 1 << 53:
+            raise ValueError(f"discrete side m must be below 2^53, got {self.m}")
 
     @staticmethod
     def discrete(m: int, dim: int) -> "Domain":
@@ -285,11 +291,8 @@ class GridSpec:
         index = np.atleast_2d(np.asarray(index, dtype=np.int64))
         v = np.ones(len(index))
         for b, i in zip(self.axes, index.T):
-            if self.M >> level <= 4 * len(i):  # many rectangles: take every width of the level once
-                v *= np.diff(b[:: 1 << level]).take(i)
-            else:
-                lo = i << level
-                v *= b[lo + (1 << level)] - b[lo]
+            lo = i << level
+            v *= b[lo + (1 << level)] - b[lo]
         return v
 
     def volume_of(self, dr: DyadicRect) -> float:
@@ -416,42 +419,28 @@ def _count_lattice(domain: Domain, samples: np.ndarray):
     """Distinct points and counts of samples on the discrete cube, or None.
 
     Each row is keyed by its C-order rank in {1..m}^d, so the keys sort the
-    rows lexicographically, as ``from_samples``' general path does.  The
-    rows are checked and ranked in blocks of ``_COUNT_ROWS`` rows, so the
-    temporaries stay bounded.  When there are no more cells than twice the
-    samples, each block's keys are counted by a ``bincount`` added into one
-    count array (the blocks then hold at least as many rows as there are
-    cells, so a block's count costs no more than its rows); else the keys are
-    gathered and counted with ``unique``.  None when the domain is not
-    discrete, a key would not fit in 63 bits, or some row is not a lattice
-    point of the domain (the general path then keeps the error).
+    rows lexicographically, as ``from_samples``' general path does.  Blocks
+    of at least ``_COUNT_ROWS`` rows, and no fewer rows than cells, are
+    checked, keyed and counted by a ``bincount`` into one count array.  None
+    when the domain is not discrete, there are more cells than twice the
+    samples, or some row is not a lattice point of the domain; the general
+    path then ranks the rows, or keeps the error.
     """
     m, d = domain.m, domain.dim
-    if m is None or samples.shape[1] != d or m**d >= 1 << 63 or samples.dtype.kind not in "iuf":
+    if m is None or samples.shape[1] != d or m**d > 2 * len(samples) or samples.dtype.kind not in "iuf":
         return None
-    n, cells, shape = len(samples), m**d, (m,) * d
-    dense = cells <= 2 * n
-    if dense:
-        counts, step = np.zeros(cells, dtype=np.int64), max(_COUNT_ROWS, cells)
-    else:
-        keys, step = np.empty(n, dtype=np.int64), _COUNT_ROWS
-    for start in range(0, n, step):
+    cells, shape = m**d, (m,) * d
+    counts, step = np.zeros(cells, dtype=np.int64), max(_COUNT_ROWS, cells)
+    for start in range(0, len(samples), step):
         block = samples[start : start + step]
         if not ((block >= 1) & (block <= m)).all():
             return None
         if block.dtype.kind == "f" and not (block == np.floor(block)).all():
             return None
         key = np.ravel_multi_index(tuple((block.astype(np.int64) - 1).T), shape)
-        if dense:
-            counts += np.bincount(key, minlength=cells)
-        else:
-            keys[start : start + step] = key
-    if dense:
-        keys = np.flatnonzero(counts)
-        counts = counts[keys]
-    else:
-        keys, counts = np.unique(keys, return_counts=True)
-    return np.stack(np.unravel_index(keys, shape), axis=1) + 1, counts
+        counts += np.bincount(key, minlength=cells)
+    keys = np.flatnonzero(counts)
+    return np.stack(np.unravel_index(keys, shape), axis=1) + 1, counts[keys]
 
 
 # ---------------------------------------------------------------------------

@@ -385,14 +385,15 @@ class SparseDyadicTree:
     The node arrays are slices of the index's stored nodes, in post-order:
     children before their parent, siblings in Morton order.  The last node
     is ``rect`` or the bottom of the chain ``rect`` sits in; its chain is
-    clipped at ``rect``, so ``top_vol[-1]`` is the volume of ``rect``.  Node
-    i stands for its chain: from level ``node_level[i]`` up to the index's
-    ``top_level`` (clipped at ``rect``), mass ``node_mass[i]``, volumes from
-    ``node_vol[i]`` up to ``top_vol[i]``, and ``node_empty[i]``, the largest
-    volume of a missing child on the chain (-1 if none).  Only the nodes
-    ``chain_at`` have one-child nodes above them; ``chain_top`` holds their
-    top volumes.  ``max_empty_vol`` is the largest volume of an empty
-    rectangle below ``rect`` (-1 if there is none), the maximum of
+    clipped at ``rect``.  Node i stands for its chain: from level
+    ``node_level[i]`` up to the index's ``top_level`` (clipped at ``rect``),
+    mass ``node_mass[i]``, volumes from ``node_vol[i]`` up to the chain's
+    top, and ``node_empty[i]``, the largest volume of a missing child on the
+    chain (-1 if none).  Only the nodes ``chain_at`` have one-child nodes
+    above them; ``chain_top`` holds their top volumes, the last of them the
+    volume of ``rect`` when ``rect`` sits inside a chain, and every other
+    chain tops at its own node.  ``max_empty_vol`` is the largest volume of
+    an empty rectangle below ``rect`` (-1 if there is none), the maximum of
     ``node_empty``.  ``node_visits`` counts the entries read to find the
     view, plus the index's own count when this view built the index's nodes.
     """
@@ -412,13 +413,6 @@ class SparseDyadicTree:
     @property
     def node_count(self) -> int:
         return len(self.node_mass)
-
-    @property
-    def top_vol(self) -> np.ndarray:
-        """The volume at the top of each node's chain."""
-        top = self.node_vol.copy()
-        top[self.chain_at] = self.chain_top
-        return top
 
 
 def build_tree(
@@ -455,8 +449,9 @@ def compute_d1(tree: SparseDyadicTree, a: float) -> float:
     b2 = a * tree.max_empty_vol if tree.max_empty_vol >= 0 else -1.0  # the empty term
     if tree.node_count == 0:
         return float(b2)
-    m = tree.node_mass
-    disc = np.maximum(np.abs(m - tree.node_vol * a), np.abs(m - tree.top_vol * a))
+    m, ch = tree.node_mass, tree.chain_at
+    disc = np.abs(m - tree.node_vol * a)
+    disc[ch] = np.maximum(disc[ch], np.abs(m[ch] - tree.chain_top * a))
     return float(max(disc.max(), b2))
 
 
@@ -511,8 +506,6 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
     if tree.node_count == 0:
         return DFitResult(0.0, 0.0, 0)  # F(a) is a*vol(rect): a = 0 is optimal
     ch, tc = tree.chain_at, tree.chain_top
-    many = len(ch) > len(m) >> 2  # then the top volumes are read in a second full pass, else patched in
-    t = tree.top_vol if many else None
     mc = m[ch]
     vr = tc[-1] if len(ch) and ch[-1] == len(m) - 1 else v[-1]  # ``rect`` tops the last chain
     if vr <= 0:
@@ -530,10 +523,7 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
         np.subtract(m, r, out=r)
         i = int(r.argmax())
         down = float(r[i])
-        if many:  # now r = m - t*c
-            r = t * c
-            np.subtract(m, r, out=r)
-        elif len(ch):
+        if len(ch):  # now r = m - top volume * c
             r[ch] = mc - tc * c
         j = int(r.argmin())
         up = -float(r[j])

@@ -192,8 +192,7 @@ def _raise_bad_line(path, raw: bytes, domain: Domain) -> NoReturn:
 
     Each line is checked for its field count, then parsed by ``int`` or
     ``float``, then checked against the domain, and only then for bytes
-    outside ``_BODY_BYTES`` and for an integer ``np.loadtxt`` cannot hold.
-    With every line good, the file has no rows.
+    outside ``_BODY_BYTES``.  With every line good, the file has no rows.
     """
     for ln, line, row in _data_lines(path, raw, domain.dim, int if domain.is_discrete else float):
         if not domain.contains_points(np.asarray([row])).all():
@@ -201,8 +200,6 @@ def _raise_bad_line(path, raw: bytes, domain: Domain) -> NoReturn:
         bad = line.encode("utf-8").translate(None, _BODY_BYTES)
         if bad:
             raise ValueError(f"{path}:{ln}: unexpected character {bad.decode('utf-8')[0]!r}")
-        if max(row) > np.iinfo(np.int64).max:  # inside a discrete domain of side 2^63 or more
-            raise ValueError(f"{path}:{ln}: coordinate does not fit in a 64-bit integer")
     raise ConfigurationError(f"{path}: no sample rows")
 
 
@@ -210,8 +207,7 @@ def write_hypothesis(path, h: HistHypothesis) -> None:
     """One piece per line: lo,hi per axis, then the value (12 sig. digits)."""
     kind = "partial" if h.kind is HistKind.PARTIAL else "arbitrary"
     fields = [_coord_format(h.domain)] * (2 * h.domain.dim) + ["%.12g"]
-    # an object table keeps each bound as given, so a large discrete bound is written exactly
-    table = np.array([[*chain.from_iterable(zip(p.rect.lo, p.rect.hi)), p.value] for p in h.pieces], dtype=object)
+    table = np.array([[*chain.from_iterable(zip(p.rect.lo, p.rect.hi)), p.value] for p in h.pieces])
     Path(path).write_text(f"# {_domain_header(h.domain)} kind={kind}\n" + _rows(fields, table), encoding="utf-8")
 
 
@@ -224,7 +220,7 @@ def write_grid(path, h: HistHypothesis, res: int) -> None:
     mesh = np.meshgrid(*[centers] * domain.dim, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     fields = [_coord_format(domain)] * domain.dim + ["%.12g"]
-    table = np.column_stack((pts.astype(object), h.value_at(pts).astype(object)))
+    table = np.column_stack((pts, h.value_at(pts)))
     Path(path).write_text(f"# dim={domain.dim} resolution={res}\n" + _rows(fields, table), encoding="utf-8")
 
 

@@ -203,9 +203,7 @@ def build_adaptive_grid(samples: EmpiricalDist) -> GridSpec:
     uniques = []
     for a in range(domain.dim):
         u = np.unique(samples.points[:, a])
-        # a prefix, as u is sorted; the mask compares an upper bound past
-        # int64 exactly, where searchsorted would round it to a float
-        uniques.append(u[: np.count_nonzero(u < domain.upper)])
+        uniques.append(u[: np.count_nonzero(u < domain.upper)])  # a prefix, as u is sorted
     m_cells = max(next_pow2(len(u) + 1) for u in uniques)
     axes = []
     for u in uniques:

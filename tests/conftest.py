@@ -145,6 +145,13 @@ def twin_volume(grid: GridSpec, r: DyadicRect) -> float:
     return v
 
 
+def top_vol(tree) -> np.ndarray:
+    """The volume at the top of each node's chain of a tree: ``chain_top`` at ``chain_at``, else the node's own."""
+    top = tree.node_vol.copy()
+    top[tree.chain_at] = tree.chain_top
+    return top
+
+
 def morton_twin(cols: list, levels: int) -> list:
     """Morton key words built one bit of every axis per level, in plain shifts.
 

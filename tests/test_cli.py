@@ -144,12 +144,14 @@ class TestIngest:
         assert str(err.value).startswith(f"{p}:6: ")
         assert detail in str(err.value)
 
-    def test_coordinate_beyond_int64_is_named(self, tmp_path):
+    @pytest.mark.parametrize("side", [2**53, 2**60, 2**64])
+    def test_side_of_2_53_or_more_is_refused_on_line_1(self, tmp_path, side):
+        # grid boundaries are float64, which hold every integer only up to 2^53
         p = tmp_path / "s.txt"
-        p.write_text(f"# dim=1 domain=discrete {2**64}\n1\n{2**63 - 1}\n{2**63}\n")
-        with pytest.raises(ValueError) as err:
+        p.write_text(f"# dim=1 domain=discrete {side}\n1\n{side - 1}\n{side}\n")
+        with pytest.raises(ConfigurationError) as err:
             read_samples(p)
-        assert str(err.value) == f"{p}:4: coordinate does not fit in a 64-bit integer"
+        assert str(err.value) == f"{p}:1: discrete side m must be below 2^53, got {side}"
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -582,6 +584,24 @@ class TestCommandLine:
         assert rc == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.hist"]
+
+    @pytest.mark.parametrize("side", [2**53 - 1, 2**53, 2**60])
+    def test_discrete_side_below_2_53_learns_and_larger_exits_2(self, tmp_path, capsys, side):
+        # rows 1, m - 1 and m: at 2^53 and past, some of them would share a
+        # float64 grid boundary and lose their mass, so the header is refused
+        samples, truth = tmp_path / "s.txt", tmp_path / "t.hist"
+        samples.write_text(f"# dim=1 domain=discrete {side}\n1\n{side - 1}\n{side}\n")
+        rc = main(["learn", "--in", str(samples), "--k", "1"])
+        out, err = capsys.readouterr()
+        gen = main(["gen", "--k", "2", "--dim", "1", "--domain", "discrete", "--m", str(side), "--out", str(truth)])
+        if side < 2**53:
+            assert (rc, err) == (0, "") and "total_mass: 1\n" in out
+            assert gen == 0 and read_hypothesis(truth).domain.m == side
+        else:
+            refusal = f"discrete side m must be below 2^53, got {side}\n"
+            assert (rc, out, err) == (2, "", f"error: {samples}:1: {refusal}")
+            assert gen == 2 and not truth.exists()
+            assert capsys.readouterr() == ("", f"error: {refusal}")
 
     @pytest.mark.parametrize(
         "args,grid",

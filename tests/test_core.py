@@ -44,6 +44,7 @@ from conftest import (
     random_hier_hist,
     random_partial_hist,
     random_points,
+    twin_volume,
 )
 
 
@@ -550,7 +551,7 @@ class TestEmpiricalDist:
             assert calls == [], domain
             assert emp.support_size == 30 and sorted(emp.counts.tolist()) == [1] * 20 + [2] * 10
 
-    @pytest.mark.parametrize("dim", [2, 3])  # 25 cells: bincount blocks of 25 rows; 125 cells: unique
+    @pytest.mark.parametrize("dim", [2, 3])  # 25 cells: bincount blocks of 25 rows; 125 cells > 80: no ranking
     @pytest.mark.parametrize("bad, message", [(0.0, "outside domain"), (6.0, "outside domain"), (2.5, "non-integral")])
     def test_late_non_lattice_row_takes_the_general_path(self, dim, bad, message, monkeypatch):
         # every block before the last is ranked before the bad row is seen
@@ -561,19 +562,24 @@ class TestEmpiricalDist:
         samples[-1, -1] = bad
         with pytest.raises(DomainViolationError, match=message):
             EmpiricalDist.from_samples(Domain.discrete(5, dim), samples)
-        assert sum(ranked) == (25 if dim == 2 else 38)
+        assert sum(ranked) == (25 if dim == 2 else 0)
 
-    def test_sparse_lattice_counts_with_unique(self, monkeypatch):
-        calls, unique = [], np.unique
+    def test_sparse_lattice_takes_the_general_path(self, monkeypatch):
+        # more cells than twice the rows: the rows are ranked as off the lattice, not keyed
+        calls, unique, rank = [], np.unique, np.ravel_multi_index
         monkeypatch.setattr(core, "_COUNT_ROWS", 3)
-        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(len(a[0])) or unique(*a, **k))
+        monkeypatch.setattr(np, "ravel_multi_index", lambda *a, **k: calls.append("ravel_multi_index") or rank(*a, **k))
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append("unique") or unique(*a, **k))
         rng = make_rng(4)
-        for m, dim, n in [(8, 2, 31), (3, 3, 13), (4, 2, 8)]:  # 64 > 62 and 27 > 26 cells: unique; 16 cells: bincount
+        # cells > 2n: 64 > 62, 27 > 26, 10^6 > 100 and 10^6 > 80
+        for m, dim, n in [(8, 2, 31), (3, 3, 13), (10**6, 1, 50), (1000, 2, 40)]:
             samples = rng.integers(1, m + 1, size=(n, dim))
+            samples[n // 2 :] = samples[: n - n // 2]  # repeated rows
             emp = EmpiricalDist.from_samples(Domain.discrete(m, dim), samples)
             uniq, counts = unique(samples, axis=0, return_counts=True)
+            assert emp.points.dtype == uniq.dtype == np.int64
             assert np.array_equal(emp.points, uniq) and np.array_equal(emp.counts, counts)
-        assert calls == [31, 13]
+        assert calls == []
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_from_samples_peak_within_three_and_a_half_inputs(self, dim):
@@ -620,3 +626,24 @@ class TestGridSpec:
     def test_rejects_bad_axes(self, dim, axes, message):
         with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
             GridSpec(Domain.unit(dim), tuple(np.array(a) for a in axes))
+
+    def test_dyadic_volume_matches_twin_bit_for_bit(self):
+        # every level of padded and warped discrete grids and of warped unit
+        # grids, one rectangle per call and at least a quarter of the level's
+        # side per call
+        rng = make_rng(2_600)
+        grids = []
+        for dim, cells in ((1, 256), (2, 32), (3, 8)):
+            for m in (5, 12, cells - 1):
+                grids.append(GridSpec.uniform(Domain.discrete(m, dim), m))  # zero-width cells pad m to 2^j
+            grids.append(random_grid(rng, Domain.discrete(3, dim), cells, warp=True))
+            grids.append(random_grid(rng, Domain.unit(dim), cells, warp=True))
+        for grid in grids:
+            for level in range(grid.levels + 1):
+                side = grid.M >> level
+                index = rng.integers(side, size=(side // 4 + 1 + int(rng.integers(2 * side)), grid.dim))
+                index[0], index[-1] = 0, side - 1  # the first and the last rectangle
+                want = [twin_volume(grid, DyadicRect(level, tuple(int(i) for i in row))) for row in index]
+                assert grid.dyadic_volume(level, index).tolist() == want, (grid.M, level)
+                for row, w in list(zip(index, want))[:4]:
+                    assert grid.dyadic_volume(level, row[None]).tolist() == [w], (grid.M, level, row)

@@ -28,6 +28,7 @@ from conftest import (
     random_points,
     reference_lines,
     reference_tree,
+    top_vol,
     twin_volume,
 )
 
@@ -78,7 +79,7 @@ class TestBuildTree:
         assert tree.node_count == 1
         assert tree.node_level.tolist() == [0] and top_level(tree).tolist() == [3]
         assert sorted(tree_nodes(tree)) == [(0, (4,)), (1, (2,)), (2, (1,)), (3, (0,))]  # one per level
-        assert tree.node_vol.tolist() == [1.0] and tree.top_vol.tolist() == [8.0]
+        assert tree.node_vol.tolist() == [1.0] and top_vol(tree).tolist() == [8.0]
         assert tree.max_empty_vol == 4.0
 
     def test_two_points_in_different_root_children(self):
@@ -229,7 +230,7 @@ class TestMortonIndex:
                 assert sum(len(rects) for rects, _ in expanded) == len(want), r  # the chains do not overlap
                 # the chain's bottom and top volumes, and its largest missing child
                 assert tree.node_vol.tolist() == [twin_volume(grid, rects[0]) for rects, _ in expanded], r
-                assert tree.top_vol.tolist() == [twin_volume(grid, rects[-1]) for rects, _ in expanded], r
+                assert top_vol(tree).tolist() == [twin_volume(grid, rects[-1]) for rects, _ in expanded], r
                 want_empty = [chain_empty(grid, nodes, rects) for rects, _ in expanded]
                 assert tree.node_empty.tolist() == want_empty, r
                 assert tree.max_empty_vol == best, r
@@ -238,8 +239,9 @@ class TestMortonIndex:
             if view.node_count:
                 clipped += top_level(view)[-1] < index.top_level[view.start + view.node_count - 1]
             assert np.array_equal(top_level(view), top_level(alone)), r
-            for name in ("node_level", "node_mass", "node_vol", "top_vol", "node_empty"):
+            for name in ("node_level", "node_mass", "node_vol", "node_empty"):
                 assert np.array_equal(getattr(view, name), getattr(alone, name)), (r, name)
+            assert np.array_equal(top_vol(view), top_vol(alone)), r
         return clipped
 
     def test_views_match_standalone_builds_on_random_family(self, rng):
@@ -250,6 +252,35 @@ class TestMortonIndex:
                 grid = build_adaptive_grid(emp)  # zero-width padded cells
             clipped += self.check_views(emp, grid)
         assert clipped > 20  # views whose rectangle sits inside a chain, which they clip
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fits_through_views_with_few_and_many_chains(self, dim):
+        # views where one-child chains top more than a quarter of the nodes
+        # and views where they top fewer: the fit's error is compute_d1 at
+        # its constant, and compute_d1 is the brute-force scan, bit for bit
+        rng = make_rng(2_620 + dim)
+        sides = {"few": 0, "many": 0}
+        for trial in range(60):
+            cells = int(rng.choice([4, 8] if dim == 3 else [4, 8, 16]))
+            domain = Domain.unit(dim) if trial % 2 else Domain.discrete(int(rng.integers(2, 2 * cells)), dim)
+            emp = random_empirical(rng, domain, int(rng.integers(1, (8, 3 * cells, cells**dim)[trial % 3])))
+            if trial % 4 == 1 and emp.support_size < cells:
+                grid = build_adaptive_grid(emp)  # zero-width padded cells
+            else:
+                grid = random_grid(rng, domain, cells, warp=True)
+            index = MortonIndex(emp, grid)
+            cell = grid.cell_index(emp.points)
+            rects = {DyadicRect(lev, tuple(int(i) for i in c)) for lev in range(grid.levels + 1) for c in cell >> lev}
+            for r in sorted(rects):
+                tree = build_tree(emp, grid, r, index=index)
+                if tree.node_count > 2:
+                    sides["many" if len(tree.chain_at) > tree.node_count >> 2 else "few"] += 1
+                fit = fit_d1(tree)
+                assert fit.err == compute_d1(tree, fit.a), (trial, r)
+                vol = grid.volume_of(r)
+                for a in (fit.a, float(rng.random() * 2 / vol) if vol > 0 else 0.5):
+                    assert compute_d1(tree, a) == brute_d1(emp, grid, r, a), (trial, r, a)
+        assert min(sides.values()) > 60, sides
 
     def test_views_match_when_keys_need_several_words(self):
         def pick(nodes):
@@ -491,13 +522,13 @@ class TestFitD1:
         m, v = tree.node_mass, tree.node_vol
         p = int(np.flatnonzero((m == 0.35) & (v == 1.0))[0])
         q = tree.node_count - 1  # the root, last in post-order
-        assert (m[q], v[q], tree.top_vol[q]) == (1.0, 8.0, 8.0)
+        assert (m[q], v[q], top_vol(tree)[q]) == (1.0, 8.0, 8.0)
         fit = fit_d1(tree)
         assert fit.a == (m[p] + m[q]) / (v[p] + v[q]) == math.nextafter(0.15, 1.0)
         assert float((Fraction(m[p]) + Fraction(m[q])) / (Fraction(v[p]) + Fraction(v[q]))) == 0.15
         assert (m[p] + m[q]) * (1 / (v[p] + v[q])) == m[p] / (v[p] + v[q]) + m[q] / (v[p] + v[q]) == 0.15
         # the two lines are the active ones: D reads the chains' bottoms, I their tops
-        assert (m - fit.a * v).argmax() == p and (m - fit.a * tree.top_vol).argmin() == q
+        assert (m - fit.a * v).argmax() == p and (m - fit.a * top_vol(tree)).argmin() == q
         assert fit.err == compute_d1(tree, fit.a)
 
     def test_exact_without_a_tolerance(self):
