@@ -31,7 +31,7 @@ from .fileio import read_hypothesis, read_samples, write_grid, write_hypothesis,
 from .oracle import dk_distance_between, opt_hier_l2, opt_partial_hier_dk
 from .split import (
     SplitParams,
-    build_adaptive_grid,
+    adaptive_greedy_split,
     greedy_split,
     greedy_split_l2,
     piece_bound,
@@ -111,8 +111,12 @@ def _cmd_learn(args) -> int:
     timings["ingest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    grid = _fixed_grid(emp.domain, args.m) if fixed else build_adaptive_grid(emp)
-    hyp, _trace = (greedy_split_l2 if args.metric == "l2" else greedy_split)(emp, grid, params)
+    if fixed:
+        grid = _fixed_grid(emp.domain, args.m)
+        hyp, _trace = (greedy_split_l2 if args.metric == "l2" else greedy_split)(emp, grid, params)
+    else:
+        hyp, _trace = adaptive_greedy_split(emp, params)
+        grid = hyp.grid
     timings["learn"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -24,9 +24,12 @@ the index is built.  Nodes are stored in post-order: children before their
 parent and siblings in Morton order, so the subtree of any node is one
 contiguous slice that ends at the node, and V for a view is the maximum
 over its slice.  A ``SparseDyadicTree`` is a view of one such slice, found
-by a binary search; when its rectangle sits inside a chain, the view clips
-that one chain at it.  Keys interleave 8 bits of every axis at a time by a
-table lookup, in words of at most 63 bits, so none overflows at any depth.
+from its rectangle's run of points; when its rectangle sits inside a chain,
+the view clips that one chain at it.  A run is found by binary searches
+over all points (``run``), or, for the children of a rectangle whose run is
+known, by one search inside that run (``child_runs``).  Keys interleave 8
+bits of every axis at a time by a table lookup, in words of at most 63
+bits, so none overflows at any depth.
 
 Fit.  ``fit_d1`` finds the constant a >= 0 with the least discrepancy
 exactly, not to a tolerance: the objective is the upper envelope of one
@@ -46,6 +49,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,6 +120,14 @@ def _search(words: list, key: list, side: str) -> int:
     return lo + int(np.searchsorted(words[-1][lo:hi], key[-1], side=side))
 
 
+class Run(NamedTuple):
+    """Positions ``[lo, hi)`` of a dyadic rectangle's points in Morton order, and the entries read to find them."""
+
+    lo: int
+    hi: int
+    searched: int
+
+
 _BLOCK = 1 << 10  # the fewest nodes the build works on at once
 
 
@@ -133,20 +145,30 @@ class MortonIndex:
     children, which a view clipping the chain starts from; most nodes have
     none at d = 1 and on dense grids, so these are kept for them alone.
     ``first[p]`` counts the nodes that end before point p.  The first
-    ``view`` builds these arrays, so a caller that needs only ``run`` never
+    ``view`` builds these arrays, so a caller that needs only runs never
     pays for them, and that view's ``node_visits`` includes the index's.
-    Dyadic indices are decoded from the points on demand.  ``node_visits``
-    counts the points placed, the nodes stored, the candidate empty children
-    of branching nodes examined and the levels of one-child chains walked.
+    ``cells`` holds each support point's cell, as ``grid.cell_index`` gives
+    it; ``build_adaptive_grid`` makes them with the grid, and otherwise
+    they are looked up here.  The index keeps that array as its own
+    ``cells``, its rows put in Morton order in place, so no second copy
+    lives on.  Dyadic indices are decoded from the points on demand.
+    ``node_visits`` counts the points placed, the nodes stored, the
+    candidate empty children of branching nodes examined and the levels of
+    one-child chains walked.
     """
 
-    def __init__(self, fhat: EmpiricalDist, grid: GridSpec):
+    def __init__(self, fhat: EmpiricalDist, grid: GridSpec, cells: np.ndarray | None = None):
         self.fhat, self.grid = fhat, grid
-        cells = grid.cell_index(fhat.points)
+        if cells is None:
+            cells = grid.cell_index(fhat.points)
+        elif cells.shape != fhat.points.shape or cells.dtype != np.int64:
+            raise ValueError(f"cells must be int64 of shape {fhat.points.shape}, got {cells.dtype} {cells.shape}")
         words = _morton_words(list(cells.T), grid.levels)
         self.rows = order = np.lexsort(words[::-1])  # support rows, in Morton order of their cells
-        self.cells = cells.take(order, axis=0)
         self.words = [w[order] for w in words]
+        del words
+        cells[...] = cells.take(order, axis=0)
+        self.cells = cells
         self._bits = (np.arange(1 << grid.dim)[:, None] >> np.arange(grid.dim)[::-1]) & 1  # child -> bits
         self.first = None  # the node arrays are built by the first view
 
@@ -342,18 +364,42 @@ class MortonIndex:
         """The point at which each of these stored nodes ends."""
         return np.searchsorted(self.first, nodes, side="right") - 1
 
-    def run(self, rect: DyadicRect) -> tuple:
-        """Positions ``[lo, hi)`` of the points inside ``rect``, in Morton order."""
+    def run(self, rect: DyadicRect) -> Run:
+        """The run of the points inside ``rect``, found by two searches of every word over all points."""
         check_dyadic(self.grid, rect)
         levels = self.grid.levels
         low = _morton_words([i << rect.level for i in rect.index], levels)
         high = _ones_below(low, rect.level, levels, rect.dim)  # the key of rect's last cell
-        return _search(self.words, low, "left"), _search(self.words, high, "right")
+        searched = 2 * len(self.words) * len(self.rows).bit_length()
+        return Run(_search(self.words, low, "left"), _search(self.words, high, "right"), searched)
 
-    def view(self, rect: DyadicRect) -> "SparseDyadicTree":
-        """The tree of mass-carrying dyadic rectangles below ``rect``."""
-        lo, hi = self.run(rect)
-        visits = 2 * len(self.words) * len(self.rows).bit_length() + 1
+    def child_runs(self, rect: DyadicRect, lo: int, hi: int) -> list:
+        """The runs of ``rect``'s 2^d children, in lexicographic (= Morton) order, inside ``rect``'s ``[lo, hi)``.
+
+        The points of the run share every digit from ``rect.level`` up, so
+        the word holding digit ``rect.level - 1`` is sorted over the run,
+        and one search of the 2^d - 1 children's first keys in it splits the
+        run.  Each search reads ``bit_length(hi - lo)`` entries; the child
+        whose start it finds counts them, and the first child, which starts
+        where ``rect`` does, counts none.
+        """
+        d = rect.dim
+        if lo == hi:
+            return [Run(lo, lo, 0)] * (1 << d)
+        per_word = 63 // d
+        k = (self.grid.levels - rect.level) // per_word  # the word holding digit rect.level - 1
+        shift = d * (rect.level - 1 - max(0, self.grid.levels - per_word * (k + 1)))
+        word = self.words[k]
+        above = int(word[lo]) >> (shift + d) << (shift + d)  # the digits of rect's own cell in this word
+        keys = [above | (c << shift) for c in range(1, 1 << d)]
+        bounds = [lo, *(lo + np.searchsorted(word[lo:hi], keys)).tolist(), hi]
+        cost = (hi - lo).bit_length()
+        return [Run(bounds[c], bounds[c + 1], cost if c else 0) for c in range(1 << d)]
+
+    def view(self, rect: DyadicRect, run: Run | None = None) -> "SparseDyadicTree":
+        """The tree of mass-carrying dyadic rectangles below ``rect``, whose points are ``run`` if given."""
+        lo, hi, searched = self.run(rect) if run is None else run
+        visits = searched + 1
         if self.first is None:
             self._build_nodes()
             visits += self.node_visits
@@ -395,7 +441,11 @@ class SparseDyadicTree:
     chain tops at its own node.  ``max_empty_vol`` is the largest volume of
     an empty rectangle below ``rect`` (-1 if there is none), the maximum of
     ``node_empty``.  ``node_visits`` counts the entries read to find the
-    view, plus the index's own count when this view built the index's nodes.
+    view's run (its ``Run.searched``: two searches of every Morton word over
+    all points when the view finds the run itself, one search inside the
+    parent's run when ``child_runs`` found it), plus one, plus the entries
+    read to clip a chain, plus the index's own count when this view built
+    the index's nodes.
     """
 
     rect: DyadicRect
@@ -421,19 +471,22 @@ def build_tree(
     rect: DyadicRect,
     *,
     index: MortonIndex | None = None,
+    run: Run | None = None,
 ) -> SparseDyadicTree:
     """Build the sparse tree of mass-carrying dyadic rectangles below ``rect``.
 
     ``index`` is a MortonIndex over ``fhat`` and ``grid``; the greedy
     splitter builds one per run, up front.  Without it one is built here.
     Either way the view that builds the index's nodes counts that work in
-    its ``node_visits``.
+    its ``node_visits``.  ``run`` is ``rect``'s run in ``index``, as
+    ``index.run`` or ``index.child_runs`` gives it; without it the view
+    finds it.
     """
     if index is None:
         index = MortonIndex(fhat, grid)
     elif index.fhat is not fhat or index.grid is not grid:
         raise ValueError("the index was built over another sample set or grid")
-    return index.view(rect)
+    return index.view(rect, run)
 
 
 def compute_d1(tree: SparseDyadicTree, a: float) -> float:
@@ -549,6 +602,7 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
 
 __all__ = [
     "MortonIndex",
+    "Run",
     "SparseDyadicTree",
     "DFitResult",
     "build_tree",

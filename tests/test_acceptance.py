@@ -50,7 +50,7 @@ def _d1_instance(i: int):
         dom = Domain.discrete(M, dim)
         pts = rng.integers(1, M + 1, size=(int(rng.integers(1, 17)), dim))
     emp = EmpiricalDist.from_samples(dom, pts)
-    grid = dh.build_adaptive_grid(emp) if i % 5 == 0 else GridSpec.uniform(dom, M)
+    grid = dh.build_adaptive_grid(emp)[0] if i % 5 == 0 else GridSpec.uniform(dom, M)
     rect = grid.root()
     vol = grid.volume_of(rect)
     a = float(rng.random() * 2.0 / vol) if vol > 0 else float(rng.random())
@@ -291,7 +291,7 @@ def test_criterion_12_determinism(tmp_path):
         )
     ok = outputs[0] == outputs[1]
 
-    grid = dh.build_adaptive_grid(emp)
+    grid, _ = dh.build_adaptive_grid(emp)
     p = SplitParams(k=3, xi=1.0)
     _, tr1 = greedy_split(emp, grid, p)
     _, tr2 = greedy_split(emp, grid, p)

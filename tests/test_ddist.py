@@ -249,7 +249,7 @@ class TestMortonIndex:
         for trial in range(60):
             emp, grid, _, _ = random_instance(rng, trial)
             if trial % 5 == 0:
-                grid = build_adaptive_grid(emp)  # zero-width padded cells
+                grid, _ = build_adaptive_grid(emp)  # zero-width padded cells
             clipped += self.check_views(emp, grid)
         assert clipped > 20  # views whose rectangle sits inside a chain, which they clip
 
@@ -265,7 +265,7 @@ class TestMortonIndex:
             domain = Domain.unit(dim) if trial % 2 else Domain.discrete(int(rng.integers(2, 2 * cells)), dim)
             emp = random_empirical(rng, domain, int(rng.integers(1, (8, 3 * cells, cells**dim)[trial % 3])))
             if trial % 4 == 1 and emp.support_size < cells:
-                grid = build_adaptive_grid(emp)  # zero-width padded cells
+                grid, _ = build_adaptive_grid(emp)  # zero-width padded cells
             else:
                 grid = random_grid(rng, domain, cells, warp=True)
             index = MortonIndex(emp, grid)
@@ -315,6 +315,40 @@ class TestMortonIndex:
                 lev = int(rng.integers(levels + 1))
                 last = [c | ((1 << lev) - 1) for c in row]
                 assert _ones_below(words, lev, levels, dim) == morton_twin(last, levels), (levels, lev)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_child_runs_split_the_parent_run_as_run_finds_them(self, dim):
+        # keys of two words at d = 4 on 16 levels and d = 5 on 13 and 14
+        rng = make_rng(3_100 + dim)
+        words = set()
+        for levels in {1: (3, 20), 2: (4, 12), 3: (3, 9), 4: (5, 16), 5: (4, 13, 14)}[dim]:
+            domain = Domain.unit(dim)
+            grid = random_grid(rng, domain, 1 << levels, warp=levels < 8)
+            pts = random_points(rng, domain, 24 if dim < 5 else 12)
+            pts = np.vstack([pts, pts / 64, pts[:4] / 4096])  # clusters, so runs split deep down
+            emp = EmpiricalDist.from_samples(domain, pts)
+            index = MortonIndex(emp, grid)
+            words.add(len(index.words))
+            index.view(grid.root())  # builds the nodes, so the views below count only their own reads
+            stack = [(grid.root(), index.run(grid.root()))]
+            while stack:
+                rect, run = stack.pop()
+                kids = index.child_runs(rect, run.lo, run.hi)
+                want = [index.run(ch) for ch in rect.children()]
+                assert [r[:2] for r in kids] == [r[:2] for r in want], rect
+                bits = (run.hi - run.lo).bit_length()
+                assert [r.searched for r in kids] == [0] + [bits] * ((1 << dim) - 1), rect
+                for ch, r, w in zip(rect.children(), kids, want):
+                    if r.lo == r.hi:  # an empty leaf is never split, but its children would be empty
+                        if ch.level:
+                            assert index.child_runs(ch, r.lo, r.hi) == [(r.lo, r.lo, 0)] * (1 << dim)
+                        continue
+                    given, found = index.view(ch, r), index.view(ch)
+                    assert given.node_visits - r.searched == found.node_visits - w.searched, ch
+                    assert given.start == found.start and np.array_equal(given.node_empty, found.node_empty), ch
+                    if ch.level:
+                        stack.append((ch, r))
+        assert words == ({1, 2} if dim > 3 else {1})
 
     def test_index_is_bound_to_its_samples_and_grid(self):
         emp, grid = counts_2101()
@@ -397,7 +431,7 @@ class TestMortonIndex:
 def benchmark_sized_index(dim, n):
     """The index of the learner on ``n`` samples of the benchmark's truth in [0,1]^dim, built."""
     emp = sample_from(gen_truth(5, Domain.unit(dim), seed=11), n, seed=3)
-    grid = build_adaptive_grid(emp)
+    grid, _ = build_adaptive_grid(emp)
     index = MortonIndex(emp, grid)
     return index, grid
 
@@ -574,7 +608,7 @@ class TestFitD1:
         pts = random_points(rng, Domain.unit(2), int(rng.integers(1, 30)))
         pts[::3, 0] = 1.0
         emp = EmpiricalDist.from_samples(Domain.unit(2), pts)
-        grid = build_adaptive_grid(emp)
+        grid, _ = build_adaptive_grid(emp)
         index = MortonIndex(emp, grid)
         twin = reference_tree(emp, grid, grid.root())
         for rect in (DyadicRect(1, (3, 6)), DyadicRect(1, (7, 4))):
@@ -596,7 +630,7 @@ class TestFitD1:
             adaptive = trial % 4 == 1  # at most 80 points: its trees are deep
             emp = random_empirical(rng, domain, int(rng.integers(20, 81 if adaptive else 161)))
             if adaptive:
-                grid = build_adaptive_grid(emp)
+                grid, _ = build_adaptive_grid(emp)
             else:
                 grid = random_grid(rng, domain, m, warp=trial % 4 == 3)
             lev = int(rng.integers(max(0, grid.levels - 2), grid.levels + 1))
@@ -619,7 +653,7 @@ class TestFitD1:
             if name.startswith("l2-"):
                 continue
             emp, *rest = thunk.__defaults__
-            grid = rest[0] if len(rest) == 2 else build_adaptive_grid(emp)
+            grid = rest[0] if len(rest) == 2 else build_adaptive_grid(emp)[0]
             index = MortonIndex(emp, grid)
             twin = reference_tree(emp, grid, grid.root())
             _, trace = thunk()
@@ -652,7 +686,7 @@ class TestFitD1:
                 pts[::3, 0] = 1.0
             emp = EmpiricalDist.from_samples(domain, pts)
             if kind == "adaptive":
-                grid = build_adaptive_grid(emp)
+                grid, _ = build_adaptive_grid(emp)
             else:
                 grid = random_grid(rng, domain, m, warp=kind == "warped")
                 if unit:

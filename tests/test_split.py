@@ -1,6 +1,10 @@
 """The greedy splitting learners and the adaptive grid construction."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +20,10 @@ from dyadhist.core import (
     next_pow2,
 )
 from dyadhist import split
+from dyadhist.cli import main
 from dyadhist.ddist import MortonIndex, build_tree, compute_d1, fit_d1
 from dyadhist.errors import DegenerateRegionError, UnsupportedDomainError
+from dyadhist.fileio import write_samples
 from dyadhist.oracle import dk_distance_between, opt_hier_l2, opt_partial_hier_dk
 from dyadhist.split import (
     SplitParams,
@@ -65,7 +71,7 @@ class TestGreedySplit:
     def test_exactly_levels_iterations(self, rng):
         d = Domain.unit(2)
         emp = random_empirical(rng, d, 30)
-        grid = build_adaptive_grid(emp)
+        grid, _ = build_adaptive_grid(emp)
         _, trace = greedy_split(emp, grid, SplitParams(k=2, xi=0.5))
         assert len(trace.iterations) == grid.levels
         assert [r.iteration for r in trace.iterations] == list(range(1, grid.levels + 1))
@@ -103,7 +109,7 @@ class TestGreedySplit:
 
     def test_determinism_byte_for_byte(self):
         emp = random_empirical(make_rng(4242), Domain.unit(2), 60)
-        grid = build_adaptive_grid(emp)
+        grid, _ = build_adaptive_grid(emp)
         p = SplitParams(k=2, xi=1.0)
         h1, t1 = greedy_split(emp, grid, p)
         h2, t2 = greedy_split(emp, grid, p)
@@ -114,7 +120,7 @@ class TestGreedySplit:
 
     def test_output_total_mass_matches_report(self, rng):
         emp = random_empirical(rng, Domain.discrete(16, 2), 40)
-        grid = build_adaptive_grid(emp)
+        grid, _ = build_adaptive_grid(emp)
         hyp, _ = greedy_split(emp, grid, SplitParams(k=3, xi=1.0))
         # hierarchical pieces partition the domain
         assert hyp.kind is HistKind.HIERARCHICAL
@@ -180,13 +186,13 @@ class TestAdaptiveGrid:
     def test_single_distinct_coordinate_gives_m2(self):
         d = Domain.unit(1)
         emp = EmpiricalDist.from_samples(d, np.array([[0.3], [0.3], [0.3]]))
-        grid = build_adaptive_grid(emp)
+        grid, _ = build_adaptive_grid(emp)
         assert grid.M == 2
 
     def test_worked_discrete_example(self):
         d = Domain.discrete(16, 2)
         emp = EmpiricalDist.from_samples(d, np.array([[3, 7], [3, 2], [9, 2]]))
-        grid = build_adaptive_grid(emp)
+        grid, _ = build_adaptive_grid(emp)
         assert grid.M == 4
         assert grid.axes[0].tolist() == [1, 3, 9, 9, 17]
         assert grid.axes[1].tolist() == [1, 2, 7, 7, 17]
@@ -195,13 +201,13 @@ class TestAdaptiveGrid:
         for trial in range(10):
             n = int(rng.integers(1, 60))
             emp = random_empirical(make_rng(trial), Domain.unit(2), n)
-            grid = build_adaptive_grid(emp)
+            grid, _ = build_adaptive_grid(emp)
             assert grid.M & (grid.M - 1) == 0
             assert grid.M <= 2 * emp.n
 
     def test_sample_mass_avoids_padded_cells(self, rng):
         emp = random_empirical(rng, Domain.discrete(32, 2), 12)
-        grid = build_adaptive_grid(emp)
+        grid, _ = build_adaptive_grid(emp)
         cells = grid.cell_index(emp.points)
         for a in range(2):
             widths = np.diff(grid.axes[a])
@@ -225,12 +231,44 @@ class TestAdaptiveGrid:
             if trial % 5 == 0:
                 pts[:, int(rng.integers(dim))] = domain.upper if m is None else m
             emp = EmpiricalDist.from_samples(domain, pts)
-            grid = build_adaptive_grid(emp)
+            grid, _ = build_adaptive_grid(emp)
             twin = adaptive_axes_twin(emp)
             assert len(grid.axes) == len(twin)
             for axis, expect in zip(grid.axes, twin):
                 assert axis.dtype == expect.dtype == np.float64
                 assert np.array_equal(axis, expect)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_cells_match_cell_index(self, dim):
+        # discrete sides that are not powers of two and the largest side,
+        # points on the upper bound (1.0) and at m, single-valued columns,
+        # one-point supports, and sets built directly with unsorted rows
+        rng = make_rng(2_700 + dim)
+        for trial in range(42):
+            m = (None, 1, 3, 6, 12, 1000, 2**53 - 1)[trial % 7]
+            domain = Domain.unit(dim) if m is None else Domain.discrete(m, dim)
+            n = int(rng.integers(1, 70))
+            if m is None:
+                pts = rng.integers(0, 9, size=(n, dim)) / 8.0  # repeats, and 1.0 about once in nine
+                pts[rng.random(n) < 0.3] = rng.random((1, dim))
+            else:
+                pts = m - rng.integers(0, min(m, 2_000), size=(n, dim))
+                pts[rng.random(n) < 0.3, 0] = 1
+            if trial % 3 == 0:
+                pts[:, int(rng.integers(dim))] = pts[0, 0]
+            if trial % 6 == 5:
+                pts = pts[:1]
+            emp = EmpiricalDist.from_samples(domain, pts)
+            if trial % 2:
+                shuffled = rng.permutation(emp.support_size)
+                emp = EmpiricalDist(domain, emp.points[shuffled], emp.counts[shuffled])
+            grid, cells = build_adaptive_grid(emp)
+            want = grid.cell_index(emp.points)
+            assert cells.dtype == np.int64 and np.array_equal(cells, want), trial
+            index, looked_up = MortonIndex(emp, grid, cells), MortonIndex(emp, grid)
+            assert np.array_equal(index.rows, looked_up.rows) and np.array_equal(index.cells, want[index.rows])
+            assert len(index.words) == len(looked_up.words)
+            assert all(np.array_equal(w, x) for w, x in zip(index.words, looked_up.words))
 
     def test_empty_samples_rejected(self):
         # no empty sample set reaches build_adaptive_grid: the constructor refuses it
@@ -353,22 +391,26 @@ def test_leaf_values_are_exact_fits():
 @pytest.mark.parametrize("learner", ["l1", "l2"])
 def test_each_leaf_scored_once_when_made(learner, monkeypatch):
     # the L1 learner scores a leaf by one fit_d1 call, the L2 learner by one
-    # index run; both score the root first, then each child as it is made
+    # call of its scorer; both score the root first, then each child as it
+    # is made
     scored = []
-    fit, run = split.fit_d1, MortonIndex.run
+    fit, loop = split.fit_d1, split._run_split_loop
 
     def counted_fit(tree):
         scored.append(tree.rect)
         return fit(tree)
 
-    def counted_run(index, rect):
-        scored.append(rect)
-        return run(index, rect)
+    def counted_loop(grid, params, index, score):
+        def counted_score(rect, run):
+            scored.append(rect)
+            return score(rect, run)
+
+        return loop(grid, params, index, counted_score)
 
     if learner == "l1":
         monkeypatch.setattr(split, "fit_d1", counted_fit)
     else:
-        monkeypatch.setattr(MortonIndex, "run", counted_run)
+        monkeypatch.setattr(split, "_run_split_loop", counted_loop)
     for dim, m in ((1, 64), (2, 16)):
         emp = random_empirical(make_rng(830 + dim), Domain.discrete(m, dim), 60)
         grid = GridSpec.uniform(emp.domain, m)
@@ -447,3 +489,69 @@ def test_trace_keeps_each_scored_leaf_once(learner, dim, m):
     assert [(rec.chosen, rec.split) for rec in trace.iterations] == [r[1:] for r in rounds]
     assert all(trace.scores[r] == (a, e) for snapshot, _, _ in rounds for r, a, e in snapshot)
     assert trace.to_text() == snapshot_text(rounds)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_adaptive_rounds_match_the_dict_loop(dim):
+    # few distinct coordinates, each repeated, and lattices with equal
+    # counts tie many errors: zero ones on empty and zero-width leaves, and
+    # equal ones on leaves holding equal counts; the index order breaks
+    # each tie, as the dict loop's sort did
+    rng = make_rng(850 + dim)
+    ties = 0
+    for trial in range(12):
+        domain = Domain.discrete(int(rng.choice([3, 5, 12])), dim) if trial % 2 else Domain.unit(dim)
+        n = int(rng.integers(8, 40 if dim < 3 else 16))
+        if trial % 4 == 3:  # every lattice point once, and a few twice
+            pts = np.argwhere(np.ones((min(domain.m, 5 if dim < 3 else 3),) * dim)) + 1
+        elif domain.is_discrete:
+            pts = rng.integers(1, domain.m + 1, size=(n, dim))
+        else:
+            pts = rng.integers(0, 6, size=(n, dim)) / 5.0
+        emp = EmpiricalDist.from_samples(domain, np.vstack([pts, pts[: int(rng.integers(len(pts)))]]))
+        params = SplitParams(k=int(rng.integers(1, 6)), xi=float(rng.choice([0.5, 1.0, 2.0])))
+        grid, cells = build_adaptive_grid(emp)
+        hyp, trace = greedy_split(emp, grid, params, cells=cells)
+        rounds = snapshot_twin(emp, grid, params, "l1")
+        assert [(rec.chosen, rec.split) for rec in trace.iterations] == [r[1:] for r in rounds]
+        assert trace.to_text() == snapshot_text(rounds)
+        # the pieces the dict loop's leaves give, through rect_of
+        leaves, _, to_split = rounds[-1]
+        final = sorted({r for r, _, _ in leaves} - set(to_split) | {ch for r in to_split for ch in r.children()})
+        assert hyp.dyadic == tuple(final)
+        assert [(p.rect, p.value) for p in hyp.pieces] == [(grid.rect_of(r), trace.scores[r][0]) for r in final]
+        for snapshot, chosen, _ in rounds:  # ties the order decides: within the chosen leaves or at the cut
+            errs = sorted((e for _, _, e in snapshot), reverse=True)[: len(chosen) + 1]
+            ties += sum(a == b for a, b in zip(errs, errs[1:]))
+    assert ties >= 12
+
+
+def test_piece_bound_is_an_error_not_bad_input(monkeypatch, tmp_path):
+    # a learner that outgrows its bound is a program fault: it raises, and
+    # ``learn`` lets it through rather than exit 2 as for bad input
+    monkeypatch.setattr(split, "piece_bound", lambda *args: 1)
+    emp = random_empirical(make_rng(860), Domain.discrete(16, 2), 40)
+    with pytest.raises(AssertionError, match="leaves exceed bound 1"):
+        greedy_split(emp, GridSpec.uniform(emp.domain, 16), SplitParams(k=2))
+    path = tmp_path / "samples.txt"
+    write_samples(path, emp)
+    with pytest.raises(AssertionError, match="leaves exceed bound 1"):
+        main(["learn", "--in", str(path), "--k", "2", "--out", str(tmp_path / "h"), "--report", str(tmp_path / "r")])
+
+
+def test_piece_bound_holds_under_python_O(tmp_path):
+    path = tmp_path / "samples.txt"
+    write_samples(path, random_empirical(make_rng(861), Domain.unit(2), 40))
+    code = (
+        "import sys\n"
+        "from dyadhist import split\n"
+        "from dyadhist.cli import main\n"
+        "assert not __debug__, 'assert statements run'\n"
+        "split.piece_bound = lambda *args: 1\n"
+        f"sys.exit(main(['learn', '--in', {str(path)!r}, '--k', '2', '--out', {str(tmp_path / 'h')!r}]))\n"
+    )
+    src = str(Path(split.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "AssertionError: " in proc.stderr and "leaves exceed bound 1" in proc.stderr
