@@ -565,14 +565,19 @@ def _overlay_axes(domain: Domain, *piece_sets) -> list:
     return out
 
 
-def _piece_slices(pieces, axes: list):
-    """Per piece, the block of overlay cells it covers, as a tuple of slices.
+def _piece_ends(pieces, axes: list) -> list:
+    """Per axis, each piece's first overlay cell and the one past its last, shape (pieces, 2).
 
     One ``searchsorted`` per axis finds every piece's ``lo`` and ``hi``.
     """
     bounds = np.array([(p.rect.lo, p.rect.hi) for p in pieces], dtype=np.float64).reshape(-1, 2, len(axes))
-    ends = [np.searchsorted(ax, bounds[:, :, a]).tolist() for a, ax in enumerate(axes)]
-    return [tuple(slice(*e[i]) for e in ends) for i in range(len(bounds))]
+    return [np.searchsorted(ax, bounds[:, :, a]) for a, ax in enumerate(axes)]
+
+
+def _piece_slices(pieces, axes: list):
+    """Per piece, the block of overlay cells it covers, as a tuple of slices."""
+    ends = [e.tolist() for e in _piece_ends(pieces, axes)]
+    return [tuple(slice(*e[i]) for e in ends) for i in range(len(pieces))]
 
 
 def _rasterize(h: HistHypothesis, axes: list) -> np.ndarray:
@@ -588,12 +593,19 @@ def piece_coverage(domain: Domain, pieces):
 
     Overlay cells have positive width, so a count above 1 is an overlap of
     positive volume and a count of 0 is a gap; zero-width pieces cover none.
+    Each piece adds +1 or -1 at the 2^d corners of its block, by the parity
+    of its upper ends there, and a running sum along every axis turns
+    those marks into the counts.
     """
-    axes = _overlay_axes(domain, pieces)
-    counts = np.zeros(tuple(len(a) - 1 for a in axes), dtype=np.int32)
-    for sl in _piece_slices(pieces, axes):
-        counts[sl] += 1
-    return axes, counts
+    axes, d = _overlay_axes(domain, pieces), domain.dim
+    ends = _piece_ends(pieces, axes)
+    corner = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1  # corner -> lo (0) or hi (1) on each axis
+    marks = np.zeros(tuple(len(a) for a in axes), dtype=np.int32)  # one row past the last cell per axis
+    sign = np.where(corner.sum(axis=1) % 2, -1, 1).astype(np.int32)
+    np.add.at(marks, tuple(e[:, c].ravel() for e, c in zip(ends, corner.T)), np.tile(sign, len(pieces)))
+    for a in range(d):
+        np.cumsum(marks, axis=a, out=marks)
+    return axes, marks[(slice(-1),) * d]
 
 
 def _cell_volumes(axes: list) -> np.ndarray:

@@ -23,13 +23,20 @@ largest missing-child volume over the chain, which is found top-down when
 the index is built.  Nodes are stored in post-order: children before their
 parent and siblings in Morton order, so the subtree of any node is one
 contiguous slice that ends at the node, and V for a view is the maximum
-over its slice.  A ``SparseDyadicTree`` is a view of one such slice, found
-from its rectangle's run of points; when its rectangle sits inside a chain,
+over its slice.  Those volumes are kept sparsely, in two tables sorted by
+position: a chain's largest beside its top volume, for the nodes with a
+chain above them alone, and a node's own largest, for the nodes that miss
+a child of their own alone (a handful at d = 1).  A ``SparseDyadicTree``
+is a view of one such slice, and of its part of each table, found from
+its rectangle's run of points; when its rectangle sits inside a chain,
 the view clips that one chain at it.  A run is found by binary searches
-over all points (``run``), or, for the children of a rectangle whose run is
-known, by one search inside that run (``child_runs``).  Keys interleave 8
-bits of every axis at a time by a table lookup, in words of at most 63
-bits, so none overflows at any depth.
+over all points (``run``), or, for the children of a rectangle whose run
+is known, by one search inside that run (``child_runs``).  Keys
+interleave 8 bits of every axis at a time by a table lookup, in words of
+at most 63 bits, so none overflows at any depth; at d = 1 the key is the
+cell itself.  The index keeps positions of points and nodes as int32, and
+searches them with int32 needles, so that no search copies the array it
+searches; a view's positions are intp, which index without a cast.
 
 Fit.  ``fit_d1`` finds the constant a >= 0 with the least discrepancy
 exactly, not to a tolerance: the objective is the upper envelope of one
@@ -129,6 +136,7 @@ class Run(NamedTuple):
 
 
 _BLOCK = 1 << 10  # the fewest nodes the build works on at once
+_MAX_POINTS = 1 << 30  # below this, the at most 2s - 1 stored nodes have int32 positions
 
 
 class MortonIndex:
@@ -138,20 +146,25 @@ class MortonIndex:
     stored nodes are the level-0 cells holding mass and the branching
     nodes.  Node i stands for its chain: levels ``level[i]`` to
     ``top_level[i]``, of mass ``mass[i]``, with volumes from ``vol[i]`` up to
-    the chain's top; ``empty[i]`` is the largest volume of a missing child
-    on the chain (-1 when there is none).  The nodes with one-child nodes
-    above them are ``chain_at``, in order, ``chain_top`` their chains' top
-    volumes and ``chain_own`` the largest volumes of their own missing
-    children, which a view clipping the chain starts from; most nodes have
-    none at d = 1 and on dense grids, so these are kept for them alone.
-    ``first[p]`` counts the nodes that end before point p.  The first
-    ``view`` builds these arrays, so a caller that needs only runs never
-    pays for them, and that view's ``node_visits`` includes the index's.
-    ``cells`` holds each support point's cell, as ``grid.cell_index`` gives
-    it; ``build_adaptive_grid`` makes them with the grid, and otherwise
-    they are looked up here.  The index keeps that array as its own
-    ``cells``, its rows put in Morton order in place, so no second copy
-    lives on.  Dyadic indices are decoded from the points on demand.
+    the chain's top.  The nodes with one-child nodes above them are
+    ``chain_at``, in order, ``chain_top`` their chains' top volumes and
+    ``chain_empty`` the largest volumes of missing children on their
+    chains, their own included; most nodes have none at d = 1 and on dense
+    grids, so these are kept for them alone.  The nodes that miss children
+    of their own are ``own_at``, in order, and ``own_empty`` the largest
+    volumes of those children (a handful at d = 1), which a view clipping
+    a chain walks on from.  ``first[p]`` counts the nodes that end before
+    point p.  ``rows``, ``first``, ``chain_at`` and ``own_at`` are int32,
+    which is why a support of 2^30 points or more is refused with
+    ``MemoryError``.  The first ``view`` builds the node arrays, so a
+    caller that needs only runs never pays for them, and that view's
+    ``node_visits`` includes the index's.  ``cells`` holds each support
+    point's cell, as ``grid.cell_index`` gives it; ``build_adaptive_grid``
+    makes them with the grid, and otherwise they are looked up here.  The
+    index keeps that array as its own ``cells``, its rows put in Morton
+    order in place, so no second copy lives on; at d = 1 the one Morton
+    word is a view of it.  Dyadic indices are decoded from the points on
+    demand.
     ``node_visits`` counts the points placed, the nodes stored, the
     candidate empty children of branching nodes examined and the levels of
     one-child chains walked.
@@ -163,11 +176,16 @@ class MortonIndex:
             cells = grid.cell_index(fhat.points)
         elif cells.shape != fhat.points.shape or cells.dtype != np.int64:
             raise ValueError(f"cells must be int64 of shape {fhat.points.shape}, got {cells.dtype} {cells.shape}")
-        words = _morton_words(list(cells.T), grid.levels)
-        self.rows = order = np.lexsort(words[::-1])  # support rows, in Morton order of their cells
-        self.words = [w[order] for w in words]
-        del words
+        if len(cells) >= _MAX_POINTS:
+            raise MemoryError(f"cannot index a support of {len(cells)} points: "
+                              f"the index holds fewer than {_MAX_POINTS}")
+        d = grid.dim
+        words = _morton_words(list(cells.T), grid.levels) if d > 1 else [cells[:, 0]]  # at d = 1 the key is the cell
+        order = np.lexsort(words[::-1])  # support rows, in Morton order of their cells
         cells[...] = cells.take(order, axis=0)
+        self.words = [w[order] for w in words] if d > 1 else [cells[:, 0]]
+        self.rows = order.astype(np.int32)
+        del words, order
         self.cells = cells
         self._bits = (np.arange(1 << grid.dim)[:, None] >> np.arange(grid.dim)[::-1]) & 1  # child -> bits
         self.first = None  # the node arrays are built by the first view
@@ -190,7 +208,7 @@ class MortonIndex:
         cum = np.zeros(s + 1, dtype=np.int64)  # cum[i]: the counts of points 0..i; cum[-1] = 0
         np.cumsum(self.fhat.counts[self.rows], out=cum[:-1])
         self.node_visits = s
-        first = np.zeros(s + 2, dtype=np.int64)
+        first = np.zeros(s + 2, dtype=np.int32)
         count = first[1:]  # the stored nodes ending at each point, summed below
         count[:-1] = shared > 0  # every cell is stored
         block = max(_BLOCK, s >> 3)  # nodes worked on at once, which bounds the temporaries
@@ -214,7 +232,7 @@ class MortonIndex:
                 count[end] += 1
             else:
                 end = ends
-            mass, tops, own = np.empty(len(end)), np.empty(len(end), dtype=np.int8), None
+            mass, tops, own = np.empty(len(end)), np.empty(len(end), dtype=np.int8), []
             for i in range(0, len(end), block):
                 e = end[i : i + block]
                 if lev:  # the end of the node before, or -1
@@ -226,12 +244,10 @@ class MortonIndex:
                 tops[i : i + block] = np.minimum(shared[prev], shared[e]) - 1
                 if lev and whose is not None:
                     lo, hi = np.searchsorted(whose, [i, i + block])
-                    part = self._own_values(lev, e, prev + 1, whose[lo:hi] - i, pairs[lo:hi] + 1)
-                    if part is not None:
-                        own = np.full(len(end), -1.0) if own is None else own
-                        own[i : i + block] = part
+                    need, vols = self._own_values(lev, e, prev + 1, whose[lo:hi] - i, pairs[lo:hi] + 1)
+                    own.append((need + i, vols))
             stored.append({"level": lev, "at": end if lev else None, "mass": mass, "top_level": tops,
-                           "empty": own})
+                           "own": own})
         del cum
         # place the nodes in post-order: at each point the highest takes the last place
         np.cumsum(first[:-1], out=first[:-1])
@@ -261,31 +277,39 @@ class MortonIndex:
             self.level[rec["at"]] = rec["level"]
         self.mass = place("mass", np.empty(total))
         self.top_level = place("top_level", np.empty(total, dtype=np.int8))
-        self.empty = place("empty", np.full(total, -1.0))  # the nodes' own values; the walk adds the chains'
+        own = [(rec["at"][need], vols) for rec in stored for need, vols in rec.pop("own")]
         del stored
+        own_at = np.concatenate([np.empty(0, dtype=np.int32)] + [at for at, _ in own])
+        order = np.argsort(own_at, kind="stable")  # a merge of the levels, each in order already
+        self.own_at = own_at[order]
+        self.own_empty = np.concatenate([np.empty(0)] + [vols for _, vols in own])[order]
+        del own, own_at, order
         self.node_visits += total
-        self.chain_at = np.flatnonzero(self.top_level > self.level)
+        self.chain_at = np.flatnonzero(self.top_level > self.level).astype(np.int32)
         self.chain_top = np.empty(len(self.chain_at))
-        self.chain_own = self.empty[self.chain_at]
+        self.chain_empty = np.full(len(self.chain_at), -1.0)  # a chain's walk starts from its node's own value
+        on = self.top_level[self.own_at] > self.level[self.own_at]
+        self.chain_empty[self.chain_at.searchsorted(self.own_at[on])] = self.own_empty[on]
+        del on
         tops = self.top_level[self.chain_at]
         for lev in range(1, top + 1):  # the chains, by their top level
             group = np.flatnonzero(tops == lev)
             for i in range(0, len(group), block >> 1):  # a chain's walk takes twice a node's temporaries
                 part = group[i : i + (block >> 1)]
-                at = self.chain_at[part]
-                self.empty[at], self.chain_top[part], seen = self._walk(at, lev, self.empty[at])
+                self.chain_empty[part], self.chain_top[part], seen = self._walk(self.chain_at[part], lev,
+                                                                                self.chain_empty[part])
                 self.node_visits += seen
 
-    def _own_values(self, lev, end, start, whose, split) -> np.ndarray | None:
-        """The largest volume of each node's own missing children, -1 where it has none.
+    def _own_values(self, lev, end, start, whose, split) -> tuple:
+        """The nodes that miss some of their own children, and the largest volume of those missing.
 
         The level-``lev`` nodes hold points ``start..end``; the points
-        ``split`` start their other children, of the nodes ``whose``.  None
-        when every node has all its children.
+        ``split`` start their other children, of the nodes ``whose``.
+        Returns the nodes' places in ``end`` and the volumes.
         """
         need = np.flatnonzero(np.bincount(whose, minlength=len(end)) < (1 << self.grid.dim) - 1)
         if not len(need):
-            return None
+            return need, np.empty(0)
         row = np.full(len(end), -1)
         row[need] = np.arange(len(need))
         hit = row[whose] >= 0
@@ -294,9 +318,7 @@ class MortonIndex:
         digit = _morton_words(list((firsts >> (lev - 1)).T), 1)[0]  # which child holds each first point
         cvol[np.r_[np.arange(len(need)), row[whose[hit]]], digit] = -1.0
         self.node_visits += cvol.size
-        own = np.full(len(end), -1.0)
-        own[need] = cvol.max(axis=1)
-        return own
+        return need, cvol.max(axis=1)
 
     def _child_volumes(self, lev: int, parent: np.ndarray) -> np.ndarray:
         """Volumes (one row each, children in lexicographic order) of the children of
@@ -361,7 +383,7 @@ class MortonIndex:
         return best, topv, seen
 
     def point_of(self, nodes: np.ndarray) -> np.ndarray:
-        """The point at which each of these stored nodes ends."""
+        """The point at which each of these stored nodes ends (int32 ``nodes``, as ``first``, are not copied)."""
         return np.searchsorted(self.first, nodes, side="right") - 1
 
     def run(self, rect: DyadicRect) -> Run:
@@ -406,22 +428,29 @@ class MortonIndex:
         if lo == hi:
             none = slice(0, 0)
             return SparseDyadicTree(rect, self, 0, self.level[none], self.mass[none], self.vol[none],
-                                    self.chain_at[none], self.chain_top[none], self.empty[none],
-                                    self.grid.volume_of(rect), visits)
+                                    self.chain_at[none], self.chain_top[none], self.chain_empty[none],
+                                    self.own_at[none], self.own_empty[none], self.grid.volume_of(rect), visits)
         # the stored nodes below rect end at points lo..hi-1, and at hi-1 only up to rect's level
         last = int(self.first[hi - 1])
         stop = last + bisect.bisect_right(self.level[last : self.first[hi]].tolist(), rect.level)
         nodes = slice(int(self.first[lo]), stop)
-        a, b = np.searchsorted(self.chain_at, (nodes.start, stop))
-        chain_at, chain_top, empty = self.chain_at[a:b] - nodes.start, self.chain_top[a:b], self.empty[nodes]
+        span = np.array((nodes.start, stop), dtype=np.int32)  # int32, as the arrays searched: neither is cast
+        a, b = self.chain_at.searchsorted(span).tolist()
+        e, f = self.own_at.searchsorted(span).tolist()
+        # the view's positions are intp, which index without a cast
+        chain_at = np.subtract(self.chain_at[a:b], nodes.start, dtype=np.intp)
+        own_at = np.subtract(self.own_at[e:f], nodes.start, dtype=np.intp)
+        chain_top, chain_empty, own_empty = self.chain_top[a:b], self.chain_empty[a:b], self.own_empty[e:f]
         if self.top_level[stop - 1] > rect.level:  # rect sits inside the last node's chain, last in chain_at
-            chain_top, empty = chain_top.copy(), empty.copy()
+            chain_top, chain_empty = chain_top.copy(), chain_empty.copy()
             chain_top[-1] = self.grid.volume_of(rect)
-            best, _, seen = self._walk(np.array([stop - 1]), rect.level, self.chain_own[b - 1 : b].copy())
-            empty[-1] = best[0]
+            own = own_empty[-1] if f > e and self.own_at[f - 1] == stop - 1 else -1.0  # the walk starts from it
+            best, _, seen = self._walk(span[1:] - 1, rect.level, np.array([own]))
+            chain_empty[-1] = best[0]
             visits += seen
+        empty = max(chain_empty.max(initial=-1.0), own_empty.max(initial=-1.0))
         return SparseDyadicTree(rect, self, nodes.start, self.level[nodes], self.mass[nodes], self.vol[nodes],
-                                chain_at, chain_top, empty, float(empty.max()), visits)
+                                chain_at, chain_top, chain_empty, own_at, own_empty, float(empty), visits)
 
 
 @dataclass(eq=False)
@@ -433,14 +462,18 @@ class SparseDyadicTree:
     is ``rect`` or the bottom of the chain ``rect`` sits in; its chain is
     clipped at ``rect``.  Node i stands for its chain: from level
     ``node_level[i]`` up to the index's ``top_level`` (clipped at ``rect``),
-    mass ``node_mass[i]``, volumes from ``node_vol[i]`` up to the chain's
-    top, and ``node_empty[i]``, the largest volume of a missing child on the
-    chain (-1 if none).  Only the nodes ``chain_at`` have one-child nodes
-    above them; ``chain_top`` holds their top volumes, the last of them the
-    volume of ``rect`` when ``rect`` sits inside a chain, and every other
-    chain tops at its own node.  ``max_empty_vol`` is the largest volume of
-    an empty rectangle below ``rect`` (-1 if there is none), the maximum of
-    ``node_empty``.  ``node_visits`` counts the entries read to find the
+    mass ``node_mass[i]`` and volumes from ``node_vol[i]`` up to the chain's
+    top.  Only the nodes ``chain_at`` have one-child nodes above them;
+    ``chain_top`` holds their top volumes, the last of them the volume of
+    ``rect`` when ``rect`` sits inside a chain, and every other chain tops
+    at its own node.  ``chain_empty`` holds the largest missing-child
+    volumes on those chains, the clipped chain's taken below ``rect`` (-1
+    when it then has none).  Only the nodes ``own_at`` miss children of
+    their own; ``own_empty`` holds the largest volumes of those, never
+    above their chains'.  ``max_empty_vol`` is the largest volume of an
+    empty rectangle below ``rect`` (-1 if there is none), the maximum of
+    ``chain_empty`` and ``own_empty``.  ``node_visits`` counts the entries
+    read to find the
     view's run (its ``Run.searched``: two searches of every Morton word over
     all points when the view finds the run itself, one search inside the
     parent's run when ``child_runs`` found it), plus one, plus the entries
@@ -456,7 +489,9 @@ class SparseDyadicTree:
     node_vol: np.ndarray
     chain_at: np.ndarray  # the nodes with one-child nodes above them
     chain_top: np.ndarray  # the volumes at the tops of their chains
-    node_empty: np.ndarray
+    chain_empty: np.ndarray  # the largest missing-child volumes on their chains
+    own_at: np.ndarray  # the nodes with missing children of their own
+    own_empty: np.ndarray  # the largest volumes of those children
     max_empty_vol: float
     node_visits: int
 
@@ -553,7 +588,7 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
     optimal, to a few ulps in the rounding case, since the crossing's height
     bounds min F from below; the fit then stops.  It returns its best probe,
     whose error max(D(c), I(c)) is ``compute_d1`` at c.  The fit reads only
-    ``tree``.
+    ``tree``, and each probe refills one node-sized scratch array.
     """
     m, v, ev = tree.node_mass, tree.node_vol, tree.max_empty_vol  # ev < 0: no empty term
     if tree.node_count == 0:
@@ -567,12 +602,13 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
     mp, vp = mq, vq = m[-1], vr  # the root's lines
     empty = False  # whether the line kept at hi is the empty term
     best_err, best_a, probes = math.inf, 0.0, 0
+    r = np.empty_like(v)  # each probe's lines, refilled in place
     while probes < _MAX_PROBES:
         mh, vh = (0.0, ev) if empty else (mq, vq)
         c = float((mp + mh) / (vp + vh)) if vp + vh > 0 else math.nan
         if not lo <= c <= hi:
             break
-        r = v * c
+        np.multiply(v, c, out=r)
         np.subtract(m, r, out=r)
         i = int(r.argmax())
         down = float(r[i])

@@ -137,6 +137,21 @@ def cell_values(h: HistHypothesis, grid: GridSpec) -> np.ndarray:
     return out
 
 
+def coverage_twin(domain: Domain, pieces) -> tuple:
+    """``(axes, counts)`` as ``core.piece_coverage`` gives them, one piece at a time.
+
+    The axes are the sorted distinct piece bounds and domain bounds, and
+    each piece adds 1 to every overlay cell of its block.
+    """
+    axes = [np.unique(np.array([domain.lower, domain.upper] + [x for p in pieces for x in (p.rect.lo[a], p.rect.hi[a])],
+                               dtype=np.float64)) for a in range(domain.dim)]
+    counts = np.zeros(tuple(len(ax) - 1 for ax in axes), dtype=np.int32)
+    for p in pieces:
+        counts[tuple(slice(int(np.searchsorted(ax, lo)), int(np.searchsorted(ax, hi)))
+                     for ax, lo, hi in zip(axes, p.rect.lo, p.rect.hi))] += 1
+    return axes, counts
+
+
 def twin_volume(grid: GridSpec, r: DyadicRect) -> float:
     """Volume of a dyadic rectangle, in plain Python."""
     v = 1.0
@@ -150,6 +165,29 @@ def top_vol(tree) -> np.ndarray:
     top = tree.node_vol.copy()
     top[tree.chain_at] = tree.chain_top
     return top
+
+
+def node_empty(tree) -> np.ndarray:
+    """The largest missing-child volume on each node's chain of a tree (-1 if none), from its two sparse tables.
+
+    A chain's value, taken over the node's own missing children too, overrides the node's own.
+    """
+    empty = np.full(tree.node_count, -1.0)
+    empty[tree.own_at] = tree.own_empty
+    empty[tree.chain_at] = tree.chain_empty
+    return empty
+
+
+def index_bytes(index) -> int:
+    """The bytes of every array an index keeps, each array that others are views of counted once."""
+    owners = {}
+    for value in vars(index).values():
+        for a in value if isinstance(value, list) else [value]:
+            if isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                owners[id(a)] = a.nbytes
+    return sum(owners.values())
 
 
 def morton_twin(cols: list, levels: int) -> list:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadhist.cli import gen_truth, main, sample_from
-from dyadhist import cli, core, fileio
+from dyadhist import cli, core, ddist, fileio
 from dyadhist.core import Domain, EmpiricalDist, HistKind, l1_dist, l2_sq_dist, mass, volume
 from dyadhist.errors import ConfigurationError, DomainViolationError
 from dyadhist.fileio import read_hypothesis, read_samples, write_hypothesis, write_samples
@@ -710,6 +710,16 @@ class TestCommandLine:
         rc = main(["eval", "--in", str(truth), "--dump-grid", "70000", "--out", str(tmp_path / "g.csv")])
         assert rc == 2
         assert "error: Unable to allocate 36.5 GiB" in capsys.readouterr().err
+
+    def test_support_too_large_to_index_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the index refuses 2^30 support points; the limit is lowered to 3
+        samples = tmp_path / "s.txt"
+        samples.write_text("# dim=1 domain=discrete 8\n1\n2\n5\n5\n")
+        monkeypatch.setattr(ddist, "_MAX_POINTS", 3)
+        rc = main(["learn", "--in", str(samples), "--k", "1"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot index a support of 3 points") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("k", ["2", "0", "-1"])
     @pytest.mark.parametrize("metric, name", [("l1", "opt_partial_hier_dk"), ("l2", "opt_hier_l2")])

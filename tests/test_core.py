@@ -38,6 +38,7 @@ from dyadhist.cli import gen_truth
 from dyadhist.fileio import read_hypothesis, write_hypothesis
 
 from conftest import (
+    coverage_twin,
     lattice_points,
     make_rng,
     random_grid,
@@ -401,6 +402,35 @@ class TestPieceSlices:
                 zero_width += sum(any(sl.start == sl.stop for sl in block) for block in want)
         assert zero_width > 0
         assert core._piece_slices((), axes) == []
+
+
+class TestPieceCoverage:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_the_per_piece_twin(self, dim):
+        # boxes on a coarse lattice overlap, leave gaps and have zero width
+        rng = make_rng(90 + dim)
+        seen = {"overlap": 0, "gap": 0, "zero width": 0, "tiled": 0}
+        for trial in range(80):
+            domain = Domain.discrete(6, dim) if trial % 2 else Domain.unit(dim)
+            lattice = list(range(1, 8)) if domain.is_discrete else np.linspace(0.0, 1.0, 5).tolist()
+            pieces, count = [], int(rng.integers(0, 10))
+            if trial % 8 == 0:  # the domain cut in two on the first axis: a tiling
+                lo, hi, mid = [domain.lower] * dim, [domain.upper] * dim, lattice[len(lattice) // 2]
+                pieces = [Piece(Rect(tuple(lo), (mid, *hi[1:])), 1.0), Piece(Rect((mid, *lo[1:]), tuple(hi)), 1.0)]
+                count = 0
+            for _ in range(count):
+                ends = np.sort(rng.integers(0, len(lattice), size=(dim, 2)), axis=1)
+                lo, hi = (tuple(lattice[i] for i in ends[:, j]) for j in (0, 1))
+                pieces.append(Piece(Rect(lo, hi), 1.0))
+            axes, counts = core.piece_coverage(domain, pieces)
+            want_axes, want = coverage_twin(domain, pieces)
+            assert len(axes) == len(want_axes) and all(np.array_equal(a, b) for a, b in zip(axes, want_axes))
+            assert counts.dtype == want.dtype and counts.tolist() == want.tolist(), trial
+            seen["overlap"] += bool((want > 1).any())
+            seen["gap"] += not want.all()
+            seen["zero width"] += any(l == h for p in pieces for l, h in zip(p.rect.lo, p.rect.hi))
+            seen["tiled"] += bool((want == 1).all())
+        assert min(seen.values()) > 5, seen
 
 
 class TestL2:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dyadhist import gen_truth, sample_from
 from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec
+from dyadhist import ddist
 from dyadhist.ddist import MortonIndex, _morton_words, _ones_below, build_tree, compute_d1, fit_d1
 from dyadhist.errors import OracleGuardError, StructureError
 
@@ -21,8 +22,10 @@ from dyadhist.split import build_adaptive_grid
 from conftest import (
     exact_fit_minimum,
     fit_objective,
+    index_bytes,
     make_rng,
     morton_twin,
+    node_empty,
     random_empirical,
     random_grid,
     random_points,
@@ -232,15 +235,16 @@ class TestMortonIndex:
                 assert tree.node_vol.tolist() == [twin_volume(grid, rects[0]) for rects, _ in expanded], r
                 assert top_vol(tree).tolist() == [twin_volume(grid, rects[-1]) for rects, _ in expanded], r
                 want_empty = [chain_empty(grid, nodes, rects) for rects, _ in expanded]
-                assert tree.node_empty.tolist() == want_empty, r
+                assert node_empty(tree).tolist() == want_empty, r
                 assert tree.max_empty_vol == best, r
                 if tree.node_count:
                     assert expanded[-1][0][-1] == r  # post-order: the chain that r sits in is last
             if view.node_count:
                 clipped += top_level(view)[-1] < index.top_level[view.start + view.node_count - 1]
             assert np.array_equal(top_level(view), top_level(alone)), r
-            for name in ("node_level", "node_mass", "node_vol", "node_empty"):
+            for name in ("node_level", "node_mass", "node_vol"):
                 assert np.array_equal(getattr(view, name), getattr(alone, name)), (r, name)
+            assert np.array_equal(node_empty(view), node_empty(alone)), r
             assert np.array_equal(top_vol(view), top_vol(alone)), r
         return clipped
 
@@ -345,7 +349,7 @@ class TestMortonIndex:
                         continue
                     given, found = index.view(ch, r), index.view(ch)
                     assert given.node_visits - r.searched == found.node_visits - w.searched, ch
-                    assert given.start == found.start and np.array_equal(given.node_empty, found.node_empty), ch
+                    assert given.start == found.start and np.array_equal(node_empty(given), node_empty(found)), ch
                     if ch.level:
                         stack.append((ch, r))
         assert words == ({1, 2} if dim > 3 else {1})
@@ -465,6 +469,40 @@ class TestIndexSize:
             tracemalloc.stop()
         assert tree.node_count > 40_000
         assert peak - base <= 1.5 * (kept - base), (peak - base, kept - base)
+
+    @pytest.mark.parametrize("dim, n, most", [(1, 300_000, 56), (2, 40_000, 108), (2, 160_000, 108),
+                                              (3, 20_000, 110.5)])
+    def test_bytes_per_point(self, dim, n, most):
+        # the missing-child volumes are kept for the nodes that have one
+        # alone (a handful at d = 1), the d = 1 Morton key is the cell and
+        # positions are int32: 52, 89 and 92 bytes a point at d = 1, 2 and
+        # 3, where 84, 108 and 110.5 were kept with them dense and int64
+        index, grid = benchmark_sized_index(dim, n)
+        index.view(grid.root())
+        assert index_bytes(index) / len(index.rows) <= most
+
+    def test_fitting_a_d1_root_allocates_one_node_array(self):
+        index, grid = benchmark_sized_index(1, 30_000)
+        tree = index.view(grid.root())
+        one = 8 * tree.node_count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit_d1(tree)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert one <= peak < 1.5 * one, (peak, one)
+
+    def test_support_of_2_30_points_refused(self, monkeypatch):
+        # int32 positions number the at most 2s - 1 nodes of s < 2^30
+        # points; the limit is lowered here, so that nothing large is made
+        emp, grid = counts_2101()
+        monkeypatch.setattr(ddist, "_MAX_POINTS", 3)
+        with pytest.raises(MemoryError, match="^cannot index a support of 3 points"):
+            MortonIndex(emp, grid)
+        monkeypatch.setattr(ddist, "_MAX_POINTS", 4)
+        assert MortonIndex(emp, grid).view(grid.root()).node_count > 0
 
 
 class TestComputeD1:
