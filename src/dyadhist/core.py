@@ -18,7 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 
@@ -296,7 +296,12 @@ class GridSpec:
         return v
 
     def volume_of(self, dr: DyadicRect) -> float:
-        return float(self.dyadic_volume(dr.level, np.asarray([dr.index]))[0])
+        """Volume of one dyadic rectangle, by ``dyadic_volume``'s arithmetic in the same order."""
+        v = 1.0
+        for b, i in zip(self.axes, dr.index):
+            lo = i << dr.level
+            v *= b[lo + (1 << dr.level)] - b[lo]
+        return float(v)
 
     def dyadic_rect_count(self) -> int:
         return sum((self.M >> l) ** self.dim for l in range(self.levels + 1))
@@ -352,19 +357,25 @@ class EmpiricalDist:
         object.__setattr__(self, "counts", cnt)
 
     @staticmethod
-    def from_samples(domain: Domain, samples: np.ndarray) -> "EmpiricalDist":
+    def from_samples(domain: Domain, samples: np.ndarray, counts: np.ndarray | None = None) -> "EmpiricalDist":
         """Aggregate raw samples (one row per draw) into a weighted multiset.
 
-        Off the lattice the rows are sorted by one ``argsort`` of a key that
-        orders them lexicographically: the first column itself at d = 1, else
-        the dense ranks of the columns so far times the next column's count
-        of distinct values, plus its ranks.  Ranking again after each column
+        ``counts``, when given, holds how many draws each row stands for
+        (positive integers); by default each row is one draw.  Off the
+        lattice the rows are sorted by one ``argsort`` of a key that orders
+        them lexicographically: the first column itself at d = 1, else the
+        dense ranks of the columns so far times the next column's count of
+        distinct values, plus its ranks.  Ranking again after each column
         keeps the key below n^2.
         """
         samples = np.atleast_2d(np.asarray(samples))
         if samples.size == 0:
             raise ValueError("empty sample set")
-        lattice = _count_lattice(domain, samples)
+        if counts is not None:
+            counts = np.asarray(counts, dtype=np.int64)
+            if counts.shape != samples.shape[:1] or (counts <= 0).any():
+                raise ValueError("counts must hold one positive count per row")
+        lattice = _count_lattice(domain, samples, counts)
         if lattice is not None:
             return EmpiricalDist(domain, *lattice)
         key = samples[:, 0]
@@ -374,16 +385,20 @@ class EmpiricalDist:
             key *= distinct
             key += rank
             del rank
-        rows = samples.take(np.argsort(key), axis=0)
+        order = np.argsort(key)
         del key
+        rows = samples.take(order, axis=0)
+        counts = None if counts is None else counts[order]
+        del order
         if rows.dtype.kind == "f":
             rows += 0  # -0.0 -> 0.0: the row kept for equal rows is then unique
         first = np.ones(len(rows), dtype=bool)
         first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         if first.all():
-            return EmpiricalDist(domain, rows, np.ones(len(rows), dtype=np.int64))
+            return EmpiricalDist(domain, rows, np.ones(len(rows), dtype=np.int64) if counts is None else counts)
         starts = np.flatnonzero(first)
-        return EmpiricalDist(domain, rows[starts], np.diff(starts, append=len(rows)))
+        merged = np.diff(starts, append=len(rows)) if counts is None else np.add.reduceat(counts, starts)
+        return EmpiricalDist(domain, rows[starts], merged)
 
     @property
     def n(self) -> int:
@@ -415,32 +430,52 @@ def _dense_ranks(x: np.ndarray) -> tuple:
     return out, int(rank[-1]) + 1
 
 
-def _count_lattice(domain: Domain, samples: np.ndarray):
+def _dense_lattice(domain: Domain, rows: int) -> bool:
+    """Whether ``rows`` samples on ``domain`` are counted cell by cell: on a cube of at most 2 * rows cells."""
+    return domain.m is not None and domain.m**domain.dim <= 2 * rows
+
+
+def _count_cells(counts: np.ndarray, rows: np.ndarray, m: int, weights=1) -> None:
+    """Add each row's weight (``weights``, one per row or one for all) to its cell's entry of ``counts``.
+
+    The rows are lattice points of {1..m}^d, of any numeric dtype, and a
+    row's cell is its C-order rank, so the ranks order the rows
+    lexicographically.  ``np.add.at`` touches only the rows' own cells, so
+    a block costs its rows whatever the lattice's size.
+    """
+    cell = rows.astype(np.int64)
+    cell -= 1
+    np.add.at(counts, np.ravel_multi_index(tuple(cell.T), (m,) * rows.shape[1]), weights)
+
+
+def _lattice_points(counts: np.ndarray, m: int, d: int) -> tuple:
+    """The occupied cells of a count over {1..m}^d, as lexicographically sorted points, and their counts."""
+    keys = np.flatnonzero(counts)
+    return np.stack(np.unravel_index(keys, (m,) * d), axis=1) + 1, counts[keys]
+
+
+def _count_lattice(domain: Domain, samples: np.ndarray, weights: np.ndarray | None = None):
     """Distinct points and counts of samples on the discrete cube, or None.
 
-    Each row is keyed by its C-order rank in {1..m}^d, so the keys sort the
-    rows lexicographically, as ``from_samples``' general path does.  Blocks
-    of at least ``_COUNT_ROWS`` rows, and no fewer rows than cells, are
-    checked, keyed and counted by a ``bincount`` into one count array.  None
-    when the domain is not discrete, there are more cells than twice the
-    samples, or some row is not a lattice point of the domain; the general
-    path then ranks the rows, or keeps the error.
+    Blocks of ``_COUNT_ROWS`` rows are checked, and each row's weight (one
+    by default) is added to its cell's entry in one count array over the
+    cube by ``_count_cells``, which ``sample_from`` shares.  None when the
+    cube has more cells than twice the rows (``_dense_lattice``), or when
+    some row is not a lattice point of the domain; the general path then
+    ranks the rows, or keeps the error.
     """
     m, d = domain.m, domain.dim
-    if m is None or samples.shape[1] != d or m**d > 2 * len(samples) or samples.dtype.kind not in "iuf":
+    if samples.shape[1] != d or not _dense_lattice(domain, len(samples)) or samples.dtype.kind not in "iuf":
         return None
-    cells, shape = m**d, (m,) * d
-    counts, step = np.zeros(cells, dtype=np.int64), max(_COUNT_ROWS, cells)
-    for start in range(0, len(samples), step):
-        block = samples[start : start + step]
+    counts = np.zeros(m**d, dtype=np.int64)
+    for start in range(0, len(samples), _COUNT_ROWS):
+        block = samples[start : start + _COUNT_ROWS]
         if not ((block >= 1) & (block <= m)).all():
             return None
         if block.dtype.kind == "f" and not (block == np.floor(block)).all():
             return None
-        key = np.ravel_multi_index(tuple((block.astype(np.int64) - 1).T), shape)
-        counts += np.bincount(key, minlength=cells)
-    keys = np.flatnonzero(counts)
-    return np.stack(np.unravel_index(keys, shape), axis=1) + 1, counts[keys]
+        _count_cells(counts, block, m, 1 if weights is None else weights[start : start + _COUNT_ROWS])
+    return _lattice_points(counts, m, d)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +506,8 @@ class HistHypothesis:
     overlap.  ARBITRARY and HIERARCHICAL pieces cover the full domain (a gap
     is a StructureError naming a point of it); PARTIAL leaves the uncovered
     region at value 0.  Hierarchical hypotheses carry the grid and
-    the dyadic identity of every piece.
+    the dyadic identity of every piece.  ``bounds`` holds every piece's
+    ``lo`` and ``hi`` as one float64 array of shape (pieces, 2, d).
     """
 
     domain: Domain
@@ -479,6 +515,7 @@ class HistHypothesis:
     kind: HistKind
     grid: GridSpec | None = None
     dyadic: tuple | None = None
+    bounds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind is HistKind.HIERARCHICAL:
@@ -486,9 +523,8 @@ class HistHypothesis:
                 raise StructureError("hierarchical hypothesis needs grid and dyadic ids")
         if self.dyadic is not None and len(self.dyadic) != len(self.pieces):
             raise StructureError("dyadic ids must align with pieces")
-        for p in self.pieces:
-            _check_inside(p.rect, self.domain)
-        axes, counts = piece_coverage(self.domain, self.pieces)
+        object.__setattr__(self, "bounds", piece_bounds(self.domain, self.pieces))
+        axes, counts = piece_coverage(self.domain, self.bounds)
         if (counts > 1).any():
             raise StructureError("pieces overlap")
         if self.kind is not HistKind.PARTIAL and not counts.all():
@@ -518,7 +554,7 @@ class HistHypothesis:
         inside = self.domain.contains_points(pts)
         if not inside.all():
             raise DomainViolationError(f"point {pts[~inside][0]} outside domain")
-        axes = _overlay_axes(self.domain, self.pieces)
+        axes = _overlay_axes(self.domain, self.bounds)
         cell = tuple(
             np.clip(np.searchsorted(ax, pts[:, a], side="right") - 1, 0, len(ax) - 2)
             for a, ax in enumerate(axes)
@@ -552,57 +588,74 @@ def flatten(g, rect: Rect) -> float:
 # Exact distances via coordinate-compressed overlays
 # ---------------------------------------------------------------------------
 
-def _overlay_axes(domain: Domain, *piece_sets) -> list:
-    """Per-axis sorted unique boundary coordinates of all pieces + domain bounds."""
-    out = []
-    for a in range(domain.dim):
-        vals = [domain.lower, domain.upper]
-        for pieces in piece_sets:
-            for p in pieces:
-                vals.append(p.rect.lo[a])
-                vals.append(p.rect.hi[a])
-        out.append(np.unique(np.asarray(vals, dtype=np.float64)))
-    return out
+def piece_bounds(domain: Domain, pieces) -> np.ndarray:
+    """Every piece's ``lo`` and ``hi`` as one float64 array of shape (pieces, 2, d).
+
+    Raises as ``_check_inside`` does on the first piece that has another
+    dimension than the domain or leaves it.  The domain is checked on the
+    array; the pieces are walked one by one only to name a failure, and on
+    a cube of side 2^53 - 1, whose top 2^53 an integer bound past it can
+    round onto.
+    """
+    try:
+        bounds = np.array([(p.rect.lo, p.rect.hi) for p in pieces], dtype=np.float64)
+        bounds = bounds.reshape(len(pieces), 2, domain.dim)
+    except ValueError:  # some piece has another dimension, or a bound that is not a number
+        bounds = None
+    if (bounds is None or (bounds[:, 0] < domain.lower).any() or (bounds[:, 1] > domain.upper).any()
+            or domain.upper == 1 << 53):
+        for p in pieces:
+            _check_inside(p.rect, domain)
+    return bounds
 
 
-def _piece_ends(pieces, axes: list) -> list:
+def _overlay_axes(domain: Domain, *bounds) -> list:
+    """Per-axis sorted unique boundary coordinates of all pieces + domain bounds.
+
+    Each of ``bounds`` is a set of pieces' bounds, shape (pieces, 2, d).
+    """
+    return [np.unique(np.concatenate([[domain.lower, domain.upper], *(b[:, :, a].ravel() for b in bounds)]))
+            for a in range(domain.dim)]
+
+
+def _piece_ends(bounds: np.ndarray, axes: list) -> list:
     """Per axis, each piece's first overlay cell and the one past its last, shape (pieces, 2).
 
     One ``searchsorted`` per axis finds every piece's ``lo`` and ``hi``.
     """
-    bounds = np.array([(p.rect.lo, p.rect.hi) for p in pieces], dtype=np.float64).reshape(-1, 2, len(axes))
     return [np.searchsorted(ax, bounds[:, :, a]) for a, ax in enumerate(axes)]
 
 
-def _piece_slices(pieces, axes: list):
+def _piece_slices(bounds: np.ndarray, axes: list):
     """Per piece, the block of overlay cells it covers, as a tuple of slices."""
-    ends = [e.tolist() for e in _piece_ends(pieces, axes)]
-    return [tuple(slice(*e[i]) for e in ends) for i in range(len(pieces))]
+    ends = [e.tolist() for e in _piece_ends(bounds, axes)]
+    return [tuple(slice(*e[i]) for e in ends) for i in range(len(bounds))]
 
 
 def _rasterize(h: HistHypothesis, axes: list) -> np.ndarray:
     """Value of ``h`` on each overlay cell (uncovered cells stay 0)."""
     grid = np.zeros(tuple(len(a) - 1 for a in axes))
-    for sl, p in zip(_piece_slices(h.pieces, axes), h.pieces):
+    for sl, p in zip(_piece_slices(h.bounds, axes), h.pieces):
         grid[sl] = p.value
     return grid
 
 
-def piece_coverage(domain: Domain, pieces):
+def piece_coverage(domain: Domain, bounds: np.ndarray):
     """``(axes, counts)``: the pieces' own overlay and how many cover each cell.
 
-    Overlay cells have positive width, so a count above 1 is an overlap of
-    positive volume and a count of 0 is a gap; zero-width pieces cover none.
-    Each piece adds +1 or -1 at the 2^d corners of its block, by the parity
-    of its upper ends there, and a running sum along every axis turns
-    those marks into the counts.
+    ``bounds`` holds the pieces' ``lo`` and ``hi``, shape (pieces, 2, d),
+    as ``HistHypothesis.bounds`` does.  Overlay cells have positive width,
+    so a count above 1 is an overlap of positive volume and a count of 0 is
+    a gap; zero-width pieces cover none.  Each piece adds +1 or -1 at the
+    2^d corners of its block, by the parity of its upper ends there, and a
+    running sum along every axis turns those marks into the counts.
     """
-    axes, d = _overlay_axes(domain, pieces), domain.dim
-    ends = _piece_ends(pieces, axes)
+    axes, d = _overlay_axes(domain, bounds), domain.dim
+    ends = _piece_ends(bounds, axes)
     corner = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1  # corner -> lo (0) or hi (1) on each axis
     marks = np.zeros(tuple(len(a) for a in axes), dtype=np.int32)  # one row past the last cell per axis
     sign = np.where(corner.sum(axis=1) % 2, -1, 1).astype(np.int32)
-    np.add.at(marks, tuple(e[:, c].ravel() for e, c in zip(ends, corner.T)), np.tile(sign, len(pieces)))
+    np.add.at(marks, tuple(e[:, c].ravel() for e, c in zip(ends, corner.T)), np.tile(sign, len(bounds)))
     for a in range(d):
         np.cumsum(marks, axis=a, out=marks)
     return axes, marks[(slice(-1),) * d]
@@ -617,7 +670,7 @@ def l1_dist(h1: HistHypothesis, h2: HistHypothesis) -> float:
     """Exact L1 distance between two piecewise-constant hypotheses."""
     if h1.domain != h2.domain:
         raise ConfigurationError("l1_dist requires hypotheses on the same domain")
-    axes = _overlay_axes(h1.domain, h1.pieces, h2.pieces)
+    axes = _overlay_axes(h1.domain, h1.bounds, h2.bounds)
     v1 = _rasterize(h1, axes)
     v2 = _rasterize(h2, axes)
     return float(np.sum(np.abs(v1 - v2) * _cell_volumes(axes)))
@@ -651,7 +704,7 @@ def l2_sq_dist(g1, g2) -> float:
         # sum_x h(x)^2 over the whole lattice, then swap in the support terms
         total_h_sq = sum(p.value**2 * volume(p.rect, h.domain) for p in h.pieces)
         return float(np.sum((gx - hx) ** 2) - np.sum(hx**2) + total_h_sq)
-    axes = _overlay_axes(g1.domain, g1.pieces, g2.pieces)
+    axes = _overlay_axes(g1.domain, g1.bounds, g2.bounds)
     v1 = _rasterize(g1, axes)
     v2 = _rasterize(g2, axes)
     return float(np.sum((v1 - v2) ** 2 * _cell_volumes(axes)))
@@ -720,11 +773,16 @@ def gen_truth(k: int, domain: Domain, seed: int) -> HistHypothesis:
 def sample_from(h: HistHypothesis, n: int, seed: int) -> EmpiricalDist:
     """Inverse-CDF sampling: pick a piece by mass, then uniform within it.
 
-    All n piece choices are drawn before any offset.  Both are drawn in
-    blocks of ``_DRAW_ROWS`` rows, and the offsets are written into one
-    (n, d) array, so the temporaries stay bounded.  Split ``random`` calls
-    continue one PCG64 stream, so the blocks give bit for bit the points of
-    drawing all n choices and then all n x d offsets in one call each.
+    All n piece choices are drawn before any offset, the choices into one
+    array of n small integers (a byte each up to 255 pieces), the offsets
+    in blocks of ``_DRAW_ROWS`` rows into one reused buffer.  Split
+    ``random`` calls continue one PCG64 stream, so the blocks give bit for
+    bit the points of drawing all n choices and then all n x d offsets in
+    one call each.  On a discrete cube of at most 2n cells each block is
+    counted into the cells as it is drawn (``_count_cells``, as in
+    ``from_samples``), and the occupied cells and their counts make the
+    result, so no (n, d) array is ever held; elsewhere the blocks fill one
+    (n, d) point array.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
@@ -732,29 +790,41 @@ def sample_from(h: HistHypothesis, n: int, seed: int) -> EmpiricalDist:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"hypothesis must be normalized to mass 1, has {total}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    disc = h.domain.is_discrete
-    masses = np.array([p.value * volume(p.rect, h.domain) for p in h.pieces])
+    domain, d = h.domain, h.domain.dim
+    masses = np.array([p.value * volume(p.rect, domain) for p in h.pieces])
     cum = np.cumsum(masses)
     last = len(h.pieces) - 1
     piece = np.empty(n, dtype=np.min_scalar_type(len(h.pieces)))
     for start in range(0, n, _DRAW_ROWS):
         u = rng.random(min(_DRAW_ROWS, n - start)) * cum[-1]
         piece[start : start + _DRAW_ROWS] = np.minimum(np.searchsorted(cum, u, side="right"), last)
-    lo = np.array([p.rect.lo for p in h.pieces], dtype=np.float64)
-    hi = np.array([p.rect.hi for p in h.pieces], dtype=np.float64)
-    width, top = hi - lo, hi.astype(np.int64) - 1
-    pts = np.empty((n, h.domain.dim), dtype=np.int64 if disc else np.float64)
+    lo, hi = h.bounds[:, 0], h.bounds[:, 1]
+    width, top = hi - lo, hi - 1
+    dense = _dense_lattice(domain, n)
+    if dense:
+        cells = np.zeros(domain.m**d, dtype=np.int64)
+    else:
+        pts = np.empty((n, d), dtype=np.int64 if domain.is_discrete else np.float64)
+    buf = np.empty((min(_DRAW_ROWS, n), d))
     for start in range(0, n, _DRAW_ROWS):
         idx = piece[start : start + _DRAW_ROWS]
-        off = rng.random((len(idx), h.domain.dim)) * width[idx]
-        if disc:
+        off = rng.random(out=buf[: len(idx)])
+        off *= width[idx]
+        if domain.is_discrete:
             np.floor(off, out=off)
         off += lo[idx]
-        block = pts[start : start + _DRAW_ROWS]
-        block[...] = off
-        if disc:
-            np.minimum(block, top[idx], out=block)
-    return EmpiricalDist.from_samples(h.domain, pts)
+        if domain.is_discrete:
+            np.minimum(off, top[idx], out=off)
+        if dense:
+            _count_cells(cells, off, domain.m)
+        else:
+            pts[start : start + _DRAW_ROWS] = off
+    if not dense:
+        return EmpiricalDist.from_samples(domain, pts)
+    del piece, idx, buf, off  # free the choices and the block buffer before the result is built
+    points, counts = _lattice_points(cells, domain.m, d)
+    del cells
+    return EmpiricalDist.from_samples(domain, points, counts)
 
 
 __all__ = [
@@ -771,6 +841,7 @@ __all__ = [
     "flatten",
     "l1_dist",
     "l2_sq_dist",
+    "piece_bounds",
     "piece_coverage",
     "next_pow2",
     "gen_truth",

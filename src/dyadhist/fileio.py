@@ -39,7 +39,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import Domain, EmpiricalDist, HistHypothesis, HistKind, Piece, Rect, piece_coverage
+from .core import Domain, EmpiricalDist, HistHypothesis, HistKind, Piece, Rect, piece_bounds, piece_coverage
 from .errors import ConfigurationError, DomainViolationError, StructureError
 
 # Every byte a sample body can hold once its skipped lines are blanked.
@@ -257,7 +257,7 @@ def read_hypothesis(path) -> HistHypothesis:
     try:
         return HistHypothesis(domain=domain, pieces=tuple(pieces), kind=kind)
     except StructureError as exc:  # pieces overlap, or a total file leaves a gap
-        axes, counts = piece_coverage(domain, pieces)
+        axes, counts = piece_coverage(domain, piece_bounds(domain, pieces))
         overlaps = np.argwhere(counts > 1)
         if not len(overlaps):
             raise ConfigurationError(f"{path}:1: {exc}") from None

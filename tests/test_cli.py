@@ -382,21 +382,37 @@ class TestSampleFrom:
         assert np.array_equal(a.counts, b.counts)
 
     @pytest.mark.parametrize("block", [1, 2, 5, core._DRAW_ROWS])
-    @pytest.mark.parametrize("m", [None, 9])
+    @pytest.mark.parametrize("m", [None, 9, 10])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_blocks_match_one_shot_twin(self, block, m, dim, monkeypatch):
         domain = Domain.unit(dim) if m is None else Domain.discrete(m, dim)
         h = gen_truth(4, domain, seed=dim)
         monkeypatch.setattr(core, "_DRAW_ROWS", block)
-        for n in sorted({1, block - 1, block, block + 1, 3 * block + 2} - {0}):
+        ns = {1, block - 1, block, block + 1, 3 * block + 2} - {0}
+        if m is not None:  # either side of the lattice threshold: m^d = 2n + 2 or 2n + 1, then 2n or 2n - 1
+            cells = m**dim
+            ns |= {(cells - 1) // 2, cells // 2, (cells + 1) // 2}
+            assert {core._dense_lattice(domain, n) for n in ns} == {False, True}
+        for n in sorted(ns):
             got, want = sample_from(h, n, seed=n), one_shot_sample_from(h, n, seed=n)
             assert got.points.dtype == want.points.dtype and got.counts.dtype == want.counts.dtype
             assert np.array_equal(got.points, want.points) and np.array_equal(got.counts, want.counts)
 
-    def test_peak_within_half_again_the_points(self):
-        # the offsets are drawn in blocks straight into the one (n, d) point
-        # array, and the lattice count ranks it in blocks
-        h, n = gen_truth(5, Domain.discrete(256, 2), seed=11), 1_000_000
+    @pytest.mark.parametrize("n", [131_072, 131_071])  # 2^18 cells: m^d = 2n (counted as drawn), then 2n + 2
+    def test_lattice_wider_than_a_block_matches_one_shot_twin(self, n):
+        assert 512**2 > core._DRAW_ROWS
+        h = gen_truth(4, Domain.discrete(512, 2), seed=5)
+        got, want = sample_from(h, n, seed=n), one_shot_sample_from(h, n, seed=n)
+        assert got.points.dtype == want.points.dtype and got.counts.dtype == want.counts.dtype
+        assert np.array_equal(got.points, want.points) and np.array_equal(got.counts, want.counts)
+
+    @pytest.mark.parametrize("n", [1_000_000, 4_000_000])
+    def test_peak_within_the_choices_and_fixed_blocks(self, n):
+        # on a dense lattice each block of offsets is counted into the cells
+        # as it is drawn, so only the n one-byte piece choices grow with n;
+        # the rest is a few count arrays over the cells and a few blocks
+        h = gen_truth(5, Domain.discrete(256, 2), seed=11)
+        cells, block = 256**2, core._DRAW_ROWS * 2 * 8
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -405,7 +421,7 @@ class TestSampleFrom:
         finally:
             tracemalloc.stop()
         assert emp.n == n
-        assert peak <= 1.5 * n * 2 * 8, peak
+        assert peak <= n + 2 * cells * 8 + 4 * block, peak
 
     def test_piece_frequencies_within_4_sigma(self):
         h = gen_truth(4, Domain.unit(2), seed=8)

@@ -303,6 +303,23 @@ class TestEval:
                 HistHypothesis(d2, (inside, Piece(rect, 0.1)), HistKind.PARTIAL)
         HistHypothesis(d2, (inside, Piece(Rect((1, 3), (5, 5)), 0.1)), HistKind.ARBITRARY)
 
+    def test_first_bad_piece_named(self):
+        # the bounds are checked as one array; the message is the first failing piece's, in piece order
+        d2, inside = Domain.discrete(4, 2), Piece(Rect((1, 1), (5, 3)), 0.1)
+        low, high, flat = Rect((0, 3), (5, 5)), Rect((1, 3), (5, 6)), Rect((1,), (5,))
+        cases = [((inside, Piece(low, 0.1), Piece(high, 0.1)), f"rect {low} outside domain bounds"),
+                 ((inside, Piece(high, 0.1), Piece(flat, 0.1)), f"rect {high} outside domain bounds"),
+                 ((inside, Piece(flat, 0.1), Piece(low, 0.1)), "rect dim 1 != domain dim 2")]
+        for pieces, message in cases:
+            with pytest.raises(DomainViolationError, match=f"^{re.escape(message)}$"):
+                HistHypothesis(d2, pieces, HistKind.PARTIAL)
+        # past 2^53 an integer bound rounds, as a float, onto the top of a cube of side 2^53 - 1
+        wide, past = Domain.discrete(2**53 - 1, 1), Rect((1,), (2**53 + 1,))
+        assert float(past.hi[0]) == wide.upper
+        with pytest.raises(DomainViolationError, match=f"^{re.escape(f'rect {past} outside domain bounds')}$"):
+            HistHypothesis(wide, (Piece(past, 0.0),), HistKind.PARTIAL)
+        HistHypothesis(wide, (Piece(Rect((1,), (2**53,)), 0.0),), HistKind.PARTIAL)
+
     @given(box_hists())
     @settings(max_examples=150, deadline=None)
     def test_fuzz_twin_and_file_round_trip(self, case):
@@ -395,13 +412,14 @@ class TestPieceSlices:
             grid = random_grid(rng, domain, 4, warp=trial % 4 < 2)
             hs = [random_hier_hist(rng, grid, 20), random_partial_hist(rng, grid, 5)]
             for pieces in (hs[0].pieces, hs[1].pieces, hs[0].pieces + hs[1].pieces):
-                axes = core._overlay_axes(domain, pieces)
+                bounds = core.piece_bounds(domain, pieces)
+                axes = core._overlay_axes(domain, bounds)
                 want = [tuple(slice(int(np.searchsorted(ax, p.rect.lo[a])), int(np.searchsorted(ax, p.rect.hi[a])))
                               for a, ax in enumerate(axes)) for p in pieces]
-                assert core._piece_slices(pieces, axes) == want
+                assert core._piece_slices(bounds, axes) == want
                 zero_width += sum(any(sl.start == sl.stop for sl in block) for block in want)
         assert zero_width > 0
-        assert core._piece_slices((), axes) == []
+        assert core._piece_slices(core.piece_bounds(domain, ()), axes) == []
 
 
 class TestPieceCoverage:
@@ -422,7 +440,7 @@ class TestPieceCoverage:
                 ends = np.sort(rng.integers(0, len(lattice), size=(dim, 2)), axis=1)
                 lo, hi = (tuple(lattice[i] for i in ends[:, j]) for j in (0, 1))
                 pieces.append(Piece(Rect(lo, hi), 1.0))
-            axes, counts = core.piece_coverage(domain, pieces)
+            axes, counts = core.piece_coverage(domain, core.piece_bounds(domain, pieces))
             want_axes, want = coverage_twin(domain, pieces)
             assert len(axes) == len(want_axes) and all(np.array_equal(a, b) for a, b in zip(axes, want_axes))
             assert counts.dtype == want.dtype and counts.tolist() == want.tolist(), trial
@@ -535,9 +553,13 @@ class TestEmpiricalDist:
             domain, dtype = Domain.unit(dim), np.float64
         rows = data.draw(st.lists(st.tuples(*coords), min_size=1, max_size=60))
         samples = np.array(rows, dtype=dtype)
+        # each row one draw, or as many draws as its count says
+        weights = data.draw(st.none() | st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_COUNT_ROWS", data.draw(st.sampled_from([1, 2, 5, core._COUNT_ROWS])))
-            emp = EmpiricalDist.from_samples(domain, samples)
+            emp = EmpiricalDist.from_samples(domain, samples, weights)
+        if weights is not None:
+            samples = np.repeat(samples, weights, axis=0)
         uniq, counts = np.unique(samples, axis=0, return_counts=True)
         if domain.is_discrete:
             uniq = uniq.astype(np.int64)
@@ -545,6 +567,14 @@ class TestEmpiricalDist:
         # np.unique keeps either zero of a tied pair; from_samples keeps +0.0
         assert emp.points.tobytes() == (uniq + 0).tobytes()
         assert not np.signbit(emp.points).any()
+
+    @pytest.mark.parametrize("domain", [Domain.unit(2), Domain.discrete(3, 2)], ids=["unit", "lattice"])
+    @pytest.mark.parametrize("counts", [[1, 2], [1, 0, 2], [1, -1, 2], [[1, 1, 2]]],
+                             ids=["short", "zero", "negative", "2-d"])
+    def test_bad_counts_rejected(self, domain, counts):
+        samples = np.array([[1, 1], [1, 1], [1, 1]], dtype=np.float64)
+        with pytest.raises(ValueError, match="^counts must hold one positive count per row$"):
+            EmpiricalDist.from_samples(domain, samples, counts)
 
     def test_from_samples_rank_key_stays_below_n_squared(self):
         # the columns' distinct counts multiply to 8000^3 * 10000^2 > 2^63: only re-ranked keys sort these rows
@@ -581,7 +611,7 @@ class TestEmpiricalDist:
             assert calls == [], domain
             assert emp.support_size == 30 and sorted(emp.counts.tolist()) == [1] * 20 + [2] * 10
 
-    @pytest.mark.parametrize("dim", [2, 3])  # 25 cells: bincount blocks of 25 rows; 125 cells > 80: no ranking
+    @pytest.mark.parametrize("dim", [2, 3])  # 25 cells: 19 blocks of 2 rows ranked; 125 cells > 80: no ranking
     @pytest.mark.parametrize("bad, message", [(0.0, "outside domain"), (6.0, "outside domain"), (2.5, "non-integral")])
     def test_late_non_lattice_row_takes_the_general_path(self, dim, bad, message, monkeypatch):
         # every block before the last is ranked before the bad row is seen
@@ -592,7 +622,7 @@ class TestEmpiricalDist:
         samples[-1, -1] = bad
         with pytest.raises(DomainViolationError, match=message):
             EmpiricalDist.from_samples(Domain.discrete(5, dim), samples)
-        assert sum(ranked) == (25 if dim == 2 else 0)
+        assert sum(ranked) == (38 if dim == 2 else 0)
 
     def test_sparse_lattice_takes_the_general_path(self, monkeypatch):
         # more cells than twice the rows: the rows are ranked as off the lattice, not keyed
@@ -660,7 +690,7 @@ class TestGridSpec:
     def test_dyadic_volume_matches_twin_bit_for_bit(self):
         # every level of padded and warped discrete grids and of warped unit
         # grids, one rectangle per call and at least a quarter of the level's
-        # side per call
+        # side per call, and each rectangle by volume_of
         rng = make_rng(2_600)
         grids = []
         for dim, cells in ((1, 256), (2, 32), (3, 8)):
@@ -673,7 +703,9 @@ class TestGridSpec:
                 side = grid.M >> level
                 index = rng.integers(side, size=(side // 4 + 1 + int(rng.integers(2 * side)), grid.dim))
                 index[0], index[-1] = 0, side - 1  # the first and the last rectangle
-                want = [twin_volume(grid, DyadicRect(level, tuple(int(i) for i in row))) for row in index]
+                rects = [DyadicRect(level, tuple(int(i) for i in row)) for row in index]
+                want = [twin_volume(grid, r) for r in rects]
                 assert grid.dyadic_volume(level, index).tolist() == want, (grid.M, level)
+                assert [grid.volume_of(r) for r in rects] == want, (grid.M, level)
                 for row, w in list(zip(index, want))[:4]:
                     assert grid.dyadic_volume(level, row[None]).tolist() == [w], (grid.M, level, row)
