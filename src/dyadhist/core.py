@@ -647,15 +647,16 @@ def piece_coverage(domain: Domain, bounds: np.ndarray):
     as ``HistHypothesis.bounds`` does.  Overlay cells have positive width,
     so a count above 1 is an overlap of positive volume and a count of 0 is
     a gap; zero-width pieces cover none.  Each piece adds +1 or -1 at the
-    2^d corners of its block, by the parity of its upper ends there, and a
-    running sum along every axis turns those marks into the counts.
+    2^d corners of its block, by the parity of its upper ends there, one
+    corner of every piece at a time, and a running sum along every axis
+    turns those marks into the counts.
     """
     axes, d = _overlay_axes(domain, bounds), domain.dim
     ends = _piece_ends(bounds, axes)
-    corner = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1  # corner -> lo (0) or hi (1) on each axis
     marks = np.zeros(tuple(len(a) for a in axes), dtype=np.int32)  # one row past the last cell per axis
-    sign = np.where(corner.sum(axis=1) % 2, -1, 1).astype(np.int32)
-    np.add.at(marks, tuple(e[:, c].ravel() for e, c in zip(ends, corner.T)), np.tile(sign, len(bounds)))
+    for corner in range(1 << d):
+        hi = [(corner >> a) & 1 for a in range(d)]  # lo (0) or hi (1) on each axis
+        np.add.at(marks, tuple(e[:, h] for e, h in zip(ends, hi)), -1 if sum(hi) % 2 else 1)
     for a in range(d):
         np.cumsum(marks, axis=a, out=marks)
     return axes, marks[(slice(-1),) * d]

@@ -29,12 +29,12 @@ chain above them alone, and a node's own largest, for the nodes that miss
 a child of their own alone (a handful at d = 1).  A ``SparseDyadicTree``
 is a view of one such slice, and of its part of each table, found from
 its rectangle's run of points; when its rectangle sits inside a chain,
-the view clips that one chain at it.  A run is found by binary searches
-over all points (``run``), or, for the children of a rectangle whose run
-is known, by one search inside that run (``child_runs``).  Keys
-interleave 8 bits of every axis at a time by a table lookup, in words of
-at most 63 bits, so none overflows at any depth; at d = 1 the key is the
-cell itself.  The index keeps positions of points and nodes as int32, and
+the view clips that one chain at it.  Every run is split from its
+parent's: the root's run is every point, and one search inside a
+rectangle's run gives its children's (``child_runs``).  Keys interleave 8
+bits of every axis at a time by a table lookup, in words of at most 63
+bits, so none overflows at any depth; at d = 1 the key is the cell
+itself.  The index keeps positions of points and nodes as int32, and
 searches them with int32 needles, so that no search copies the array it
 searches; a view's positions are intp, which index without a cast.
 
@@ -75,56 +75,33 @@ def check_dyadic(grid: GridSpec, rect: DyadicRect) -> None:
 
 
 @cache
-def _spread(d: int, bits: int) -> tuple:
-    """Each v < 2^bits with its bit i moved to bit d*i, as an int64 array and as a tuple of ints."""
-    table = tuple(sum(((v >> i) & 1) << (d * i) for i in range(bits)) for v in range(1 << bits))
-    return np.array(table, dtype=np.int64), table
+def _spread(d: int, bits: int) -> np.ndarray:
+    """Each v < 2^bits with its bit i moved to bit d*i."""
+    return np.array([sum(((v >> i) & 1) << (d * i) for i in range(bits)) for v in range(1 << bits)], dtype=np.int64)
 
 
 def _morton_words(cols: list, levels: int) -> list:
     """Morton keys of cells whose per-axis indices are below 2^levels.
 
-    ``cols`` holds one int, or one int64 array, per axis.  Digit b (bit b of
-    every axis, axis 0 first) runs from b = levels-1 in the first word down
-    to b = 0 in the last, at most 63 bits per word, so comparing the words
-    in turn compares the keys.  A word is built from 8 bits of every axis at
-    a time, spread d apart by a table; at d = 1 it is the axis's own bits.
+    ``cols`` holds one int64 array per axis.  Digit b (bit b of every axis,
+    axis 0 first) runs from b = levels-1 in the first word down to b = 0 in
+    the last, at most 63 bits per word, so comparing the words in turn
+    compares the keys.  A word is built from 8 bits of every axis at a
+    time, spread d apart by a table.
     """
     d, per_word = len(cols), 63 // len(cols)
     step = min(8, per_word)
-    table = _spread(d, step)[0 if isinstance(cols[0], np.ndarray) else 1]
+    table = _spread(d, step)
     words = []
     for top in range(levels, 0, -per_word):
         low = max(0, top - per_word)
         digits = [(x >> low) & ((1 << (top - low)) - 1) for x in cols]  # the word's bits of each axis
-        w = digits[0] if d == 1 else 0  # at d = 1 the table is the identity, so the word is the axis's bits
-        for s in range(0, top - low if d > 1 else 0, step):
+        w = 0
+        for s in range(0, top - low, step):
             for a, x in enumerate(digits):
                 w = w | (table[(x >> s) & ((1 << step) - 1)] << (d * s + d - 1 - a))
         words.append(w)
     return words or [cols[0] * 0]
-
-
-def _ones_below(words: list, level: int, levels: int, d: int) -> list:
-    """``_morton_words`` words with every digit below ``level`` set to all ones."""
-    per_word, out = 63 // d, []
-    for k, w in enumerate(words):
-        top = levels - per_word * k  # the word holds digits max(0, top - per_word) .. top - 1
-        ones = max(0, min(level, top) - max(0, top - per_word))
-        out.append(w | ((1 << d * ones) - 1))
-    return out
-
-
-def _search(words: list, key: list, side: str) -> int:
-    """First row whose words are >= ``key`` ("left") or > ``key`` ("right")."""
-    lo, hi = 0, len(words[0])
-    for col, k in zip(words[:-1], key[:-1]):  # narrow to the rows equal to key on the leading words
-        a = lo + int(np.searchsorted(col[lo:hi], k, side="left"))
-        b = lo + int(np.searchsorted(col[lo:hi], k, side="right"))
-        if a == b:
-            return a
-        lo, hi = a, b
-    return lo + int(np.searchsorted(words[-1][lo:hi], key[-1], side=side))
 
 
 class Run(NamedTuple):
@@ -159,8 +136,9 @@ class MortonIndex:
     ``MemoryError``.  The first ``view`` builds the node arrays, so a
     caller that needs only runs never pays for them, and that view's
     ``node_visits`` includes the index's.  ``cells`` holds each support
-    point's cell, as ``grid.cell_index`` gives it; ``build_adaptive_grid``
-    makes them with the grid, and otherwise they are looked up here.  The
+    point's cell, as ``grid.cell_index`` gives it, and a cell outside the
+    grid raises ``ValueError``; ``build_adaptive_grid`` makes them with the
+    grid, and otherwise they are looked up here.  The
     index keeps that array as its own ``cells``, its rows put in Morton
     order in place, so no second copy lives on; at d = 1 the one Morton
     word is a view of it.  Dyadic indices are decoded from the points on
@@ -176,6 +154,8 @@ class MortonIndex:
             cells = grid.cell_index(fhat.points)
         elif cells.shape != fhat.points.shape or cells.dtype != np.int64:
             raise ValueError(f"cells must be int64 of shape {fhat.points.shape}, got {cells.dtype} {cells.shape}")
+        elif cells.min() < 0 or cells.max() >= grid.M:
+            raise ValueError(f"cells must lie in [0, {grid.M}), got [{cells.min()}, {cells.max()}]")
         if len(cells) >= _MAX_POINTS:
             raise MemoryError(f"cannot index a support of {len(cells)} points: "
                               f"the index holds fewer than {_MAX_POINTS}")
@@ -387,13 +367,16 @@ class MortonIndex:
         return np.searchsorted(self.first, nodes, side="right") - 1
 
     def run(self, rect: DyadicRect) -> Run:
-        """The run of the points inside ``rect``, found by two searches of every word over all points."""
+        """The run of the points inside ``rect``, split from the root's one level at a time by ``child_runs``."""
         check_dyadic(self.grid, rect)
-        levels = self.grid.levels
-        low = _morton_words([i << rect.level for i in rect.index], levels)
-        high = _ones_below(low, rect.level, levels, rect.dim)  # the key of rect's last cell
-        searched = 2 * len(self.words) * len(self.rows).bit_length()
-        return Run(_search(self.words, low, "left"), _search(self.words, high, "right"), searched)
+        lo, hi, searched = 0, len(self.rows), 0
+        for lev in range(self.grid.levels, rect.level, -1):
+            shift = lev - 1 - rect.level  # from rect's level up to the child's
+            parent = DyadicRect(lev, tuple(i >> (shift + 1) for i in rect.index))
+            child = sum(((i >> shift) & 1) << (rect.dim - 1 - a) for a, i in enumerate(rect.index))  # Morton order
+            lo, hi, cost = self.child_runs(parent, lo, hi)[child]
+            searched += cost
+        return Run(lo, hi, searched)
 
     def child_runs(self, rect: DyadicRect, lo: int, hi: int) -> list:
         """The runs of ``rect``'s 2^d children, in lexicographic (= Morton) order, inside ``rect``'s ``[lo, hi)``.
@@ -419,7 +402,7 @@ class MortonIndex:
         return [Run(bounds[c], bounds[c + 1], cost if c else 0) for c in range(1 << d)]
 
     def view(self, rect: DyadicRect, run: Run | None = None) -> "SparseDyadicTree":
-        """The tree of mass-carrying dyadic rectangles below ``rect``, whose points are ``run`` if given."""
+        """The tree of mass-carrying dyadic rectangles below ``rect``, from its ``run`` (else ``self.run(rect)``)."""
         lo, hi, searched = self.run(rect) if run is None else run
         visits = searched + 1
         if self.first is None:
@@ -473,12 +456,10 @@ class SparseDyadicTree:
     above their chains'.  ``max_empty_vol`` is the largest volume of an
     empty rectangle below ``rect`` (-1 if there is none), the maximum of
     ``chain_empty`` and ``own_empty``.  ``node_visits`` counts the entries
-    read to find the
-    view's run (its ``Run.searched``: two searches of every Morton word over
-    all points when the view finds the run itself, one search inside the
-    parent's run when ``child_runs`` found it), plus one, plus the entries
-    read to clip a chain, plus the index's own count when this view built
-    the index's nodes.
+    read to find the view's run (its ``Run.searched``: the searches inside
+    its ancestors' runs that split it off, none for the root), plus one,
+    plus the entries read to clip a chain, plus the index's own count when
+    this view built the index's nodes.
     """
 
     rect: DyadicRect
@@ -514,8 +495,8 @@ def build_tree(
     splitter builds one per run, up front.  Without it one is built here.
     Either way the view that builds the index's nodes counts that work in
     its ``node_visits``.  ``run`` is ``rect``'s run in ``index``, as
-    ``index.run`` or ``index.child_runs`` gives it; without it the view
-    finds it.
+    ``index.child_runs`` gives it from its parent's; without it the view
+    descends to it from the root (``index.run``).
     """
     if index is None:
         index = MortonIndex(fhat, grid)

@@ -114,21 +114,19 @@ def _run_split_loop(grid, params, index, score):
     """Shared loop; ``score(rect, run) -> (a, err)`` is called once per leaf, when it is made.
 
     Every leaf made so far is kept in arrays (level, index per axis, err,
-    and the ends of its run of points in ``index``) beside its rect and its
-    ``(a, err)``; ``live`` marks the current leaves.  A round picks its
-    leaves by one lexsort on (-err, -level, index), makes the children of
-    the leaves it splits by bit arithmetic and finds their runs inside
-    their parents'.  Returns the current leaves' rects, levels, indices and
-    constants, and the trace.
+    and the ends of its run of points in ``index``) beside its rect, and
+    its ``(a, err)`` once, in the trace; ``live`` marks the current leaves.
+    A round picks its leaves by one lexsort on (-err, -level, index), makes
+    the children of the leaves it splits by bit arithmetic and finds their
+    runs inside their parents'.  Returns the current leaves' rects, levels,
+    indices and constants, and the trace.
     """
     d, n_split = grid.dim, math.ceil((1.0 + params.xi) * params.k)
-    bits = (np.arange(1 << d)[:, None] >> np.arange(d)[::-1]) & 1  # child -> its bit on each axis
     root = grid.root()
     run = index.run(root)
-    rects, fits = [root], [score(root, run)]
-    trace = SplitTrace({root: fits[0]})
+    rects, trace = [root], SplitTrace({root: score(root, run)})
     level, cell = np.array([root.level], dtype=np.int8), np.zeros((1, d), dtype=np.int64)
-    err, ends, live = np.array([fits[0][1]]), np.array([run[:2]]), np.ones(1, dtype=bool)
+    err, ends, live = np.array([trace.scores[root][1]]), np.array([run[:2]]), np.ones(1, dtype=bool)
 
     for it in range(1, grid.levels + 1):
         at = np.flatnonzero(live)
@@ -139,14 +137,13 @@ def _run_split_loop(grid, params, index, score):
             continue
         live[to_split] = False
         kid_level = np.repeat(level[to_split] - 1, 1 << d)
-        kid_cell = ((cell[to_split] << 1)[:, None, :] | bits).reshape(-1, d)
+        kid_cell = ((cell[to_split] << 1)[:, None, :] | index._bits).reshape(-1, d)  # child -> its bit per axis
         made = [DyadicRect(lev, tuple(ix)) for lev, ix in zip(kid_level.tolist(), kid_cell.tolist())]
         runs = [r for i, (lo, hi) in zip(to_split.tolist(), ends[to_split].tolist())
                 for r in index.child_runs(rects[i], lo, hi)]
         made_fits = [score(rect, run) for rect, run in zip(made, runs)]
         trace.scores.update(zip(made, made_fits))
         rects += made
-        fits += made_fits
         level, cell = np.concatenate([level, kid_level]), np.concatenate([cell, kid_cell])
         err = np.concatenate([err, [e for _, e in made_fits]])
         ends = np.concatenate([ends, [run[:2] for run in runs]])
@@ -156,7 +153,7 @@ def _run_split_loop(grid, params, index, score):
     bound = piece_bound(params.k, params.xi, grid.dim, grid.levels)
     if len(at) > bound:  # an explicit raise, so that ``python -O`` keeps the check
         raise AssertionError(f"{len(at)} leaves exceed bound {bound}")
-    return [rects[i] for i in at], level[at], cell[at], [fits[i][0] for i in at], trace
+    return [rects[i] for i in at], level[at], cell[at], [trace.scores[rects[i]][0] for i in at], trace
 
 
 def _build_hypothesis(grid, rects, level, cell, values):

@@ -193,9 +193,9 @@ def index_bytes(index) -> int:
 def morton_twin(cols: list, levels: int) -> list:
     """Morton key words built one bit of every axis per level, in plain shifts.
 
-    ``cols`` holds one int, or one int64 array, per axis.  Digit b (bit b of
-    every axis, axis 0 first) runs from b = levels-1 in the first word down
-    to b = 0 in the last, 63 // d digits to a full word.
+    ``cols`` holds one int64 array per axis.  Digit b (bit b of every axis,
+    axis 0 first) runs from b = levels-1 in the first word down to b = 0 in
+    the last, 63 // d digits to a full word.
     """
     per_word = 63 // len(cols)
     words = []

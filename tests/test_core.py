@@ -36,6 +36,7 @@ from dyadhist.errors import (
 )
 from dyadhist.cli import gen_truth
 from dyadhist.fileio import read_hypothesis, write_hypothesis
+from dyadhist.split import SplitParams, adaptive_greedy_split
 
 from conftest import (
     coverage_twin,
@@ -449,6 +450,23 @@ class TestPieceCoverage:
             seen["zero width"] += any(l == h for p in pieces for l, h in zip(p.rect.lo, p.rect.hi))
             seen["tiled"] += bool((want == 1).all())
         assert min(seen.values()) > 5, seen
+
+    def test_peak_is_the_marks_and_a_few_bytes_per_piece_and_axis(self):
+        # marked one corner at a time, the indices hold pieces x d entries;
+        # all 2^d corners at once would hold 2^8 times that (about 77 MiB)
+        samples = make_rng(95).random((30, 8))
+        h, _ = adaptive_greedy_split(EmpiricalDist.from_samples(Domain.unit(8), samples), SplitParams(k=2))
+        pieces, d = len(h.pieces), h.domain.dim
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            axes, counts = core.piece_coverage(h.domain, h.bounds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert pieces > 4000 and (counts == 1).all()
+        marks = 4 * int(np.prod([len(a) for a in axes]))  # int32, one row past the last cell per axis
+        assert peak <= marks + 64 * pieces * d, (peak, marks)
 
 
 class TestL2:

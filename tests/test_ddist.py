@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dyadhist import gen_truth, sample_from
 from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec
 from dyadhist import ddist
-from dyadhist.ddist import MortonIndex, _morton_words, _ones_below, build_tree, compute_d1, fit_d1
+from dyadhist.ddist import MortonIndex, Run, _morton_words, build_tree, compute_d1, fit_d1
 from dyadhist.errors import OracleGuardError, StructureError
 
 from dyadhist.oracle import all_dyadic_rects, brute_d1
@@ -203,6 +203,27 @@ def big_key_instances():
     return out
 
 
+def twin_runs(index, rects):
+    """The runs ``(lo, hi)`` of ``rects`` read off the index's cells alone, without ``child_runs``.
+
+    The points inside a rectangle on every axis must form one block.  An
+    empty rectangle's run starts and ends at the number of points whose key
+    (the bit-loop twin's) is below the key of its first cell.
+    """
+    levels = index.grid.levels
+    keys = list(zip(*(w.tolist() for w in morton_twin(list(index.cells.T), levels))))
+    firsts = np.array([[i << r.level for i in r.index] for r in rects], dtype=np.int64).reshape(len(rects), -1)
+    out = []
+    for r, first in zip(rects, zip(*(w.tolist() for w in morton_twin(list(firsts.T), levels)))):
+        inside = np.flatnonzero(((index.cells >> r.level) == r.index).all(axis=1))
+        if len(inside):
+            assert np.array_equal(inside, np.arange(inside[0], inside[-1] + 1)), r
+            out.append((int(inside[0]), int(inside[-1]) + 1))
+        else:
+            out.append((sum(k < first for k in keys),) * 2)
+    return out
+
+
 def twin_d1(grid, nodes, empty, rect, a):
     """compute_d1 from the twin: the largest discrepancy over its nodes below
     ``rect``, against its empty term."""
@@ -309,16 +330,6 @@ class TestMortonIndex:
             words, want = _morton_words(cols, levels), morton_twin(cols, levels)
             assert len(words) == len(want) == max(1, -(-levels // per_word))
             assert all(np.array_equal(w, t) for w, t in zip(words, want)), levels
-            for lev in range(levels + 1):  # the key of the last cell of each cell's level-lev rectangle
-                last = [c | ((1 << lev) - 1) for c in cols]
-                assert all(np.array_equal(w, t) for w, t in zip(_ones_below(words, lev, levels, dim),
-                                                                 morton_twin(last, levels))), (levels, lev)
-            for row in cells[:40].tolist():  # the Python ints that ``run`` passes
-                words = _morton_words(row, levels)
-                assert words == morton_twin(row, levels) and all(type(w) is int for w in words), (levels, row)
-                lev = int(rng.integers(levels + 1))
-                last = [c | ((1 << lev) - 1) for c in row]
-                assert _ones_below(words, lev, levels, dim) == morton_twin(last, levels), (levels, lev)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_child_runs_split_the_parent_run_as_run_finds_them(self, dim):
@@ -334,25 +345,38 @@ class TestMortonIndex:
             index = MortonIndex(emp, grid)
             words.add(len(index.words))
             index.view(grid.root())  # builds the nodes, so the views below count only their own reads
+            assert index.run(grid.root()) == (0, len(index.rows), 0)
             stack = [(grid.root(), index.run(grid.root()))]
             while stack:
-                rect, run = stack.pop()
+                rect, run = stack.pop()  # run.searched: what the searches down from the root read
                 kids = index.child_runs(rect, run.lo, run.hi)
-                want = [index.run(ch) for ch in rect.children()]
-                assert [r[:2] for r in kids] == [r[:2] for r in want], rect
+                assert [r[:2] for r in kids] == twin_runs(index, rect.children()), rect
                 bits = (run.hi - run.lo).bit_length()
                 assert [r.searched for r in kids] == [0] + [bits] * ((1 << dim) - 1), rect
-                for ch, r, w in zip(rect.children(), kids, want):
+                for ch, r in zip(rect.children(), kids):
                     if r.lo == r.hi:  # an empty leaf is never split, but its children would be empty
                         if ch.level:
                             assert index.child_runs(ch, r.lo, r.hi) == [(r.lo, r.lo, 0)] * (1 << dim)
                         continue
+                    down = Run(r.lo, r.hi, run.searched + r.searched)
+                    assert index.run(ch) == down, ch  # run descends from the root through child_runs
                     given, found = index.view(ch, r), index.view(ch)
-                    assert given.node_visits - r.searched == found.node_visits - w.searched, ch
+                    assert given.node_visits - r.searched == found.node_visits - down.searched, ch
                     assert given.start == found.start and np.array_equal(node_empty(given), node_empty(found)), ch
                     if ch.level:
-                        stack.append((ch, r))
+                        stack.append((ch, down))
         assert words == ({1, 2} if dim > 3 else {1})
+
+    def test_run_matches_the_twin_on_every_rectangle(self, rng):
+        for trial in range(8):
+            emp, grid, _, _ = random_instance(rng, trial)
+            index, rects = MortonIndex(emp, grid), all_dyadic_rects(grid)
+            assert [index.run(r)[:2] for r in rects] == twin_runs(index, rects), trial
+        for emp, grid in big_key_instances():  # too many rectangles for all: those holding points, and some children
+            index, cells = MortonIndex(emp, grid), grid.cell_index(emp.points)
+            held = {DyadicRect(lev, tuple(c)) for lev in range(grid.levels + 1) for c in (cells >> lev).tolist()}
+            rects = sorted(held | {ch for r in held if r.level for ch in r.children()[:: 1 << (grid.dim - 2)]})
+            assert [index.run(r)[:2] for r in rects] == twin_runs(index, rects)
 
     def test_index_is_bound_to_its_samples_and_grid(self):
         emp, grid = counts_2101()

@@ -270,6 +270,15 @@ class TestAdaptiveGrid:
             assert len(index.words) == len(looked_up.words)
             assert all(np.array_equal(w, x) for w, x in zip(index.words, looked_up.words))
 
+    @pytest.mark.parametrize("bad", [-1, "M + 5"])
+    def test_cells_outside_the_grid_are_refused(self, bad):
+        # given cells are checked: -1 would index from the end silently, and M + 5 past the grid's end
+        emp = random_empirical(make_rng(2_710), Domain.unit(2), 200)
+        grid, cells = build_adaptive_grid(emp)
+        cells[37, 1] = grid.M + 5 if bad == "M + 5" else bad
+        with pytest.raises(ValueError, match=rf"cells must lie in \[0, {grid.M}\)"):
+            greedy_split(emp, grid, SplitParams(k=2), cells=cells)
+
     def test_empty_samples_rejected(self):
         # no empty sample set reaches build_adaptive_grid: the constructor refuses it
         with pytest.raises(ValueError, match="empty sample set"):
