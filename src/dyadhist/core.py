@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -647,15 +648,18 @@ def piece_coverage(domain: Domain, bounds: np.ndarray):
     as ``HistHypothesis.bounds`` does.  Overlay cells have positive width,
     so a count above 1 is an overlap of positive volume and a count of 0 is
     a gap; zero-width pieces cover none.  Each piece adds +1 or -1 at the
-    2^d corners of its block, by the parity of its upper ends there, one
+    corners of its block, by the parity of its upper ends there, one
     corner of every piece at a time, and a running sum along every axis
-    turns those marks into the counts.
+    turns those marks into the counts.  An upper end at the domain's upper
+    bound marks only the row past the last cell, which the counts drop, so
+    only the axes where some piece ends inside take upper corners: one
+    piece over the whole domain marks one corner, not 2^d.
     """
     axes, d = _overlay_axes(domain, bounds), domain.dim
     ends = _piece_ends(bounds, axes)
     marks = np.zeros(tuple(len(a) for a in axes), dtype=np.int32)  # one row past the last cell per axis
-    for corner in range(1 << d):
-        hi = [(corner >> a) & 1 for a in range(d)]  # lo (0) or hi (1) on each axis
+    sides = [(0, 1) if (e[:, 1] < len(a) - 1).any() else (0,) for e, a in zip(ends, axes)]
+    for hi in itertools.product(*sides):  # lo (0) or hi (1) on each axis
         np.add.at(marks, tuple(e[:, h] for e, h in zip(ends, hi)), -1 if sum(hi) % 2 else 1)
     for a in range(d):
         np.cumsum(marks, axis=a, out=marks)

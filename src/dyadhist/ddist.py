@@ -26,11 +26,11 @@ contiguous slice that ends at the node, and V for a view is the maximum
 over its slice.  Those volumes are kept sparsely, in two tables sorted by
 position: a chain's largest beside its top volume, for the nodes with a
 chain above them alone, and a node's own largest, for the nodes that miss
-a child of their own alone (a handful at d = 1).  A ``SparseDyadicTree``
-is a view of one such slice, and of its part of each table, found from
-its rectangle's run of points; when its rectangle sits inside a chain,
-the view clips that one chain at it.  Every run is split from its
-parent's: the root's run is every point, and one search inside a
+a child of their own alone (a handful at d = 1).  ``build_tree`` gives a
+``SparseDyadicTree``, a view of one such slice and of its part of each
+table, found from its rectangle's run of points; when its rectangle sits
+inside a chain, the view clips that one chain at it.  Every run is split
+from its parent's: the root's run is every point, and one search inside a
 rectangle's run gives its children's (``child_runs``).  Keys interleave 8
 bits of every axis at a time by a table lookup, in words of at most 63
 bits, so none overflows at any depth; at d = 1 the key is the cell
@@ -44,7 +44,7 @@ decreasing and one increasing convex piecewise-linear function, and its
 minimum is the crossing of two of their lines, which cutting planes reach
 in a few passes over the tree (at most 5 on the benchmark's leaves).  Of a
 chain's lines the decreasing envelope needs only the bottom's and the
-increasing one only the top's.  The best pass gives the error too.
+increasing one only the top's.  ``compute_d1`` is one pass, the fit's error.
 
 All node masses are integer counts divided by n exactly once, so results are
 bit-identical to a dense enumeration that aggregates the same integers.
@@ -119,7 +119,8 @@ _MAX_POINTS = 1 << 30  # below this, the at most 2s - 1 stored nodes have int32 
 class MortonIndex:
     """Compressed sparse dyadic tree of the support over the grid, in Morton post-order.
 
-    The learner builds one per run and takes a ``view`` per leaf.  The
+    The learner builds one per run and takes each leaf's tree by ``build_tree``;
+    a grid of another domain, or of 63 or more axes, raises ``ValueError``.  The
     stored nodes are the level-0 cells holding mass and the branching
     nodes.  Node i stands for its chain: levels ``level[i]`` to
     ``top_level[i]``, of mass ``mass[i]``, with volumes from ``vol[i]`` up to
@@ -129,12 +130,12 @@ class MortonIndex:
     chains, their own included; most nodes have none at d = 1 and on dense
     grids, so these are kept for them alone.  The nodes that miss children
     of their own are ``own_at``, in order, and ``own_empty`` the largest
-    volumes of those children (a handful at d = 1), which a view clipping
+    volumes of those children (a handful at d = 1), which a tree clipping
     a chain walks on from.  ``first[p]`` counts the nodes that end before
     point p.  ``rows``, ``first``, ``chain_at`` and ``own_at`` are int32,
     which is why a support of 2^30 points or more is refused with
-    ``MemoryError``.  The first ``view`` builds the node arrays, so a
-    caller that needs only runs never pays for them, and that view's
+    ``MemoryError``.  The first tree builds the node arrays, so a caller
+    that needs only runs never pays for them, and that tree's
     ``node_visits`` includes the index's.  ``cells`` holds each support
     point's cell, as ``grid.cell_index`` gives it, and a cell outside the
     grid raises ``ValueError``; ``build_adaptive_grid`` makes them with the
@@ -149,6 +150,10 @@ class MortonIndex:
     """
 
     def __init__(self, fhat: EmpiricalDist, grid: GridSpec, cells: np.ndarray | None = None):
+        if grid.dim >= 63:
+            raise ValueError(f"cannot index a grid of dimension {grid.dim}: its 2^d children overflow int64")
+        if fhat.domain != grid.domain:
+            raise ValueError("empirical distribution and grid disagree on the domain")
         self.fhat, self.grid = fhat, grid
         if cells is None:
             cells = grid.cell_index(fhat.points)
@@ -168,7 +173,7 @@ class MortonIndex:
         del words, order
         self.cells = cells
         self._bits = (np.arange(1 << grid.dim)[:, None] >> np.arange(grid.dim)[::-1]) & 1  # child -> bits
-        self.first = None  # the node arrays are built by the first view
+        self.first = None  # the node arrays are built by the first tree
 
     def _build_nodes(self) -> None:
         grid, d, top = self.grid, self.grid.dim, self.grid.levels
@@ -401,40 +406,6 @@ class MortonIndex:
         cost = (hi - lo).bit_length()
         return [Run(bounds[c], bounds[c + 1], cost if c else 0) for c in range(1 << d)]
 
-    def view(self, rect: DyadicRect, run: Run | None = None) -> "SparseDyadicTree":
-        """The tree of mass-carrying dyadic rectangles below ``rect``, from its ``run`` (else ``self.run(rect)``)."""
-        lo, hi, searched = self.run(rect) if run is None else run
-        visits = searched + 1
-        if self.first is None:
-            self._build_nodes()
-            visits += self.node_visits
-        if lo == hi:
-            none = slice(0, 0)
-            return SparseDyadicTree(rect, self, 0, self.level[none], self.mass[none], self.vol[none],
-                                    self.chain_at[none], self.chain_top[none], self.chain_empty[none],
-                                    self.own_at[none], self.own_empty[none], self.grid.volume_of(rect), visits)
-        # the stored nodes below rect end at points lo..hi-1, and at hi-1 only up to rect's level
-        last = int(self.first[hi - 1])
-        stop = last + bisect.bisect_right(self.level[last : self.first[hi]].tolist(), rect.level)
-        nodes = slice(int(self.first[lo]), stop)
-        span = np.array((nodes.start, stop), dtype=np.int32)  # int32, as the arrays searched: neither is cast
-        a, b = self.chain_at.searchsorted(span).tolist()
-        e, f = self.own_at.searchsorted(span).tolist()
-        # the view's positions are intp, which index without a cast
-        chain_at = np.subtract(self.chain_at[a:b], nodes.start, dtype=np.intp)
-        own_at = np.subtract(self.own_at[e:f], nodes.start, dtype=np.intp)
-        chain_top, chain_empty, own_empty = self.chain_top[a:b], self.chain_empty[a:b], self.own_empty[e:f]
-        if self.top_level[stop - 1] > rect.level:  # rect sits inside the last node's chain, last in chain_at
-            chain_top, chain_empty = chain_top.copy(), chain_empty.copy()
-            chain_top[-1] = self.grid.volume_of(rect)
-            own = own_empty[-1] if f > e and self.own_at[f - 1] == stop - 1 else -1.0  # the walk starts from it
-            best, _, seen = self._walk(span[1:] - 1, rect.level, np.array([own]))
-            chain_empty[-1] = best[0]
-            visits += seen
-        empty = max(chain_empty.max(initial=-1.0), own_empty.max(initial=-1.0))
-        return SparseDyadicTree(rect, self, nodes.start, self.level[nodes], self.mass[nodes], self.vol[nodes],
-                                chain_at, chain_top, chain_empty, own_at, own_empty, float(empty), visits)
-
 
 @dataclass(eq=False)
 class SparseDyadicTree:
@@ -489,48 +460,89 @@ def build_tree(
     index: MortonIndex | None = None,
     run: Run | None = None,
 ) -> SparseDyadicTree:
-    """Build the sparse tree of mass-carrying dyadic rectangles below ``rect``.
+    """The sparse tree of mass-carrying dyadic rectangles below ``rect``, the one way to a leaf's tree.
 
     ``index`` is a MortonIndex over ``fhat`` and ``grid``; the greedy
     splitter builds one per run, up front.  Without it one is built here.
-    Either way the view that builds the index's nodes counts that work in
+    Either way the tree that builds the index's nodes counts that work in
     its ``node_visits``.  ``run`` is ``rect``'s run in ``index``, as
-    ``index.child_runs`` gives it from its parent's; without it the view
+    ``index.child_runs`` gives it from its parent's; without it the tree
     descends to it from the root (``index.run``).
     """
     if index is None:
         index = MortonIndex(fhat, grid)
     elif index.fhat is not fhat or index.grid is not grid:
         raise ValueError("the index was built over another sample set or grid")
-    return index.view(rect, run)
+    lo, hi, searched = index.run(rect) if run is None else run
+    visits = searched + 1
+    if index.first is None:
+        index._build_nodes()
+        visits += index.node_visits
+    if lo == hi:  # no node lies below rect, which is empty
+        none = [x[:0] for x in (index.level, index.mass, index.vol, index.chain_at, index.chain_top,
+                                index.chain_empty, index.own_at, index.own_empty)]
+        return SparseDyadicTree(rect, index, 0, *none, grid.volume_of(rect), visits)
+    # the stored nodes below rect end at points lo..hi-1, and at hi-1 only up to rect's level
+    last = int(index.first[hi - 1])
+    stop = last + bisect.bisect_right(index.level[last : index.first[hi]].tolist(), rect.level)
+    nodes = slice(int(index.first[lo]), stop)
+    span = np.array((nodes.start, stop), dtype=np.int32)  # int32, as the arrays searched: neither is cast
+    a, b = index.chain_at.searchsorted(span).tolist()
+    e, f = index.own_at.searchsorted(span).tolist()
+    # the tree's positions are intp, which index without a cast
+    chain_at = np.subtract(index.chain_at[a:b], nodes.start, dtype=np.intp)
+    own_at = np.subtract(index.own_at[e:f], nodes.start, dtype=np.intp)
+    chain_top, chain_empty, own_empty = index.chain_top[a:b], index.chain_empty[a:b], index.own_empty[e:f]
+    if index.top_level[stop - 1] > rect.level:  # rect sits inside the last node's chain, last in chain_at
+        chain_top, chain_empty = chain_top.copy(), chain_empty.copy()
+        own = own_empty[-1] if f > e and index.own_at[f - 1] == stop - 1 else -1.0  # the walk starts from it
+        chain_empty[-1:], chain_top[-1:], seen = index._walk(span[1:] - 1, rect.level, np.array([own]))
+        visits += seen
+    empty = max(chain_empty.max(initial=-1.0), own_empty.max(initial=-1.0))
+    return SparseDyadicTree(rect, index, nodes.start, index.level[nodes], index.mass[nodes], index.vol[nodes],
+                            chain_at, chain_top, chain_empty, own_at, own_empty, float(empty), visits)
+
+
+def _probe(tree: SparseDyadicTree, c: float, r: np.ndarray, mc: np.ndarray) -> tuple:
+    """``(D(c), I(c), i, j, empty)``: nodes i and j have the active lines, unless the empty term is I's.
+
+    D reads each chain's bottom line and I its top line; the others lie
+    below, as fl(v c) <= fl(top c) for v <= top and fl(m - x) = -fl(x - m).
+    ``r`` is a node-sized scratch array; ``mc`` holds the masses at ``chain_at``.
+    """
+    np.multiply(tree.node_vol, c, out=r)
+    np.subtract(tree.node_mass, r, out=r)
+    i = int(r.argmax())
+    down = float(r[i])
+    if len(tree.chain_at):  # now r = m - top volume * c
+        r[tree.chain_at] = mc - tree.chain_top * c
+    j = int(r.argmin())
+    up, ev = -float(r[j]), tree.max_empty_vol  # ev < 0: no empty term
+    empty = ev >= 0 and c * ev > up
+    return down, c * ev if empty else up, i, j, empty
 
 
 def compute_d1(tree: SparseDyadicTree, a: float) -> float:
     """Max discrepancy |mass - a*vol| over dyadic sub-rectangles of ``tree.rect``.
 
-    The larger of the empty term ``a * max_empty_vol`` and the largest
-    discrepancy over the tree's chains.  Along a chain |mass - a*vol| is
-    largest at an end, so a chain's discrepancy is the larger of its
-    bottom's and its top's.  Reads only ``tree``.
+    F(a) = max(D(a), I(a)) from ``fit_d1``'s probe at a; on an empty tree,
+    ``a * max_empty_vol``, with V the volume of ``tree.rect``.  Reads only ``tree``.
     """
     if not a >= 0:  # nan fails too
         raise ValueError(f"constant a must be nonnegative, got {a}")
-    b2 = a * tree.max_empty_vol if tree.max_empty_vol >= 0 else -1.0  # the empty term
     if tree.node_count == 0:
-        return float(b2)
-    m, ch = tree.node_mass, tree.chain_at
-    disc = np.abs(m - tree.node_vol * a)
-    disc[ch] = np.maximum(disc[ch], np.abs(m[ch] - tree.chain_top * a))
-    return float(max(disc.max(), b2))
+        return float(a * tree.max_empty_vol)
+    down, up, *_ = _probe(tree, a, np.empty_like(tree.node_vol), tree.node_mass[tree.chain_at])
+    return float(max(down, up))
 
 
 @dataclass(frozen=True)
 class DFitResult:
     """Best constant fit on a rectangle: the constant and its discrepancy.
 
-    ``err`` equals ``compute_d1(tree, a)`` bit for bit.  ``probes`` counts
-    the passes over the rectangle's tree nodes: the Kelley probes, or the
-    one pass that takes the largest mass when every node has volume 0.
+    ``err`` equals ``compute_d1(tree, a)`` by construction, one probe at a.
+    ``probes`` counts the passes over the tree's nodes: the Kelley probes,
+    or the one pass that takes the largest mass when every node has volume 0.
     """
 
     a: float
@@ -568,8 +580,8 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
     crossing outside the bracket, a probed end of the bracket is already
     optimal, to a few ulps in the rounding case, since the crossing's height
     bounds min F from below; the fit then stops.  It returns its best probe,
-    whose error max(D(c), I(c)) is ``compute_d1`` at c.  The fit reads only
-    ``tree``, and each probe refills one node-sized scratch array.
+    whose error max(D(c), I(c)) is ``compute_d1`` at c, the same probe.  The
+    fit reads only ``tree``, and each probe refills one node-sized scratch array.
     """
     m, v, ev = tree.node_mass, tree.node_vol, tree.max_empty_vol  # ev < 0: no empty term
     if tree.node_count == 0:
@@ -589,17 +601,7 @@ def fit_d1(tree: SparseDyadicTree) -> DFitResult:
         c = float((mp + mh) / (vp + vh)) if vp + vh > 0 else math.nan
         if not lo <= c <= hi:
             break
-        np.multiply(v, c, out=r)
-        np.subtract(m, r, out=r)
-        i = int(r.argmax())
-        down = float(r[i])
-        if len(ch):  # now r = m - top volume * c
-            r[ch] = mc - tc * c
-        j = int(r.argmin())
-        up = -float(r[j])
-        top_empty = ev >= 0 and c * ev > up
-        if top_empty:
-            up = c * ev
+        down, up, i, j, top_empty = _probe(tree, c, r, mc)
         probes += 1
         if max(down, up) < best_err:
             best_err, best_a = max(down, up), c

@@ -2,9 +2,11 @@
 
 Everything here is deterministic, pure, and guarded: one set of module
 limits is checked before any work, and enumerations and knapsacks abort with
-OracleGuardError instead of grinding.  These routines exist to certify the
-learners' guarantees on small instances, so they favor straight-line clarity
-and independence from the production code paths they check.
+OracleGuardError instead of grinding.  A sample set or hypothesis on another
+domain than the grid's raises ValueError, by a check of this module's own.
+These routines exist to certify the learners' guarantees on small
+instances, so they favor straight-line clarity and independence from the
+production code paths they check.
 
 The search space exploits the laminar structure of dyadic rectangles: two of
 them are disjoint iff neither contains the other, and any disjoint family is
@@ -47,6 +49,12 @@ def _check_rects(grid: GridSpec) -> None:
         raise OracleGuardError(f"{total} dyadic rectangles exceeds guard {_MAX_RECTS}")
 
 
+def _check_domain(g, grid: GridSpec) -> None:
+    """Refuse a sample set or hypothesis on another domain than ``grid``'s, whose cells would take wrong mass."""
+    if g.domain != grid.domain:
+        raise ValueError(f"{type(g).__name__} on {g.domain} and grid on {grid.domain} disagree on the domain")
+
+
 def all_dyadic_rects(grid: GridSpec) -> list:
     _check_rects(grid)
     out = []
@@ -68,8 +76,9 @@ def _cell_counts(fhat: EmpiricalDist, grid: GridSpec, rect: DyadicRect) -> np.nd
 
 
 def cell_masses(g, grid: GridSpec) -> np.ndarray:
-    """Mass of ``g`` on every level-0 cell, shape (M,)*d."""
+    """Mass of ``g`` on every level-0 cell, shape (M,)*d; ``g`` on another domain raises ``ValueError``."""
     _check_rects(grid)
+    _check_domain(g, grid)
     if isinstance(g, EmpiricalDist):
         return _cell_counts(g, grid, grid.root()) / g.n
     out = np.zeros((grid.M,) * grid.dim)
@@ -111,7 +120,12 @@ def dk_distance(u_cells: np.ndarray, grid: GridSpec, k: int) -> float:
     A disjoint family of dyadic rectangles is an antichain of the split tree,
     so the maximum is a knapsack over the tree: at each node either take the
     node itself (spending one rectangle) or distribute the budget among the
-    children.  Both signs are searched; the empty union contributes 0.
+    children.  Both signs are searched; the empty union contributes 0.  A
+    subtree of c cells holds at most c disjoint rectangles, so its table
+    stops at a budget of min(k, c): past it the values saturate, and the
+    root's last entry is the value at k, exactly.  The knapsack runs a level
+    at a time, over all its nodes at once, so its cost grows with the grid,
+    not with k.
     """
     _check_rects(grid)
     if k < 1:
@@ -119,27 +133,27 @@ def dk_distance(u_cells: np.ndarray, grid: GridSpec, k: int) -> float:
     u_cells = np.asarray(u_cells, dtype=np.float64).reshape((grid.M,) * grid.dim)
     sums = _level_sums(u_cells, grid.levels)
     d = grid.dim
-    # merging a child is dp[j] = max over t <= j of dp[j - t] + ch[t], one
-    # numpy step: rest[j, t] = j - t, and the t > j entries are masked off
-    rest = np.subtract.outer(np.arange(k + 1), np.arange(k + 1))
-    ok = rest >= 0
 
-    def best(masses: dict, level: int, idx: tuple) -> np.ndarray:
-        own = float(masses[level][idx])
-        if level == 0:
-            res = np.zeros(k + 1)
-            res[1:] = max(own, 0.0)
-            return res
-        dp = np.zeros(k + 1)
-        for bits in range(1 << d):
-            child = tuple(2 * idx[a] + ((bits >> (d - 1 - a)) & 1) for a in range(d))
-            ch = best(masses, level - 1, child)
-            dp = np.where(ok, dp[rest] + ch, -np.inf).max(axis=1)
-        dp[1:] = np.maximum(dp[1:], own)
-        return np.maximum.accumulate(dp)
+    def best(masses: dict) -> float:
+        """The root's last entry; entry j of a node's table is the most that j disjoint rectangles in it hold."""
+        own = masses[0]
+        dp = np.zeros(own.shape + (2,))
+        dp[..., 1] = np.where(0.0 > own, 0.0, own)  # max(own, 0.0)
+        for level in range(1, grid.levels + 1):
+            budget = min(k, 1 << (level * d))
+            acc = np.zeros(masses[level].shape + (budget + 1,))
+            for bits in range(1 << d):  # merging a child: acc[j] = max over t <= j of acc[j - t] + ch[t]
+                ch = dp[tuple(slice((bits >> (d - 1 - a)) & 1, None, 2) for a in range(d))]
+                merged = acc + ch[..., :1]
+                for t in range(1, ch.shape[-1]):
+                    np.maximum(merged[..., t:], acc[..., : budget + 1 - t] + ch[..., t : t + 1], out=merged[..., t:])
+                acc = merged
+            acc[..., 1:] = np.maximum(acc[..., 1:], masses[level][..., None])
+            dp = np.maximum.accumulate(acc, axis=-1)
+        return dp.reshape(-1)[-1]
 
-    plus = best(sums, grid.levels, (0,) * d)[k]
-    minus = best({l: -m for l, m in sums.items()}, grid.levels, (0,) * d)[k]
+    plus = best(sums)
+    minus = best({l: -m for l, m in sums.items()})
     return float(max(plus, minus, 0.0))
 
 
@@ -182,6 +196,7 @@ def opt_hier_l2(g: EmpiricalDist, grid: GridSpec, k: int):
         raise ValueError("k must be >= 1")
     if not g.domain.is_discrete:  # _flat_l2_err counts a rect's lattice points by its volume
         raise UnsupportedDomainError("the squared-error oracle needs a discrete cube")
+    _check_domain(g, grid)
     cells = grid.cell_index(g.points)
     fan = 1 << grid.dim
     steps = 0
@@ -231,9 +246,11 @@ _COLUMN_GUARD = 1 << 26
 def _disjoint_unions(rects: list, k: int) -> list:
     """All tuples of <= k mutually disjoint rect indices (ascending).
 
-    Raises as soon as the unions pass ``_MAX_PARTITIONS``, or rects x
-    unions, the floats of ``opt_partial_hier_dk``'s cached union-weight
-    columns, passes ``_COLUMN_GUARD``.
+    Stops when no union grows, so a k past the largest disjoint family
+    costs no more than that family's size.  Raises as soon as the unions
+    pass ``_MAX_PARTITIONS``, or rects x unions, the floats of
+    ``opt_partial_hier_dk``'s cached union-weight columns, passes
+    ``_COLUMN_GUARD``.
     """
     n = len(rects)
     unions, frontier = [()], [()]
@@ -248,6 +265,8 @@ def _disjoint_unions(rects: list, k: int) -> list:
                         raise OracleGuardError("union enumeration exceeds guard")
                     if n * total > _COLUMN_GUARD:
                         raise OracleGuardError(f"{n} rectangles x {total} unions exceeds guard {_COLUMN_GUARD}")
+        if not nxt:
+            break
         unions.extend(nxt)
         frontier = nxt
     return unions
@@ -266,6 +285,7 @@ def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int) -> float:
 
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_domain(fhat, grid)
     rects = all_dyadic_rects(grid)
     sums = _level_sums(_cell_counts(fhat, grid, grid.root()), grid.levels)
     rect_count = np.array([int(sums[r.level][r.index]) for r in rects], dtype=np.int64)
@@ -279,7 +299,7 @@ def opt_partial_hier_dk(fhat: EmpiricalDist, grid: GridSpec, k: int) -> float:
             f"{len(unions) - 1} supports x {len(unions)} unions exceeds guard {_COLUMN_GUARD}"
         )
     pad = len(rects)
-    comp = np.full((len(unions), k), pad, dtype=np.int64)
+    comp = np.full((len(unions), len(unions[-1])), pad, dtype=np.int64)  # the last union is a longest
     for i, u in enumerate(unions):
         comp[i, : len(u)] = u
     f_union = np.concatenate([rect_mass, [0.0]])[comp].sum(axis=1)
@@ -374,6 +394,7 @@ def brute_d1(fhat: EmpiricalDist, grid: GridSpec, rect: DyadicRect, a: float) ->
     """
     if not a >= 0:  # nan fails too
         raise ValueError(f"constant a must be nonnegative, got {a}")
+    _check_domain(fhat, grid)
     check_dyadic(grid, rect)
     d, depth = grid.dim, rect.level
     total = sum((1 << (depth - lev)) ** d for lev in range(depth + 1))

@@ -178,11 +178,9 @@ def greedy_split(fhat: EmpiricalDist, grid: GridSpec, params: SplitParams, *, ce
     its exact best fit, so no fit slack is added.  ``cells`` are the
     support points' cells, as ``build_adaptive_grid`` returns them with
     ``grid``; the index takes the array over and reorders it.  Without
-    them the index looks them up.
+    them the index looks them up.  The index refuses ``fhat`` from another
+    domain than ``grid``'s.
     """
-    if fhat.domain != grid.domain:
-        raise ValueError("empirical distribution and grid disagree on the domain")
-
     index = MortonIndex(fhat, grid, cells)
 
     def score(rect, run):
@@ -202,8 +200,6 @@ def greedy_split_l2(g: EmpiricalDist, grid: GridSpec, params: SplitParams):
     """
     if not g.domain.is_discrete:
         raise UnsupportedDomainError("the squared-error learner needs a discrete cube")
-    if g.domain != grid.domain:
-        raise ValueError("empirical distribution and grid disagree on the domain")
     n = g.n
     index = MortonIndex(g, grid)
 

@@ -737,6 +737,17 @@ class TestCommandLine:
         assert (rc, out) == (2, "")
         assert err.startswith("error: cannot index a support of 3 points") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("dim", [63, 64])
+    def test_learn_at_63_axes_or_more_exits_2(self, tmp_path, capsys, dim):
+        # the index's child table has 2^d rows, which overflows int64 from
+        # d = 63, and its Morton words hold no digit from d = 64
+        samples = tmp_path / "s.txt"
+        write_samples(samples, EmpiricalDist.from_samples(Domain.unit(dim), make_rng(dim).random((3, dim))))
+        rc = main(["learn", "--in", str(samples), "--k", "1"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == f"error: cannot index a grid of dimension {dim}: its 2^d children overflow int64\n", err
+
     @pytest.mark.parametrize("k", ["2", "0", "-1"])
     @pytest.mark.parametrize("metric, name", [("l1", "opt_partial_hier_dk"), ("l2", "opt_hier_l2")])
     def test_oracle_subcommand_values(self, tmp_path, capsys, metric, name, k):

@@ -3,6 +3,7 @@
 import itertools
 import re
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -450,6 +451,14 @@ class TestPieceCoverage:
             seen["zero width"] += any(l == h for p in pieces for l, h in zip(p.rect.lo, p.rect.hi))
             seen["tiled"] += bool((want == 1).all())
         assert min(seen.values()) > 5, seen
+
+    def test_one_piece_at_d20_built_within_a_second(self):
+        # its upper ends all sit at the domain's bound, which marks only the
+        # row the counts drop: one corner is marked, not 2^20 (12.6 s)
+        t0 = time.perf_counter()
+        h = gen_truth(1, Domain.unit(20), 0)
+        assert time.perf_counter() - t0 < 1.0
+        assert h.piece_count == 1 and h.total_mass() == 1.0
 
     def test_peak_is_the_marks_and_a_few_bytes_per_piece_and_axis(self):
         # marked one corner at a time, the indices hold pieces x d entries;

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadhist.cli import main
-from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec, l1_dist
+from dyadhist.core import Domain, DyadicRect, EmpiricalDist, GridSpec, gen_truth, l1_dist
 from dyadhist.errors import OracleGuardError, UnsupportedDomainError
 from dyadhist.fileio import write_samples
 from dyadhist import oracle
@@ -78,6 +78,19 @@ class TestDkDistance:
             lhs = l1_dist(f, g)
             rhs = 2 * dk_distance_between(f, g, grid, 2 * k)
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    def test_k_past_the_cells_gives_the_value_at_the_cells(self):
+        # a subtree of c cells holds at most c disjoint rectangles, so the
+        # tables stop there; at 10^12 they once asked for 7.28 TiB
+        for trial in range(40):
+            r = make_rng(trial)
+            dim = int(r.integers(1, 3))
+            M = int(r.choice([2, 4, 8] if dim == 1 else [2, 4]))
+            grid = GridSpec.uniform(Domain.unit(dim), M)
+            u = r.normal(size=(M,) * dim)
+            at_cells = dk_distance(u, grid, M**dim)
+            for k in (M**dim + 1, 3 * M**dim + 1, 10**12):
+                assert dk_distance(u, grid, k) == at_cells, (trial, k)
 
     def test_guard(self):
         grid_big = GridSpec.uniform(Domain.unit(2), 256)
@@ -261,6 +274,41 @@ class TestOptPartialHierDk:
 
 def _cell_slice(rect):
     return tuple(slice(i << rect.level, (i + 1) << rect.level) for i in rect.index)
+
+
+@pytest.mark.parametrize("argv", [["learn", "--k", "100000"], ["oracle", "--k", str(10**12), "--m", "2"]])
+def test_huge_k_on_a_one_row_file_costs_what_the_grid_does(tmp_path, capsys, argv):
+    # learn's D_k report once sized its tables by k (890 MB at k = 6000),
+    # and the partial oracle its unions by k and its loop ran k times
+    from scipy.optimize import linprog  # noqa: F401  imported before the measurement
+
+    path = tmp_path / "s.txt"
+    write_samples(path, EmpiricalDist.from_samples(Domain.unit(1), np.array([[0.3]])))
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rc = main([argv[0], "--in", str(path), *argv[1:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert time.perf_counter() - t0 < 5.0
+    assert peak < 100 << 20, peak
+
+
+def test_oracles_refuse_another_domain():
+    # a sample set on [0, 1] once put all its mass in cell 0 of a {1..8}
+    # grid, and brute_d1 returned 0.9 at a = 0.1
+    unit = EmpiricalDist.from_samples(Domain.unit(1), np.array([[0.25], [0.75]]))
+    eight = EmpiricalDist.from_samples(Domain.discrete(8, 1), np.array([[1], [6]]))
+    four = GridSpec.uniform(Domain.discrete(4, 1), 4)
+    calls = [(opt_hier_l2, eight, four, 1), (cell_masses, gen_truth(1, Domain.unit(1), 0), four)]
+    for g, grid in ((unit, GridSpec.uniform(Domain.discrete(8, 1), 8)), (eight, four)):
+        calls += [(cell_masses, g, grid), (brute_d1, g, grid, grid.root(), 0.1),
+                  (opt_partial_hier_dk, g, grid, 1), (dk_distance_between, g, g, grid, 1)]
+    for fn, *args in calls:
+        with pytest.raises(ValueError, match="disagree on the domain"):
+            fn(*args)
 
 
 @settings(max_examples=120, deadline=None)

@@ -182,6 +182,14 @@ class TestGreedySplitL2:
             greedy_split_l2(emp, grid, SplitParams(k=1))
 
 
+@pytest.mark.parametrize("learner", [greedy_split, greedy_split_l2])
+def test_sample_set_from_another_domain_refused(learner):
+    emp = EmpiricalDist.from_samples(Domain.discrete(8, 1), np.array([[1], [6]]))
+    grid = GridSpec.uniform(Domain.discrete(4, 1), 4)
+    with pytest.raises(ValueError, match="empirical distribution and grid disagree on the domain"):
+        learner(emp, grid, SplitParams(k=1))
+
+
 class TestAdaptiveGrid:
     def test_single_distinct_coordinate_gives_m2(self):
         d = Domain.unit(1)
