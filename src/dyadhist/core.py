@@ -13,12 +13,15 @@ Conventions used throughout the package:
   ``x_0 <= ... <= x_M`` owns coordinates in ``[x_j, x_{j+1})``.  Duplicate
   boundaries produce zero-width cells (volume 0), which are legal; points at
   a duplicated value always land in the last cell of the run.
+* Hypotheses are evaluated from their bounds and values arrays: on an overlay
+  of the pieces by one painter (``_paint``), masses by one volume pass.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
@@ -93,7 +96,7 @@ class Domain:
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned product of half-open intervals ``[lo_a, hi_a)``."""
+    """Axis-aligned product of half-open intervals ``[lo_a, hi_a)``, each with ``lo_a <= hi_a`` (so none is NaN)."""
 
     lo: tuple
     hi: tuple
@@ -101,17 +104,12 @@ class Rect:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ValueError("lo and hi must have equal length")
-        if any(l > h for l, h in zip(self.lo, self.hi)):
-            raise ValueError(f"rect has lo > hi: {self}")
+        if not all(l <= h for l, h in zip(self.lo, self.hi)):
+            raise ValueError(f"rect needs lo <= hi on every axis: {self}")
 
     @property
     def dim(self) -> int:
         return len(self.lo)
-
-    def intersect(self, other: "Rect") -> "Rect":
-        lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
-        hi = tuple(max(l, min(a, b)) for l, a, b in zip(lo, self.hi, other.hi))
-        return Rect(lo, hi)
 
     def contains_points(self, pts: np.ndarray, domain: Domain) -> np.ndarray:
         """Half-open membership; the domain's top face counts as closed."""
@@ -219,7 +217,7 @@ class GridSpec:
             raise StructureError("all axes must have the same boundary count")
         _check_cells(sizes.pop() - 1)
         for a in axes:
-            if np.any(np.diff(a) < 0):
+            if not (np.diff(a) >= 0).all():  # NaN fails too
                 raise StructureError("axis boundaries must be non-decreasing")
             if a[0] != self.domain.lower or a[-1] != self.domain.upper:
                 raise StructureError("axis boundaries must start/end at the domain bounds")
@@ -507,8 +505,8 @@ class HistHypothesis:
     overlap.  ARBITRARY and HIERARCHICAL pieces cover the full domain (a gap
     is a StructureError naming a point of it); PARTIAL leaves the uncovered
     region at value 0.  Hierarchical hypotheses carry the grid and
-    the dyadic identity of every piece.  ``bounds`` holds every piece's
-    ``lo`` and ``hi`` as one float64 array of shape (pieces, 2, d).
+    the dyadic identity of every piece.  ``bounds`` and ``values`` hold every
+    piece's ``lo`` and ``hi`` and its value, float64 of shape (pieces, 2, d) and (pieces,).
     """
 
     domain: Domain
@@ -517,6 +515,7 @@ class HistHypothesis:
     grid: GridSpec | None = None
     dyadic: tuple | None = None
     bounds: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind is HistKind.HIERARCHICAL:
@@ -525,6 +524,7 @@ class HistHypothesis:
         if self.dyadic is not None and len(self.dyadic) != len(self.pieces):
             raise StructureError("dyadic ids must align with pieces")
         object.__setattr__(self, "bounds", piece_bounds(self.domain, self.pieces))
+        object.__setattr__(self, "values", np.array([p.value for p in self.pieces], dtype=np.float64))
         axes, counts = piece_coverage(self.domain, self.bounds)
         if (counts > 1).any():
             raise StructureError("pieces overlap")
@@ -538,7 +538,7 @@ class HistHypothesis:
         return len(self.pieces)
 
     def total_mass(self) -> float:
-        return float(sum(p.value * volume(p.rect, self.domain) for p in self.pieces))
+        return float(sum((self.values * _volumes(self.bounds)).tolist()))
 
     def value_at(self, x):
         """Density at a point ``(d,)`` (a float) or at points ``(n, d)`` (an array).
@@ -556,19 +556,18 @@ class HistHypothesis:
         if not inside.all():
             raise DomainViolationError(f"point {pts[~inside][0]} outside domain")
         axes = _overlay_axes(self.domain, self.bounds)
-        cell = tuple(
-            np.clip(np.searchsorted(ax, pts[:, a], side="right") - 1, 0, len(ax) - 2)
-            for a, ax in enumerate(axes)
-        )
+        cell = tuple(np.clip(np.searchsorted(ax, pts[:, a], side="right") - 1, 0, len(ax) - 2)
+                     for a, ax in enumerate(axes))
         vals = _rasterize(self, axes)[cell]
         return float(vals[0]) if single else vals
 
     def mass_in(self, rect: Rect) -> float:
         _check_dim(rect, self.domain)
-        total = 0.0
-        for p in self.pieces:
-            total += p.value * volume(p.rect.intersect(rect), self.domain)
-        return total
+        lo = np.maximum(self.bounds[:, 0], np.asarray(rect.lo, dtype=np.float64))
+        hi = np.maximum(lo, np.minimum(self.bounds[:, 1], np.asarray(rect.hi, dtype=np.float64)))
+        if (lo > self.domain.upper).any():  # an intersection past the domain's top, as ``volume`` refuses
+            raise DomainViolationError(f"rect {rect} outside domain bounds")
+        return reduce(operator.add, (self.values * _volumes(np.stack((lo, hi), axis=1))).tolist(), 0.0)
 
 
 def mass(g, rect: Rect) -> float:
@@ -620,65 +619,73 @@ def _overlay_axes(domain: Domain, *bounds) -> list:
 
 
 def _piece_ends(bounds: np.ndarray, axes: list) -> list:
-    """Per axis, each piece's first overlay cell and the one past its last, shape (pieces, 2).
-
-    One ``searchsorted`` per axis finds every piece's ``lo`` and ``hi``.
-    """
+    """Per axis, each piece's first overlay cell and the one past its last (pieces, 2), by one ``searchsorted``."""
     return [np.searchsorted(ax, bounds[:, :, a]) for a, ax in enumerate(axes)]
 
 
-def _piece_slices(bounds: np.ndarray, axes: list):
-    """Per piece, the block of overlay cells it covers, as a tuple of slices."""
-    ends = [e.tolist() for e in _piece_ends(bounds, axes)]
-    return [tuple(slice(*e[i]) for e in ends) for i in range(len(bounds))]
+def _volumes(bounds: np.ndarray) -> np.ndarray:
+    """Volume of each box of ``bounds`` (boxes, 2, d): its widths multiplied in axis order from 1.0, as ``volume``."""
+    return reduce(np.multiply, bounds[:, 1].T - bounds[:, 0].T, np.ones(len(bounds)))
+
+
+def _paint(axes: list, ends: list, weights: np.ndarray) -> np.ndarray:
+    """Sum of the int32 ``weights`` of the pieces covering each cell; ``ends`` are ``_piece_ends``'s.
+
+    A piece of positive width adds its weight at its block's corners, signed
+    by the parity of its upper ends there; one running sum per axis, exact
+    where the sums fit though int32 may wrap on the way, turns the marks into
+    the sums.  Only an axis where a piece ends inside takes upper corners and
+    a row past the last cell, so a piece over the whole domain marks 1 cell.
+    """
+    keep = np.logical_and.reduce([e[:, 0] < e[:, 1] for e in ends])
+    if not keep.all():
+        ends, weights = [e[keep] for e in ends], weights[keep]
+    sides = [(0, 1) if (e[:, 1] < len(a) - 1).any() else (0,) for e, a in zip(ends, axes)]
+    marks = np.zeros(tuple(len(a) - 2 + len(s) for a, s in zip(axes, sides)), dtype=np.int32)
+    for hi in itertools.product(*sides):  # lo (0) or hi (1) on each axis
+        np.add.at(marks, tuple(e[:, h] for e, h in zip(ends, hi)), -weights if sum(hi) % 2 else weights)
+    for a in range(len(axes)):
+        np.cumsum(marks, axis=a, out=marks)
+    return marks[tuple(slice(len(a) - 1) for a in axes)]
 
 
 def _rasterize(h: HistHypothesis, axes: list) -> np.ndarray:
-    """Value of ``h`` on each overlay cell (uncovered cells stay 0)."""
-    grid = np.zeros(tuple(len(a) - 1 for a in axes))
-    for sl, p in zip(_piece_slices(h.bounds, axes), h.pieces):
-        grid[sl] = p.value
-    return grid
+    """Value of ``h`` on each overlay cell (uncovered cells stay 0).
+
+    The pieces are disjoint, so painting ids 1..pieces gives each cell its owner's id, or 0.
+    """
+    owner = _paint(axes, _piece_ends(h.bounds, axes), np.arange(1, h.piece_count + 1, dtype=np.int32))
+    return np.concatenate(([0.0], h.values))[owner]
 
 
 def piece_coverage(domain: Domain, bounds: np.ndarray):
     """``(axes, counts)``: the pieces' own overlay and how many cover each cell.
 
-    ``bounds`` holds the pieces' ``lo`` and ``hi``, shape (pieces, 2, d),
-    as ``HistHypothesis.bounds`` does.  Overlay cells have positive width,
-    so a count above 1 is an overlap of positive volume and a count of 0 is
-    a gap; zero-width pieces cover none.  Each piece adds +1 or -1 at the
-    corners of its block, by the parity of its upper ends there, one
-    corner of every piece at a time, and a running sum along every axis
-    turns those marks into the counts.  An upper end at the domain's upper
-    bound marks only the row past the last cell, which the counts drop, so
-    only the axes where some piece ends inside take upper corners: one
-    piece over the whole domain marks one corner, not 2^d.
+    ``bounds`` is shaped as ``HistHypothesis.bounds``.  Overlay cells have
+    positive width, so a count above 1 is an overlap of positive volume and
+    a count of 0 a gap; zero-width pieces cover none.  The counts are
+    ``_paint``'s sums of a weight of 1 per piece.
     """
-    axes, d = _overlay_axes(domain, bounds), domain.dim
-    ends = _piece_ends(bounds, axes)
-    marks = np.zeros(tuple(len(a) for a in axes), dtype=np.int32)  # one row past the last cell per axis
-    sides = [(0, 1) if (e[:, 1] < len(a) - 1).any() else (0,) for e, a in zip(ends, axes)]
-    for hi in itertools.product(*sides):  # lo (0) or hi (1) on each axis
-        np.add.at(marks, tuple(e[:, h] for e, h in zip(ends, hi)), -1 if sum(hi) % 2 else 1)
-    for a in range(d):
-        np.cumsum(marks, axis=a, out=marks)
-    return axes, marks[(slice(-1),) * d]
+    axes = _overlay_axes(domain, bounds)
+    return axes, _paint(axes, _piece_ends(bounds, axes), np.ones(len(bounds), dtype=np.int32))
 
 
 def _cell_volumes(axes: list) -> np.ndarray:
-    widths = [np.diff(a) for a in axes]
-    return reduce(np.multiply.outer, widths)
+    return reduce(np.multiply.outer, [np.diff(a) for a in axes])
+
+
+def _overlay_diff(h1: HistHypothesis, h2: HistHypothesis) -> tuple:
+    """``h1 - h2`` on each cell of the two hypotheses' joint overlay, and the cells' volumes."""
+    axes = _overlay_axes(h1.domain, h1.bounds, h2.bounds)
+    return _rasterize(h1, axes) - _rasterize(h2, axes), _cell_volumes(axes)
 
 
 def l1_dist(h1: HistHypothesis, h2: HistHypothesis) -> float:
     """Exact L1 distance between two piecewise-constant hypotheses."""
     if h1.domain != h2.domain:
         raise ConfigurationError("l1_dist requires hypotheses on the same domain")
-    axes = _overlay_axes(h1.domain, h1.bounds, h2.bounds)
-    v1 = _rasterize(h1, axes)
-    v2 = _rasterize(h2, axes)
-    return float(np.sum(np.abs(v1 - v2) * _cell_volumes(axes)))
+    diff, vol = _overlay_diff(h1, h2)
+    return float(np.sum(np.abs(diff) * vol))
 
 
 def l2_sq_dist(g1, g2) -> float:
@@ -706,13 +713,12 @@ def l2_sq_dist(g1, g2) -> float:
         e, h = (g1, g2) if emp(g1) else (g2, g1)
         gx = e.counts / e.n
         hx = h.value_at(e.points)
-        # sum_x h(x)^2 over the whole lattice, then swap in the support terms
-        total_h_sq = sum(p.value**2 * volume(p.rect, h.domain) for p in h.pieces)
+        # sum_x h(x)^2 over the whole lattice, then swap in the support terms; a float's ``**``
+        # is libm's pow, whose last bit numpy's square does not always match
+        total_h_sq = sum([v**2 * w for v, w in zip(h.values.tolist(), _volumes(h.bounds).tolist())])
         return float(np.sum((gx - hx) ** 2) - np.sum(hx**2) + total_h_sq)
-    axes = _overlay_axes(g1.domain, g1.bounds, g2.bounds)
-    v1 = _rasterize(g1, axes)
-    v2 = _rasterize(g2, axes)
-    return float(np.sum((v1 - v2) ** 2 * _cell_volumes(axes)))
+    diff, vol = _overlay_diff(g1, g2)
+    return float(np.sum(diff**2 * vol))
 
 
 def next_pow2(x: int) -> int:
@@ -769,10 +775,8 @@ def gen_truth(k: int, domain: Domain, seed: int) -> HistHypothesis:
     rects.sort(key=lambda r: (r.lo, r.hi))
     raw = rng.uniform(0.2, 1.0, size=len(rects))
     masses = raw / raw.sum()
-    pieces = []
-    for r, ms in zip(rects, masses):
-        pieces.append(Piece(r, ms / volume(r, domain)))
-    return HistHypothesis(domain=domain, pieces=tuple(pieces), kind=HistKind.ARBITRARY)
+    pieces = tuple(Piece(r, ms / volume(r, domain)) for r, ms in zip(rects, masses))
+    return HistHypothesis(domain=domain, pieces=pieces, kind=HistKind.ARBITRARY)
 
 
 def sample_from(h: HistHypothesis, n: int, seed: int) -> EmpiricalDist:
@@ -796,7 +800,7 @@ def sample_from(h: HistHypothesis, n: int, seed: int) -> EmpiricalDist:
         raise ValueError(f"hypothesis must be normalized to mass 1, has {total}")
     rng = np.random.Generator(np.random.PCG64(seed))
     domain, d = h.domain, h.domain.dim
-    masses = np.array([p.value * volume(p.rect, domain) for p in h.pieces])
+    masses = h.values * _volumes(h.bounds)
     cum = np.cumsum(masses)
     last = len(h.pieces) - 1
     piece = np.empty(n, dtype=np.min_scalar_type(len(h.pieces)))

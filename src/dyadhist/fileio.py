@@ -14,8 +14,8 @@ Floats are written with 12 significant digits, which is stable under
 re-ingestion: writing a re-read file reproduces it byte for byte.  Every
 writer formats its rows by one ``%`` on a repeated row template
 (``_rows``).  A grid dump, for plotting only, has the header
-``# dim=<d> resolution=<res>`` and one grid point and its value per line;
-no reader takes it.
+``# dim=<d> resolution=<res>`` and one grid point and its value per line,
+written in blocks of ``_WRITE_ROWS`` points; no reader takes it.
 
 ``read_samples`` blanks skipped lines in place, keeping their LF, so every
 row keeps its line number; only the lines from the body's first ``#`` or
@@ -33,7 +33,6 @@ import io
 import math
 import re
 import warnings
-from itertools import chain
 from pathlib import Path
 from typing import NoReturn
 
@@ -48,7 +47,7 @@ _BODY_BYTES = b"0123456789.,+-eE \n"
 # A skipped line after the first: spaces, then nothing or a ``#`` comment.
 _SKIPPED = re.compile(rb"\n(?=[ #]) *(?:#[^\n]*)?(?=\n|\Z)")
 
-# Distinct rows ``write_samples`` formats with one ``%``.
+# Rows ``write_samples`` (distinct ones) and ``write_grid`` format with one ``%``.
 _WRITE_ROWS = 1 << 15
 
 
@@ -207,21 +206,27 @@ def write_hypothesis(path, h: HistHypothesis) -> None:
     """One piece per line: lo,hi per axis, then the value (12 sig. digits)."""
     kind = "partial" if h.kind is HistKind.PARTIAL else "arbitrary"
     fields = [_coord_format(h.domain)] * (2 * h.domain.dim) + ["%.12g"]
-    table = np.array([[*chain.from_iterable(zip(p.rect.lo, p.rect.hi)), p.value] for p in h.pieces])
+    table = np.column_stack((h.bounds.transpose(0, 2, 1).reshape(h.piece_count, 2 * h.domain.dim), h.values))
     Path(path).write_text(f"# {_domain_header(h.domain)} kind={kind}\n" + _rows(fields, table), encoding="utf-8")
 
 
 def write_grid(path, h: HistHypothesis, res: int) -> None:
-    """``h`` at the centers of a ``res``^d regular grid, one point and its value per line, for plotting."""
+    """``h`` at the centers of a ``res``^d regular grid, one point and its value per line, for plotting.
+
+    The points, in C order, are made from their flat indices, evaluated and
+    written in blocks of ``_WRITE_ROWS``.
+    """
     domain = h.domain
     centers = domain.lower + (np.arange(res) + 0.5) * (domain.upper - domain.lower) / res
     if domain.is_discrete:
         centers = np.clip(np.floor(centers).astype(np.int64), 1, domain.m)
-    mesh = np.meshgrid(*[centers] * domain.dim, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
     fields = [_coord_format(domain)] * domain.dim + ["%.12g"]
-    table = np.column_stack((pts, h.value_at(pts)))
-    Path(path).write_text(f"# dim={domain.dim} resolution={res}\n" + _rows(fields, table), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"# dim={domain.dim} resolution={res}\n")
+        for start in range(0, res**domain.dim, _WRITE_ROWS):
+            flat = np.arange(start, min(start + _WRITE_ROWS, res**domain.dim))
+            pts = centers[np.stack(np.unravel_index(flat, (res,) * domain.dim), axis=1)]
+            f.write(_rows(fields, np.column_stack((pts, h.value_at(pts)))))
 
 
 def read_hypothesis(path) -> HistHypothesis:

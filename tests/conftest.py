@@ -18,6 +18,7 @@ from dyadhist.core import (
     HistHypothesis,
     HistKind,
     Piece,
+    Rect,
     volume,
 )
 from dyadhist.oracle import all_dyadic_rects
@@ -150,6 +151,54 @@ def coverage_twin(domain: Domain, pieces) -> tuple:
         counts[tuple(slice(int(np.searchsorted(ax, lo)), int(np.searchsorted(ax, hi)))
                      for ax, lo, hi in zip(axes, p.rect.lo, p.rect.hi))] += 1
     return axes, counts
+
+
+def raster_twin(h: HistHypothesis, axes: list) -> np.ndarray:
+    """Value of ``h`` on each cell of the overlay ``axes``, one piece's block of slices at a time (uncovered: 0)."""
+    grid = np.zeros(tuple(len(ax) - 1 for ax in axes))
+    for p in h.pieces:
+        grid[tuple(slice(int(np.searchsorted(ax, lo)), int(np.searchsorted(ax, hi)))
+                   for ax, lo, hi in zip(axes, p.rect.lo, p.rect.hi))] = p.value
+    return grid
+
+
+def total_mass_twin(h: HistHypothesis) -> float:
+    """Mass of ``h``: each piece's value times its ``volume``, added by the builtin ``sum`` over floats."""
+    return float(sum(float(p.value) * volume(p.rect, h.domain) for p in h.pieces))
+
+
+def mass_in_twin(h: HistHypothesis, rect: Rect) -> float:
+    """Mass of ``h`` on ``rect``: each piece's value times the ``volume`` of its part in ``rect``, left to right."""
+    total = 0.0
+    for p in h.pieces:
+        lo = tuple(max(a, b) for a, b in zip(p.rect.lo, rect.lo))
+        hi = tuple(max(l, min(a, b)) for l, a, b in zip(lo, p.rect.hi, rect.hi))
+        total += p.value * volume(Rect(lo, hi), h.domain)
+    return total
+
+
+def hypothesis_text_twin(h: HistHypothesis) -> str:
+    """The text of ``h``'s hypothesis file, formatted one field of one piece at a time."""
+    domain = h.domain
+    head = f"dim={domain.dim} domain=" + (f"discrete {domain.m}" if domain.is_discrete else "unit")
+    fmt = "%d" if domain.is_discrete else "%.12g"
+    kind = "partial" if h.kind is HistKind.PARTIAL else "arbitrary"
+    lines = [",".join([fmt % x for pair in zip(p.rect.lo, p.rect.hi) for x in pair] + ["%.12g" % p.value])
+             for p in h.pieces]
+    return f"# {head} kind={kind}\n" + "".join(line + "\n" for line in lines)
+
+
+def grid_text_twin(h: HistHypothesis, res: int) -> str:
+    """The text of ``write_grid``'s dump: the whole grid by one ``meshgrid``, evaluated at once, line by line."""
+    domain = h.domain
+    centers = domain.lower + (np.arange(res) + 0.5) * (domain.upper - domain.lower) / res
+    if domain.is_discrete:
+        centers = np.clip(np.floor(centers).astype(np.int64), 1, domain.m)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*[centers] * domain.dim, indexing="ij")], axis=1)
+    fmt = "%d" if domain.is_discrete else "%.12g"
+    values = h.value_at(pts).tolist()
+    lines = [",".join([fmt % x for x in pt] + ["%.12g" % v]) for pt, v in zip(pts.tolist(), values)]
+    return f"# dim={domain.dim} resolution={res}\n" + "".join(line + "\n" for line in lines)
 
 
 def twin_volume(grid: GridSpec, r: DyadicRect) -> float:

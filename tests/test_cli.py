@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import io
+import os
 import re
 import subprocess
 import sys
@@ -20,11 +21,16 @@ from dyadhist.cli import gen_truth, main, sample_from
 from dyadhist import cli, core, ddist, fileio
 from dyadhist.core import Domain, EmpiricalDist, HistKind, l1_dist, l2_sq_dist, mass, volume
 from dyadhist.errors import ConfigurationError, DomainViolationError
-from dyadhist.fileio import read_hypothesis, read_samples, write_hypothesis, write_samples
+from dyadhist.fileio import read_hypothesis, read_samples, write_grid, write_hypothesis, write_samples
 from dyadhist.oracle import opt_hier_l2, opt_partial_hier_dk
 from dyadhist.split import SplitParams, greedy_split, greedy_split_l2
 
-from conftest import make_rng, one_shot_sample_from
+from conftest import grid_text_twin, make_rng, one_shot_sample_from
+
+
+def package_env() -> dict:
+    """This process's environment with ``PYTHONPATH`` set to the directory it imported ``dyadhist`` from."""
+    return {**os.environ, "PYTHONPATH": str(Path(core.__file__).resolve().parents[1])}
 
 
 def grammar_twin(path):
@@ -318,6 +324,34 @@ class TestSampleFileText:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size
+
+
+class TestGridDump:
+    @pytest.mark.parametrize("block", [500, fileio._WRITE_ROWS])
+    @pytest.mark.parametrize(
+        "domain, res",
+        [(Domain.unit(1), 4096), (Domain.unit(2), 300), (Domain.discrete(37, 2), 3), (Domain.discrete(37, 2), 100),
+         (Domain.unit(3), 9)],
+    )
+    def test_matches_the_one_shot_twin(self, tmp_path, monkeypatch, domain, res, block):
+        monkeypatch.setattr(fileio, "_WRITE_ROWS", block)
+        h = gen_truth(5, domain, 3)
+        write_grid(tmp_path / "g.txt", h, res)
+        assert (tmp_path / "g.txt").read_text(encoding="utf-8") == grid_text_twin(h, res)
+
+    def test_peak_of_a_512_squared_dump_under_16_mib(self, tmp_path):
+        # made, evaluated and written in blocks, so the peak does not grow with the grid
+        h = gen_truth(5, Domain.unit(2), 3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_grid(tmp_path / "g.txt", h, 512)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
+        digest = hashlib.sha256((tmp_path / "g.txt").read_bytes()).hexdigest()
+        assert digest == hashlib.sha256(grid_text_twin(h, 512).encode()).hexdigest()
 
 
 class TestGenTruth:
@@ -714,8 +748,8 @@ class TestCommandLine:
         assert "needs a discrete cube" in captured.err
 
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
-        # a --dump-grid of 70000 on a 2-d hypothesis asks numpy for 36.5 GiB;
-        # the test raises the MemoryError without allocating
+        # a command that runs out of memory exits 2; the test raises the
+        # MemoryError without allocating
         def no_memory(path, h, res):
             raise MemoryError("Unable to allocate 36.5 GiB")
 
@@ -867,14 +901,14 @@ class TestCommandLine:
     def test_import_leaves_scipy_unloaded(self):
         # nor the CLI module, which ``python -m dyadhist.cli`` must find unimported
         code = "import sys, dyadhist; print('scipy' in sys.modules, 'dyadhist.cli' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False False"
 
     def test_module_run_leaves_stderr_empty(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dyadhist.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env(),
         )
         assert proc.returncode == 0
         assert proc.stderr == ""

@@ -41,12 +41,16 @@ from dyadhist.split import SplitParams, adaptive_greedy_split
 
 from conftest import (
     coverage_twin,
+    hypothesis_text_twin,
     lattice_points,
     make_rng,
+    mass_in_twin,
     random_grid,
     random_hier_hist,
     random_partial_hist,
     random_points,
+    raster_twin,
+    total_mass_twin,
     twin_volume,
 )
 
@@ -76,6 +80,25 @@ class TestVolume:
             volume(Rect((0,), (3,)), d)
         with pytest.raises(DomainViolationError):
             volume(Rect((1,), (7,)), d)
+
+
+NAN = float("nan")
+
+
+class TestRect:
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [((0.0,), (NAN,)), ((NAN,), (1.0,)), ((0.0, NAN), (1.0, NAN)), ((0.5,), (0.25,))],
+        ids=["nan-hi", "nan-lo", "nan-both", "lo-above-hi"],
+    )
+    def test_needs_lo_at_most_hi(self, lo, hi):
+        with pytest.raises(ValueError, match="rect needs lo <= hi on every axis"):
+            Rect(lo, hi)
+
+    def test_nan_piece_refused(self):
+        # taken, it would be a total hypothesis of mass 0 whose value at 0.5 is 1
+        with pytest.raises(ValueError, match="lo <= hi"):
+            HistHypothesis(Domain.unit(1), (Piece(Rect((0.0,), (NAN,)), 1.0),), HistKind.ARBITRARY)
 
 
 class TestFlatten:
@@ -404,24 +427,59 @@ class TestL1:
         assert l1_dist(a, c) <= l1_dist(a, b) + l1_dist(b, c) + 1e-9
 
 
-class TestPieceSlices:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_match_the_per_piece_loop(self, dim):
-        # warped discrete grids repeat boundaries, so some pieces have zero width
+class TestRasterize:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_the_per_piece_twin(self, dim):
+        # warped discrete grids repeat boundaries, so some pieces have zero width;
+        # each hypothesis is painted on its own overlay and on the pair's joint one
         rng, zero_width = make_rng(50 + dim), 0
         for trial in range(40):
             domain = Domain.discrete(6, dim) if trial % 2 else Domain.unit(dim)
             grid = random_grid(rng, domain, 4, warp=trial % 4 < 2)
             hs = [random_hier_hist(rng, grid, 20), random_partial_hist(rng, grid, 5)]
-            for pieces in (hs[0].pieces, hs[1].pieces, hs[0].pieces + hs[1].pieces):
-                bounds = core.piece_bounds(domain, pieces)
-                axes = core._overlay_axes(domain, bounds)
-                want = [tuple(slice(int(np.searchsorted(ax, p.rect.lo[a])), int(np.searchsorted(ax, p.rect.hi[a])))
-                              for a, ax in enumerate(axes)) for p in pieces]
-                assert core._piece_slices(bounds, axes) == want
-                zero_width += sum(any(sl.start == sl.stop for sl in block) for block in want)
+            joint = core._overlay_axes(domain, hs[0].bounds, hs[1].bounds)
+            for h in hs:
+                for axes in (core._overlay_axes(domain, h.bounds), joint):
+                    got, want = core._rasterize(h, axes), raster_twin(h, axes)
+                    assert got.dtype == want.dtype and got.tolist() == want.tolist(), trial
+            zero_width += sum(any(l == u for l, u in zip(p.rect.lo, p.rect.hi)) for h in hs for p in h.pieces)
         assert zero_width > 0
-        assert core._piece_slices(core.piece_bounds(domain, ()), axes) == []
+        empty = HistHypothesis(domain, (), HistKind.PARTIAL)
+        assert core._rasterize(empty, joint).tolist() == raster_twin(empty, joint).tolist()
+
+    def test_pieces_at_d40_built_and_compared_within_a_second(self):
+        # upper ends at the domain's bound take no row past the last cell, so
+        # a one-piece cube is one cell, not 2^40
+        t0 = time.perf_counter()
+        one, three = gen_truth(1, Domain.unit(40), 0), gen_truth(3, Domain.unit(40), 0)
+        dist = l1_dist(one, three)
+        assert time.perf_counter() - t0 < 1.0
+        assert (one.piece_count, three.piece_count) == (1, 3) and 0.0 < dist < 2.0
+
+
+class TestArraysMatchPerPieceTwins:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_masses_and_file_text(self, seed, tmp_path):
+        # the same products and the same order of sums as the per-piece loops, so equal bits
+        rng = make_rng(700 + seed)
+        for h in hypothesis_family(seed):
+            assert h.values.dtype == np.float64 and h.values.tolist() == [p.value for p in h.pieces]
+            assert h.total_mass() == total_mass_twin(h)
+            dom = h.domain
+            for _ in range(10):  # rects inside, sticking out below or above, and of zero width
+                ends = np.sort(rng.uniform(dom.lower - 0.3, dom.upper + 0.3, size=(dom.dim, 2)), axis=1)
+                ends = np.round(ends) if dom.is_discrete else ends
+                flat = rng.random(dom.dim) < 0.2
+                ends[flat, 1] = ends[flat, 0]
+                rect = Rect(tuple(ends[:, 0].tolist()), tuple(ends[:, 1].tolist()))
+                if (ends[:, 0] > dom.upper).any():  # the intersections leave the domain's top
+                    for f in (h.mass_in, lambda r: mass_in_twin(h, r)):
+                        with pytest.raises(DomainViolationError, match="outside domain bounds"):
+                            f(rect)
+                else:
+                    assert h.mass_in(rect) == mass_in_twin(h, rect)
+            write_hypothesis(tmp_path / "h.hist", h)
+            assert (tmp_path / "h.hist").read_text(encoding="utf-8") == hypothesis_text_twin(h)
 
 
 class TestPieceCoverage:
@@ -705,10 +763,11 @@ class TestGridSpec:
             (2, [[0.0, 0.5, 1.0]], "one boundary array per dimension required"),
             (2, [[0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0]], "all axes must have the same boundary count"),
             (1, [[0.0, 0.75, 0.5, 1.0, 1.0]], "axis boundaries must be non-decreasing"),
+            (1, [[0.0, NAN, 1.0]], "axis boundaries must be non-decreasing"),
             (1, [[0.25, 0.5, 1.0]], "axis boundaries must start/end at the domain bounds"),
             (1, [[0.0, 0.5, 0.75]], "axis boundaries must start/end at the domain bounds"),
         ],
-        ids=["not-a-power-of-2", "axis-count", "boundary-counts", "decreasing", "low-end", "high-end"],
+        ids=["not-a-power-of-2", "axis-count", "boundary-counts", "decreasing", "nan", "low-end", "high-end"],
     )
     def test_rejects_bad_axes(self, dim, axes, message):
         with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
